@@ -24,10 +24,11 @@ The zero element renders as the single line ``0``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
-from typing import Iterable, Iterator, Mapping
+from math import gcd, isqrt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Generator",
@@ -45,6 +46,7 @@ __all__ = [
     "key_coeff",
     "key_coeff_bruteforce",
     "key_coeff_fold",
+    "window_product",
     "DEFAULT_SUBSET_CAP",
 ]
 
@@ -103,16 +105,10 @@ def D(k: int) -> Generator:
     return g
 
 
-def _parse_generator(token: str) -> Generator:
-    if token == "O2":
-        return O2
-    if token == "SO2":
-        return SO2
-    if token.startswith("D") and token[1:].isdigit():
-        k = int(token[1:])
-        if k >= 1:
-            return D(k)
-    raise ElementFormatError(f"unknown generator label {token!r}")
+# One canonical term line: an ASCII label and a coefficient without
+# leading zeros or a plus sign.  A zero coefficient matches so that it
+# can be reported as such.
+_TERM_LINE = re.compile(r"(D[1-9][0-9]*|SO2|O2) (0|-?[1-9][0-9]*)")
 
 
 class BurnsideElement:
@@ -154,6 +150,10 @@ class BurnsideElement:
     def terms(self) -> tuple[tuple[Generator, int], ...]:
         """(generator, coefficient) pairs in ascending basis order."""
         return tuple(sorted(self._terms.items()))
+
+    def items(self) -> Iterator[tuple[Generator, int]]:
+        """(generator, coefficient) pairs in storage order; `terms` sorts them."""
+        return iter(self._terms.items())
 
     def dihedral_indices(self) -> tuple[int, ...]:
         """Indices k with a nonzero D(k) coefficient, ascending."""
@@ -241,25 +241,25 @@ class BurnsideElement:
     def parse(cls, text: str) -> BurnsideElement:
         """Parse the canonical rendering back into an element.
 
-        Parsing is strict: terms must be in strictly ascending basis
-        order with nonzero coefficients, or the single line ``0``.
+        Parsing is strict: `text` must be exactly what `render` produces,
+        the single line ``0`` or newline-separated ``<label> <coeff>``
+        lines in strictly ascending basis order with nonzero canonical
+        ASCII coefficients, with no blank lines or extra whitespace.
         """
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ElementFormatError("empty element text")
-        if lines == ["0"]:
+        if text == "0":
             return ZERO
         terms: dict[Generator, int] = {}
         prev: Generator | None = None
-        for ln in lines:
-            parts = ln.split()
-            if len(parts) != 2:
+        for ln in text.split("\n"):
+            m = _TERM_LINE.fullmatch(ln)
+            if m is None:
                 raise ElementFormatError(f"malformed term line {ln!r}")
-            g = _parse_generator(parts[0])
+            label, digits = m.groups()
             try:
-                c = int(parts[1])
-            except ValueError:
-                raise ElementFormatError(f"bad coefficient in line {ln!r}") from None
+                g = O2 if label == "O2" else SO2 if label == "SO2" else D(int(label[1:]))
+                c = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise ElementFormatError(f"number too long in line {ln!r}") from None
             if c == 0:
                 raise ElementFormatError(f"zero coefficient stored for {g.label}")
             if prev is not None and not prev < g:
@@ -303,7 +303,7 @@ class KeySet:
         if not idx:
             raise ValueError("key set must be non-empty")
         for i in idx:
-            if not isinstance(i, int):
+            if isinstance(i, bool) or not isinstance(i, int):
                 raise ValueError(f"key index must be an int, got {i!r}")
             if i < 1:
                 raise ValueError(f"key index must be >= 1, got {i}")
@@ -424,3 +424,44 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int, *, subset_cap: int = DEFAU
     s = as_key_set(s)
     _check_cap(s, subset_cap)
     return sum(key_coeff(s, n, subset_cap=subset_cap) for n in range(x, s.max_index + 1, x))
+
+
+def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
+    """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k, L = len(values).
+
+    Computed in mark coordinates.  The mark of an element a at D(x) is
+    phi_x(a) = a_O2 + 2*sum_{x|n} a_n (SO2 has mark 0 there), and marks
+    are multiplicative: phi_x(a*b) = phi_x(a)*phi_x(b).  A window element
+    p and its product c = p*k both lie on D(1)..D(L), since no product
+    raises a dihedral index, so phi_x(p) = 2*F_x with the divisor sum
+    F_x = sum_{x|n<=L} p_n, and the divisor sums of c are
+    G_x = F_x*phi_x(k).  The divisor-sum matrix is unitriangular, so c is
+    recovered from G by the downward sweep
+    c_x = G_x - sum_{m=2x,3x,...<=L} c_m.
+
+    Both sweeps cost O(L log L).  The marks of k at x <= L are gathered
+    from its terms: each D(n) term adds 2*k_n at the divisors of n that
+    are <= L, found in O(min(L, sqrt(n))) steps, so no step grows with
+    the largest index of k.  The result equals the ring product exactly
+    for every multiplier k; for a key every mark is +-1.
+    """
+    length = len(values)
+    marks = [k.coeff(O2)] * (length + 1)
+    for g, c in k._terms.items():
+        if g.family != _DIHEDRAL:
+            continue
+        n = g.index
+        for d in range(1, min(length, isqrt(n)) + 1):
+            if n % d == 0:
+                marks[d] += 2 * c
+                e = n // d
+                if e != d and e <= length:
+                    marks[e] += 2 * c
+    # In place: ascending x turns sums[x] into G_x while every slot above
+    # x still holds p; descending x then leaves c above x when c_x is due.
+    sums = [0, *values]
+    for x in range(1, length + 1):
+        sums[x] = marks[x] * sum(sums[x::x])
+    for x in range(length // 2, 0, -1):
+        sums[x] -= sum(sums[2 * x :: x])
+    return sums[1:]

@@ -229,25 +229,25 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "rf1": verify_basic_degree,
 }
 
+# The run_suite options each suite takes.
+_SUITE_OPTIONS: dict[str, tuple[str, ...]] = {
+    "table": ("max_index",),
+    "recurrence": ("max_index",),
+    "involution": ("trials", "seed"),
+    "prop-coeff": ("trials", "seed"),
+    "rf1": ("max_irrep",),
+}
+
 
 def run_suite(name: str, **options) -> list[SuiteResult]:
-    """Run one named suite, or every suite for name == 'all'."""
+    """Run one named suite, or every suite for name == 'all'.
+
+    An option set to None keeps the suite's default; every other value,
+    0 included, is passed to the suites that take it.
+    """
     if name == "all":
         return [run_suite(single, **options)[0] for single in SUITES]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    suite = SUITES[name]
-    kwargs = {}
-    if name in ("table", "recurrence") and options.get("max_index"):
-        kwargs["max_index"] = options["max_index"]
-    if name == "involution":
-        if options.get("trials"):
-            kwargs["trials"] = options["trials"]
-        kwargs["seed"] = options.get("seed", 0)
-    if name == "prop-coeff":
-        if options.get("trials"):
-            kwargs["trials"] = options["trials"]
-        kwargs["seed"] = options.get("seed", 0)
-    if name == "rf1" and options.get("max_irrep"):
-        kwargs["max_irrep"] = options["max_irrep"]
-    return [suite(**kwargs)]
+    kwargs = {k: options[k] for k in _SUITE_OPTIONS[name] if options.get(k) is not None}
+    return [SUITES[name](**kwargs)]

@@ -17,6 +17,7 @@ from brc.burnside import (
     key_coeff_bruteforce,
     key_coeff_fold,
     key_element,
+    window_product,
 )
 from strategies import elements, key_sets
 
@@ -142,6 +143,23 @@ def test_parse_inverts_render(a):
         "D2 1\nD1 1",  # out of order
         "D2 1 extra",
         "O2 1\nO2 2",  # duplicate
+        # non-canonical tokens and spacing
+        "D01 1",
+        "D1 01",
+        "D1 +1",
+        "D1 -0",
+        "D1 1_0",
+        "D\u00b2 1",  # superscript two
+        "D1 \u0663",  # Arabic-Indic three
+        "D1  1",
+        " D1 1",
+        "D1 1 ",
+        "D1 1\n",
+        "D1 1\n\nD2 1",
+        "D1 1\r\nD2 1",
+        "0\n",
+        "-0",
+        "D" + "1" * 5000 + " 1",  # more digits than int() converts
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -161,7 +179,7 @@ def test_key_set_normalizes_order():
     assert KeySet([3, 2]).indices == (2, 3)
 
 
-@pytest.mark.parametrize("bad", [[], [0], [-1], [2, 2], [1.5]])
+@pytest.mark.parametrize("bad", [[], [0], [-1], [2, 2], [1.5], [True, 2]])
 def test_key_set_rejects_invalid(bad):
     with pytest.raises(ValueError):
         KeySet(bad)
@@ -304,3 +322,23 @@ def test_key_element_structure(s):
 def test_key_coeff_vanishes_above_max_index(s):
     for n in range(s.max_index + 1, s.max_index + 11):
         assert key_coeff(s, n) == 0
+
+
+# ------------------------------------------------------ window product
+
+
+def _window_vector(a, length):
+    return [a.coeff(D(n)) for n in range(1, length + 1)]
+
+
+def test_window_product_examples():
+    # (3*D1 + D2) * (O2 - D2) = -3*D1 - D2, and SO2 annihilates the window.
+    assert window_product([3, 1], key_element([2])) == [-3, -1]
+    assert window_product([3, 1], elem(SO2=5)) == [0, 0]
+    assert window_product([0, 0, 7], elem(O2=2, D6=1)) == [0, 0, 28]
+
+
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=300), elements(max_index=1000))
+def test_window_product_equals_ring_product(values, k):
+    p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
+    assert window_product(values, k) == _window_vector(p * k, len(values))

@@ -1,8 +1,12 @@
+import time
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from brc.burnside import IDENTITY, SO2, O2, ZERO, BurnsideElement, D, KeySet, key_element
 from brc.cipher import (
+    MAX_LENGTH,
     Ciphertext,
     FileFormatError,
     MessageError,
@@ -20,7 +24,7 @@ from brc.cipher import (
     write_ciphertext_file,
     write_key_file,
 )
-from strategies import key_sets, plaintext_vectors
+from strategies import key_sets, plaintext_vectors, unit_multipliers, window_elements
 
 
 # ------------------------------------------------------------- text encoding
@@ -41,6 +45,12 @@ def test_encode_accepts_bytes():
 def test_encode_rejects_empty():
     with pytest.raises(MessageError):
         encode_text("")
+
+
+def test_encode_rejects_message_above_max_length():
+    encode_text(b"a" * MAX_LENGTH)
+    with pytest.raises(MessageError, match="longer"):
+        encode_text(b"a" * (MAX_LENGTH + 1))
 
 
 def test_encode_rejects_non_ascii_byte():
@@ -195,6 +205,26 @@ def test_encryption_is_linear(v1, v2, s):
     assert lhs == rhs
 
 
+@given(window_elements(), st.one_of(key_sets(max_size=6, max_index=1000).map(key_element), unit_multipliers()))
+def test_encrypt_and_decrypt_equal_ring_product(window, key):
+    # Keys mostly have indices above L; the other multipliers carry SO2
+    # terms and arbitrary dihedral terms.
+    length, p = window
+    assert encrypt(p, length, key).element == p * key
+    assert decrypt(Ciphertext(element=p, length=length), key) == p * key
+
+
+def test_huge_key_index_encrypts_1kb_quickly():
+    s = KeySet([3, 10**12])
+    data = bytes(32 + i % 95 for i in range(1000))
+    start = time.perf_counter()
+    ct = encrypt_message(data, s)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert ct.element == ring_encode(list(data)) * key_element(s)
+    assert decrypt_message(ct, s) == data
+
+
 # -------------------------------------------------------------- file formats
 
 
@@ -216,6 +246,18 @@ def test_key_file_roundtrip(tmp_path):
         "BRC-KEY v1\nS 2 x\n",
         "BRC-KEY v1\nS\n",
         "BRC-KEY v1\nS 2\nextra\n",
+        # non-canonical text
+        "BRC-KEY v1\nS 02 3\n",
+        "BRC-KEY v1\nS 2 \u0663\n",  # Arabic-Indic three
+        "BRC-KEY v1\nS +2\n",
+        "BRC-KEY v1\nS 1_0\n",
+        "BRC-KEY v1\nS 2  3\n",
+        "BRC-KEY v1\nS 2 3 \n",
+        "BRC-KEY v1\nS 2 3",
+        "BRC-KEY v1\r\nS 2 3\r\n",
+        "\nBRC-KEY v1\nS 2 3\n",
+        "BRC-KEY v1\n\nS 2 3\n",
+        "BRC-KEY v1\nS " + "1" * 5000 + "\n",  # more digits than int() converts
     ],
 )
 def test_key_file_strict_parsing(tmp_path, content):
@@ -256,6 +298,24 @@ def test_ciphertext_file_zero_element(tmp_path):
         "BRC-CT v1\nL 2\nO2 1\n",  # non-dihedral support
         "BRC-CT v1\nL 2\nD1 0\n",  # stored zero coefficient
         "BRC-CT v1\nL 2\nnot a term\n",
+        # non-canonical text
+        "BRC-CT v1\nL 2\nD01 5\n",
+        "BRC-CT v1\nL 2\nD1 +5\n",
+        "BRC-CT v1\nL 2\nD1 05\n",
+        "BRC-CT v1\nL 2\nD1 1_0\n",
+        "BRC-CT v1\nL \u0662\nD1 5\n",  # Arabic-Indic two
+        "BRC-CT v1\nL 2\nD\u00b2 5\n",  # superscript two
+        "BRC-CT v1\nL 02\nD1 5\n",
+        "BRC-CT v1\nL +2\nD1 5\n",
+        "BRC-CT v1\nL 2\nD1 5",
+        "BRC-CT v1\nL 2\nD1 5\n\n",
+        "BRC-CT v1\nL 2\n\nD1 5\n",
+        "BRC-CT v1\nL 2\nD1 5 \n",
+        "BRC-CT v1\r\nL 2\r\nD1 5\r\n",
+        "BRC-CT v1 \nL 2\nD1 5\n",
+        # declared length above MAX_LENGTH
+        "BRC-CT v1\nL 2000000\nD1 1\n",
+        "BRC-CT v1\nL " + "9" * 5000 + "\nD1 1\n",
     ],
 )
 def test_ciphertext_file_strict_parsing(tmp_path, content):
@@ -263,3 +323,40 @@ def test_ciphertext_file_strict_parsing(tmp_path, content):
     path.write_text(content)
     with pytest.raises(FileFormatError):
         read_ciphertext_file(path)
+
+
+def test_ciphertext_file_accepts_max_length(tmp_path):
+    path = tmp_path / "max.ct"
+    path.write_text(f"BRC-CT v1\nL {MAX_LENGTH}\nD1 1\n")
+    assert read_ciphertext_file(path).length == MAX_LENGTH
+
+
+# Characters of the ciphertext grammar plus near misses.
+_CT_ALPHABET = "BRC-T v1LDSO0123456789+_\n\r\t\u00b2\u0662"
+
+
+@st.composite
+def ciphertext_texts(draw):
+    """A written ciphertext file with up to three small random edits."""
+    values = draw(plaintext_vectors(max_length=12))
+    ct = encrypt_message(bytes(values), draw(key_sets(max_size=3, max_index=12)))
+    text = f"BRC-CT v1\nL {ct.length}\n{ct.element.render()}\n"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 2)))
+        text = text[:i] + draw(st.text(alphabet=_CT_ALPHABET, max_size=2)) + text[j:]
+    return text
+
+
+@given(st.one_of(st.text(), ciphertext_texts()))
+def test_ciphertext_reader_accepts_only_canonical_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "in.ct"
+    data = text.encode("utf-8", "surrogatepass")
+    path.write_bytes(data)
+    try:
+        ct = read_ciphertext_file(path)
+    except FileFormatError:
+        return
+    out = path.with_suffix(".out")
+    write_ciphertext_file(out, ct)
+    assert out.read_bytes() == data

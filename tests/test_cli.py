@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,6 +112,29 @@ def test_decrypt_rejects_truncated_ciphertext(tmp_path, keyfile, capsys):
     assert "truncated" in err
 
 
+def test_decrypt_rejects_declared_length_above_cap(tmp_path, keyfile, capsys):
+    ct = tmp_path / "long.ct"
+    ct.write_text("BRC-CT v1\nL 2000000\nD1 1\n")
+    out = tmp_path / "o.txt"
+    code, _, err = run_cli(capsys, "decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(out))
+    assert code == 1
+    assert "above the limit" in err
+    assert not out.exists()
+
+
+def test_decrypt_long_declared_length_is_fast(tmp_path, keyfile, capsys):
+    # Key {2, 3} fixes D1: the plaintext is one 0x01 byte and 199 999 NULs.
+    ct = tmp_path / "long.ct"
+    ct.write_text("BRC-CT v1\nL 200000\nD1 1\n")
+    out = tmp_path / "o.txt"
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, "decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(out))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.read_bytes() == b"\x01" + bytes(199_999)
+    assert elapsed < 1.0
+
+
 # -------------------------------------------------------------------- attacks
 
 
@@ -194,6 +218,12 @@ def test_verify_respects_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "table", "--max-index", "6")
     assert code == 0
     assert "cases=64" in out  # (6 dihedral + SO2 + O2) squared
+
+
+def test_verify_zero_trials_runs_only_exhaustive_cases(capsys):
+    code, out, _ = run_cli(capsys, "verify", "involution", "--trials", "0")
+    assert code == 0
+    assert "cases=298" in out  # every key set of up to 3 indices from 1..12
 
 
 def test_module_entry_point():
