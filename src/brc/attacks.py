@@ -6,14 +6,18 @@ matrix.  This module recovers that matrix from known plaintexts,
 builds prime-scaled key sets that are indistinguishable on any such
 window (so passive data never identifies the key set), and runs the
 one-query chosen-plaintext experiment that distinguishes any two
-candidate key sets with certainty.
+candidate key sets with certainty, alone or over every pair of a
+bounded key space.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, count as count_from, islice, permutations
+from math import isqrt
 from typing import Callable, Iterable, Sequence
 
 from .burnside import (
@@ -38,6 +42,8 @@ __all__ = [
     "cpa_distinguish",
     "run_cpa_experiment",
     "identity_query_leak",
+    "CpaSweepResult",
+    "run_cpa_sweep",
     "OracleMismatchError",
     "InconsistentPairsError",
     "KpaResult",
@@ -47,6 +53,8 @@ __all__ = [
     "KpaDemoResult",
     "run_kpa_demo",
     "format_cpa_report",
+    "format_identity_report",
+    "format_cpa_sweep_report",
     "format_ambiguity_report",
     "format_kpa_report",
 ]
@@ -102,18 +110,9 @@ def operator_matrix(key: BurnsideElement, window: int) -> OperatorMatrix:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        return n > 1
+    return n % 2 == 1 and all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 def ambiguous_key(s: KeySet | Iterable[int], window: int, q: int) -> KeySet:
@@ -134,14 +133,8 @@ def ambiguous_family(s: KeySet | Iterable[int], window: int, count: int) -> list
     """The first `count` prime-scaled twins of `s` above the window."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    s = as_key_set(s)
-    twins = []
-    q = window + 1
-    while len(twins) < count:
-        if _is_prime(q):
-            twins.append(KeySet(q * i for i in s))
-        q += 1
-    return twins
+    primes = (q for q in count_from(window + 1) if _is_prime(q))
+    return [ambiguous_key(s, window, q) for q in islice(primes, count)]
 
 
 def choose_probe(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int]) -> int:
@@ -261,19 +254,62 @@ def identity_query_leak(
     one unrestricted query reveals the hidden bit.  Kept separate from
     the headline attack, which works under the dihedral restriction.
     """
-    s0, s1 = as_key_set(s0), as_key_set(s1)
-    if s0 == s1:
-        raise ValueError("candidate key sets are identical")
-    if hidden_bit not in (0, 1):
-        raise ValueError(f"hidden bit must be 0 or 1, got {hidden_bit}")
+    game = CpaExperiment(s0=s0, s1=s1, hidden_bit=hidden_bit)
     # The single query is the identity class itself; the oracle reply is
     # IDENTITY * k = k, the hidden key element in the clear.
-    response = IDENTITY * key_element(s1 if hidden_bit else s0)
-    if response == key_element(s0):
+    response = IDENTITY * key_element(game.hidden_set)
+    if response == key_element(game.s0):
         return 0, response
-    if response == key_element(s1):
+    if response == key_element(game.s1):
         return 1, response
     raise OracleMismatchError("identity-query reply matches neither candidate key")
+
+
+@dataclass(frozen=True)
+class CpaSweepResult:
+    """Tally of the one-probe distinguisher over a bounded key space."""
+
+    max_index: int
+    max_size: int
+    key_sets: int
+    games: int
+    correct: int
+    queries: int
+    probes: tuple[tuple[int, int], ...]  # (probe index, games), ascending
+
+
+def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
+    """Play the game for every ordered pair of distinct key sets.
+
+    The key space holds every set of indices <= max_index with
+    1 <= |S| <= max_size; each ordered pair is played with both hidden
+    bits, so the sweep plays n*(n-1)*2 games on n key sets.
+    """
+    key_space = [
+        KeySet(combo)
+        for size in range(1, min(max_size, max_index) + 1)
+        for combo in combinations(range(1, max_index + 1), size)
+    ]
+    if len(key_space) < 2:
+        raise ValueError(f"fewer than two key sets with indices <= {max_index}, |S| <= {max_size}")
+    games = correct = queries = 0
+    probes: Counter[int] = Counter()
+    for s0, s1 in permutations(key_space, 2):
+        for hidden in (0, 1):
+            result, experiment = run_cpa_experiment(s0, s1, hidden)
+            games += 1
+            correct += result.guess == hidden
+            queries += experiment.queries
+            probes[result.probe] += 1
+    return CpaSweepResult(
+        max_index=max_index,
+        max_size=max_size,
+        key_sets=len(key_space),
+        games=games,
+        correct=correct,
+        queries=queries,
+        probes=tuple(sorted(probes.items())),
+    )
 
 
 @dataclass(frozen=True)
@@ -370,6 +406,7 @@ class AmbiguityResult:
 
     base: KeySet
     window: int
+    base_key: BurnsideElement
     base_matrix: OperatorMatrix
     twins: tuple[tuple[int, KeySet], ...]
     matrices_equal: tuple[bool, ...]
@@ -383,6 +420,10 @@ class AmbiguityResult:
     def all_elements_differ(self) -> bool:
         return all(self.elements_differ)
 
+    @property
+    def ok(self) -> bool:
+        return self.all_matrices_equal and self.all_elements_differ
+
 
 def run_ambiguity_demo(
     s: KeySet | Iterable[int], window: int, count: int
@@ -391,22 +432,16 @@ def run_ambiguity_demo(
     s = as_key_set(s)
     base_key = key_element(s)
     base_matrix = operator_matrix(base_key, window)
-    twins: list[tuple[int, KeySet]] = []
-    matrices_equal: list[bool] = []
-    elements_differ: list[bool] = []
-    for twin in ambiguous_family(s, window, count):
-        q = twin.indices[0] // s.indices[0]
-        twin_key = key_element(twin)
-        twins.append((q, twin))
-        matrices_equal.append(operator_matrix(twin_key, window) == base_matrix)
-        elements_differ.append(twin_key != base_key)
+    twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
+    twin_keys = [key_element(t) for _, t in twins]
     return AmbiguityResult(
         base=s,
         window=window,
+        base_key=base_key,
         base_matrix=base_matrix,
-        twins=tuple(twins),
-        matrices_equal=tuple(matrices_equal),
-        elements_differ=tuple(elements_differ),
+        twins=twins,
+        matrices_equal=tuple(operator_matrix(k, window) == base_matrix for k in twin_keys),
+        elements_differ=tuple(k != base_key for k in twin_keys),
     )
 
 
@@ -436,30 +471,27 @@ def run_kpa_demo(
     produce the very same matrix, so the key set remains open.
     """
     key_set = as_key_set(key_set)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
+    ambiguity = run_ambiguity_demo(key_set, window, twin_count)
     rng = random.Random(seed)
-    key = key_element(key_set)
     pairs = []
     for _ in range(n_pairs):
         values = [rng.randint(0, 127) for _ in range(window)]
         plain = ring_encode(values) if any(values) else BurnsideElement({D(1): 1})
-        pairs.append((plain, encrypt(plain, window, key).element))
+        pairs.append((plain, encrypt(plain, window, ambiguity.base_key).element))
     solver = known_plaintext_solver(pairs, window)
-    true_matrix = operator_matrix(key, window)
-    matches = solver.matrix == true_matrix if solver.determined else None
-    twins = tuple(ambiguous_family(key_set, window, twin_count))
-    twins_match = tuple(
-        operator_matrix(key_element(t), window) == true_matrix for t in twins
-    )
+    matches = solver.matrix == ambiguity.base_matrix if solver.determined else None
     return KpaDemoResult(
         key_set=key_set,
         window=window,
         seed=seed,
         solver=solver,
         matches_true_operator=matches,
-        twins=twins,
-        twins_match=twins_match,
+        twins=tuple(twin for _, twin in ambiguity.twins),
+        twins_match=ambiguity.matrices_equal,
     )
 
 
@@ -467,9 +499,23 @@ def _indent(text: str, pad: str = "    ") -> str:
     return "\n".join(pad + line for line in text.splitlines())
 
 
-def format_cpa_report(result: CpaResult, experiment: CpaExperiment) -> str:
-    """Structured text report of one distinguishing game."""
-    success = result.guess == experiment.hidden_bit
+def _decision_lines(guess: int, queries: int, hidden_bit: int, seed: int | None) -> list[str]:
+    lines = [
+        f"decision       : {guess}",
+        f"queries        : {queries}",
+        f"hidden bit     : {hidden_bit}",
+        f"outcome        : {'SUCCESS' if guess == hidden_bit else 'FAILURE'}",
+    ]
+    if seed is not None:
+        lines.append(f"seed           : {seed}")
+    return lines
+
+
+def format_cpa_report(result: CpaResult, experiment: CpaExperiment, seed: int | None = None) -> str:
+    """Structured text report of one distinguishing game.
+
+    `seed`, when given, is the seed the hidden bit was drawn from.
+    """
     lines = [
         "CPA key-distinguishing attack",
         f"candidates     : S0 = {experiment.s0}, S1 = {experiment.s1}",
@@ -478,10 +524,34 @@ def format_cpa_report(result: CpaResult, experiment: CpaExperiment) -> str:
         _indent(result.response.render()),
         f"probe coefficient observed {result.observed}; "
         f"expected {result.expected0} for S0, {result.expected1} for S1",
-        f"decision       : {result.guess}",
-        f"queries        : {experiment.queries}",
-        f"hidden bit     : {experiment.hidden_bit}",
-        f"outcome        : {'SUCCESS' if success else 'FAILURE'}",
+        *_decision_lines(result.guess, experiment.queries, experiment.hidden_bit, seed),
+    ]
+    return "\n".join(lines)
+
+
+def format_identity_report(
+    s0: KeySet, s1: KeySet, hidden_bit: int, guess: int, response: BurnsideElement, seed: int | None = None
+) -> str:
+    """Report of the identity-class query game (see identity_query_leak)."""
+    lines = [
+        "CPA key-distinguishing attack (identity-class query)",
+        f"candidates     : S0 = {s0}, S1 = {s1}",
+        "oracle response:",
+        _indent(response.render()),
+        *_decision_lines(guess, 1, hidden_bit, seed),
+    ]
+    return "\n".join(lines)
+
+
+def format_cpa_sweep_report(result: CpaSweepResult) -> str:
+    lines = [
+        f"key space      : {result.key_sets} sets "
+        f"(indices <= {result.max_index}, |S| <= {result.max_size})",
+        f"experiments    : {result.games} (ordered pairs x both hidden bits)",
+        f"success rate   : {result.correct / result.games:.6f} ({result.correct}/{result.games})",
+        f"queries/game   : {result.queries / result.games:.3f}",
+        "probe histogram:",
+        *(f"  D{probe:<3} {games}" for probe, games in result.probes),
     ]
     return "\n".join(lines)
 
@@ -502,7 +572,7 @@ def format_ambiguity_report(result: AmbiguityResult) -> str:
     lines.append(_indent(result.base_matrix.render()))
     verdict = (
         "matrices identical; key set not identifiable from this window"
-        if result.all_matrices_equal and result.all_elements_differ
+        if result.ok
         else "demonstration FAILED"
     )
     lines.append(f"conclusion     : {verdict}")

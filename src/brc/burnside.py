@@ -347,9 +347,11 @@ def as_key_set(s: KeySet | Iterable[int]) -> KeySet:
 DEFAULT_SUBSET_CAP = 20
 
 
-def _check_cap(s: KeySet, cap: int) -> None:
-    if len(s) > cap:
-        raise ValueError(f"key set has {len(s)} indices, above the subset enumeration cap {cap}")
+def _check_cap(s: KeySet) -> None:
+    if len(s) > DEFAULT_SUBSET_CAP:
+        raise ValueError(
+            f"key set has {len(s)} indices, above the subset enumeration cap {DEFAULT_SUBSET_CAP}"
+        )
 
 
 def basic_degree(m: int) -> BurnsideElement:
@@ -373,7 +375,7 @@ def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
     return out
 
 
-def key_coeff(s: KeySet | Iterable[int], s0: int, *, subset_cap: int = DEFAULT_SUBSET_CAP) -> int:
+def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
     """Coefficient of D(s0) in key_element(s), by subset enumeration.
 
     Evaluates -[s0 in s] + 2 * sum over subsets I of s, |I| >= 2, of
@@ -384,7 +386,7 @@ def key_coeff(s: KeySet | Iterable[int], s0: int, *, subset_cap: int = DEFAULT_S
     if s0 < 1:
         raise ValueError(f"dihedral index must be >= 1, got {s0}")
     s = as_key_set(s)
-    _check_cap(s, subset_cap)
+    _check_cap(s)
     total = 0
     for r in range(2, len(s) + 1):
         for sub in combinations(s.indices, r):
@@ -393,9 +395,7 @@ def key_coeff(s: KeySet | Iterable[int], s0: int, *, subset_cap: int = DEFAULT_S
     return -(1 if s0 in s else 0) + 2 * total
 
 
-def key_coeff_bruteforce(
-    s: KeySet | Iterable[int], s0: int, *, subset_cap: int = DEFAULT_SUBSET_CAP
-) -> int:
+def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
     """Same coefficient, read off a literal expansion of the product.
 
     Multiplies the basic-degree factors one by one with the ring
@@ -404,14 +404,14 @@ def key_coeff_bruteforce(
     if s0 < 1:
         raise ValueError(f"dihedral index must be >= 1, got {s0}")
     s = as_key_set(s)
-    _check_cap(s, subset_cap)
+    _check_cap(s)
     product = IDENTITY
     for i in s:
         product = product * basic_degree(i)
     return product.coeff(D(s0))
 
 
-def key_coeff_fold(s: KeySet | Iterable[int], x: int, *, subset_cap: int = DEFAULT_SUBSET_CAP) -> int:
+def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
     """Sum of key_coeff(s, n) over the multiples n of x.
 
     Coefficients vanish above max(s) (every subset gcd is bounded by
@@ -422,8 +422,8 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int, *, subset_cap: int = DEFAU
     if x < 1:
         raise ValueError(f"dihedral index must be >= 1, got {x}")
     s = as_key_set(s)
-    _check_cap(s, subset_cap)
-    return sum(key_coeff(s, n, subset_cap=subset_cap) for n in range(x, s.max_index + 1, x))
+    _check_cap(s)
+    return sum(key_coeff(s, n) for n in range(x, s.max_index + 1, x))
 
 
 def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:

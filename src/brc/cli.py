@@ -15,15 +15,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .attacks import (
-    format_ambiguity_report,
-    format_cpa_report,
-    identity_query_leak,
-    run_ambiguity_demo,
-    run_cpa_experiment,
-    run_kpa_demo,
-    format_kpa_report,
-)
+from . import attacks
 from .burnside import KeySet, key_element
 from .cipher import (
     decrypt_message,
@@ -36,15 +28,16 @@ from .cipher import (
 from .verify import run_suite
 
 
-def _parse_indices(text: str) -> list[int]:
+def _parse_key_set(text: str) -> KeySet:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        indices = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"indices must be comma-separated integers, got {text!r}") from None
+    return KeySet(indices)
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
-    key_set = KeySet(_parse_indices(args.indices))
+    key_set = _parse_key_set(args.indices)
     if args.out:
         write_key_file(args.out, key_set)
         print(f"wrote key file {args.out}", file=sys.stderr)
@@ -71,8 +64,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack_cpa(args: argparse.Namespace) -> int:
-    s0 = KeySet(_parse_indices(args.s0))
-    s1 = KeySet(_parse_indices(args.s1))
+    s0, s1 = _parse_key_set(args.s0), _parse_key_set(args.s1)
     if args.seed is not None and not args.random:
         raise ValueError("--seed is only meaningful together with --random")
     seed: int | None = None
@@ -82,41 +74,30 @@ def _cmd_attack_cpa(args: argparse.Namespace) -> int:
     else:
         hidden_bit = args.hidden_bit
     if args.identity_query:
-        guess, response = identity_query_leak(s0, s1, hidden_bit)
-        lines = [
-            "CPA key-distinguishing attack (identity-class query)",
-            f"candidates     : S0 = {s0}, S1 = {s1}",
-            "oracle response:",
-            *("    " + ln for ln in response.render().splitlines()),
-            f"decision       : {guess}",
-            "queries        : 1",
-            f"hidden bit     : {hidden_bit}",
-            f"outcome        : {'SUCCESS' if guess == hidden_bit else 'FAILURE'}",
-        ]
-        print("\n".join(lines))
-        success = guess == hidden_bit
+        guess, response = attacks.identity_query_leak(s0, s1, hidden_bit)
+        print(attacks.format_identity_report(s0, s1, hidden_bit, guess, response, seed))
     else:
-        result, experiment = run_cpa_experiment(s0, s1, hidden_bit)
-        print(format_cpa_report(result, experiment))
-        success = result.guess == hidden_bit
-    if seed is not None:
-        print(f"seed           : {seed}")
-    return 0 if success else 1
+        result, experiment = attacks.run_cpa_experiment(s0, s1, hidden_bit)
+        guess = result.guess
+        print(attacks.format_cpa_report(result, experiment, seed))
+    return 0 if guess == hidden_bit else 1
+
+
+def _cmd_attack_cpa_sweep(args: argparse.Namespace) -> int:
+    result = attacks.run_cpa_sweep(args.max_index, args.max_size)
+    print(attacks.format_cpa_sweep_report(result))
+    return 0 if result.correct == result.games else 1
 
 
 def _cmd_attack_ambiguity(args: argparse.Namespace) -> int:
-    result = run_ambiguity_demo(
-        KeySet(_parse_indices(args.s)), args.window, args.count
-    )
-    print(format_ambiguity_report(result))
-    return 0 if result.all_matrices_equal and result.all_elements_differ else 1
+    result = attacks.run_ambiguity_demo(_parse_key_set(args.s), args.window, args.count)
+    print(attacks.format_ambiguity_report(result))
+    return 0 if result.ok else 1
 
 
 def _cmd_attack_kpa(args: argparse.Namespace) -> int:
-    key_set = read_key_file(args.key)
-    window = args.window if args.window else key_set.max_index
-    result = run_kpa_demo(key_set, window, args.pairs, seed=args.seed)
-    print(format_kpa_report(result))
+    result = attacks.run_kpa_demo(read_key_file(args.key), args.window, args.pairs, seed=args.seed)
+    print(attacks.format_kpa_report(result))
     return 0
 
 
@@ -174,6 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cpa.set_defaults(func=_cmd_attack_cpa)
 
+    sweep = attack_sub.add_parser("cpa-sweep", help="distinguisher over every pair of a bounded key space")
+    sweep.add_argument("--max-index", type=int, default=8, help="largest key index (default 8)")
+    sweep.add_argument("--max-size", type=int, default=3, help="largest key set size (default 3)")
+    sweep.set_defaults(func=_cmd_attack_cpa_sweep)
+
     ambiguity = attack_sub.add_parser("ambiguity", help="prime-scaled keys identical on a window")
     ambiguity.add_argument("--s", required=True, help="base key set, e.g. 2,3")
     ambiguity.add_argument("--window", type=int, required=True, help="observation window size L")
@@ -183,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     kpa = attack_sub.add_parser("kpa", help="known-plaintext operator recovery")
     kpa.add_argument("--key", required=True, help="key file for the hidden key")
     kpa.add_argument("--pairs", type=int, required=True, help="number of plaintext/ciphertext pairs")
-    kpa.add_argument("--window", type=int, help="observation window (default: max key index)")
+    kpa.add_argument("--window", type=int, required=True, help="observation window size L")
     kpa.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled plaintexts")
     kpa.set_defaults(func=_cmd_attack_kpa)
 

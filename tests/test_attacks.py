@@ -19,6 +19,7 @@ from brc.attacks import (
     operator_matrix,
     run_ambiguity_demo,
     run_cpa_experiment,
+    run_cpa_sweep,
     run_kpa_demo,
 )
 from brc.burnside import (
@@ -301,6 +302,22 @@ def test_run_kpa_demo_determined():
     assert all(result.twins_match)
     report = format_kpa_report(result)
     assert "rank" in report and "4 / 4" in report
+
+
+def test_run_kpa_demo_rejects_bad_window():
+    with pytest.raises(ValueError, match="window"):
+        run_kpa_demo(KeySet([2, 3]), window=0, n_pairs=3)
+
+
+def test_run_cpa_sweep_counts():
+    result = run_cpa_sweep(max_index=5, max_size=2)
+    n = 5 + 10  # singletons and pairs from 1..5
+    assert result.key_sets == n
+    assert result.games == n * (n - 1) * 2
+    assert result.correct == result.games
+    assert result.queries == result.games
+    assert sum(games for _, games in result.probes) == result.games
+    assert [probe for probe, _ in result.probes] == sorted(probe for probe, _ in result.probes)
 
 
 def test_run_kpa_demo_underdetermined():

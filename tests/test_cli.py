@@ -1,10 +1,12 @@
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from brc.cli import main
+from brc.cli import build_parser, main
 from brc.cipher import read_key_file
 from brc.burnside import KeySet
 
@@ -171,6 +173,47 @@ def test_attack_cpa_identity_query(capsys):
     assert "decision       : 0" in out
 
 
+def test_attack_cpa_identity_query_transcript(capsys):
+    code, out, _ = run_cli(
+        capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0", "--identity-query"
+    )
+    assert code == 0
+    assert out == (
+        "CPA key-distinguishing attack (identity-class query)\n"
+        "candidates     : S0 = {2}, S1 = {3}\n"
+        "oracle response:\n"
+        "    D2 -1\n"
+        "    O2 1\n"
+        "decision       : 0\n"
+        "queries        : 1\n"
+        "hidden bit     : 0\n"
+        "outcome        : SUCCESS\n"
+    )
+
+
+def test_attack_cpa_sweep_transcript(capsys):
+    code, out, _ = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "4", "--max-size", "2")
+    assert code == 0
+    assert out == (
+        "key space      : 10 sets (indices <= 4, |S| <= 2)\n"
+        "experiments    : 180 (ordered pairs x both hidden bits)\n"
+        "success rate   : 1.000000 (180/180)\n"
+        "queries/game   : 1.000\n"
+        "probe histogram:\n"
+        "  D1   12\n"
+        "  D2   24\n"
+        "  D3   48\n"
+        "  D4   96\n"
+    )
+
+
+def test_attack_cpa_sweep_rejects_tiny_key_space(capsys):
+    code, out, err = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "1")
+    assert code == 1
+    assert out == ""
+    assert "fewer than two" in err
+
+
 def test_attack_ambiguity_example(capsys):
     code, out, _ = run_cli(capsys, "attack", "ambiguity", "--s", "2,3", "--window", "5", "--count", "3")
     assert code == 0
@@ -192,6 +235,22 @@ def test_attack_kpa_report(tmp_path, keyfile, capsys):
     assert code == 0
     assert "system rank    : 4 / 4" in out
     assert "does not identify the key set" in out
+
+
+def test_attack_kpa_rejects_zero_window(keyfile, capsys):
+    code, out, err = run_cli(
+        capsys, "attack", "kpa", "--key", str(keyfile), "--pairs", "3", "--window", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "window" in err
+
+
+def test_attack_kpa_requires_window(keyfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "kpa", "--key", str(keyfile), "--pairs", "3"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- verify
@@ -224,6 +283,17 @@ def test_verify_zero_trials_runs_only_exhaustive_cases(capsys):
     code, out, _ = run_cli(capsys, "verify", "involution", "--trials", "0")
     assert code == 0
     assert "cases=298" in out  # every key set of up to 3 indices from 1..12
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert argv[0] == "brc", argv
+        build_parser().parse_args(argv[1:])
 
 
 def test_module_entry_point():
