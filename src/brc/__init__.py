@@ -14,6 +14,7 @@ from .attacks import (
     ambiguous_key,
     choose_probe,
     cpa_distinguish,
+    generic_plaintext_solver,
     known_plaintext_solver,
     operator_matrix,
     run_ambiguity_demo,

@@ -2,11 +2,14 @@
 
 Everything an adversary can observe lives in a finite window
 W_L = span{D(1), ..., D(L)}: the key acts there as an integer L x L
-matrix.  This module recovers that matrix from known plaintexts,
-builds prime-scaled key sets that are indistinguishable on any such
-window (so passive data never identifies the key set), and runs the
-one-query chosen-plaintext experiment that distinguishes any two
-candidate key sets with certainty, alone or over every pair of a
+matrix, M = Z^-1 * diag(eps) * Z in mark coordinates (Z the divisor-sum
+matrix, eps_x the key's marks).  This module recovers that matrix from
+known plaintexts by reading the marks off divisor sums, often from a
+single pair, with a generic fraction-free elimination kept as the
+reference; builds prime-scaled key sets that are indistinguishable on
+any such window (so passive data never identifies the key set); and
+runs the one-query chosen-plaintext experiment that distinguishes any
+two candidate key sets with certainty, alone or over every pair of a
 bounded key space.
 """
 
@@ -15,7 +18,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, count as count_from, islice, permutations
 from math import isqrt
 from typing import Callable, Iterable, Sequence
@@ -26,6 +28,8 @@ from .burnside import (
     D,
     KeySet,
     as_key_set,
+    divisor_sums,
+    from_divisor_sums,
     key_coeff_fold,
     key_element,
 )
@@ -48,6 +52,7 @@ __all__ = [
     "InconsistentPairsError",
     "KpaResult",
     "known_plaintext_solver",
+    "generic_plaintext_solver",
     "AmbiguityResult",
     "run_ambiguity_demo",
     "KpaDemoResult",
@@ -314,16 +319,32 @@ def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
 
 @dataclass(frozen=True)
 class KpaResult:
-    """Outcome of the known-plaintext operator solve."""
+    """Outcome of a known-plaintext operator solve.
+
+    `undetermined` lists the window indices the pairs leave open, one per
+    missing unit of rank: the marks eps_x no pair pins down for
+    known_plaintext_solver, the free columns of the elimination for
+    generic_plaintext_solver.
+    """
 
     window: int
     pairs_used: int
     rank: int
     matrix: OperatorMatrix | None
+    undetermined: tuple[int, ...] = ()
 
     @property
     def determined(self) -> bool:
         return self.matrix is not None
+
+
+def _check_solver_input(
+    pairs: Sequence[tuple[BurnsideElement, BurnsideElement]], window: int
+) -> None:
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if not pairs:
+        raise ValueError("at least one plaintext/ciphertext pair is required")
 
 
 def known_plaintext_solver(
@@ -331,36 +352,93 @@ def known_plaintext_solver(
 ) -> KpaResult:
     """Solve for the window operator from plaintext/ciphertext pairs.
 
-    Exact rational elimination with an integrality check on the result.
-    Returns an undetermined result (matrix None) when the plaintexts do
-    not span the window; raises InconsistentPairsError when no single
-    integer operator explains the pairs.
+    Works in mark coordinates.  On W_L the key acts as
+    M = Z^-1 * diag(eps) * Z, with Z the divisor-sum matrix and eps_x
+    the key's mark at D(x), so a pair (p, c) says G_x = eps_x * F_x for
+    the divisor sums F of p and G of c.  Each mark is read off any pair
+    with F_x != 0 and checked against every pair: G_x must equal
+    eps_x * F_x, G_x must vanish where F_x does, and eps_x must be an
+    integer (it is M's diagonal entry).  Any failure raises
+    InconsistentPairsError.  `rank` counts the determined marks; when
+    some stay open the result is undetermined (matrix None) and names
+    them.  Each pair costs O(L log L) and the matrix O(L^2 log L).
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not pairs:
-        raise ValueError("at least one plaintext/ciphertext pair is required")
-    # Augmented system [P | C]: row j is (plaintext_j, ciphertext_j).
-    matrix: list[list[Fraction]] = []
+    _check_solver_input(pairs, window)
+    marks: list[int | None] = [None] * window
     for p, c in pairs:
-        p_vec = ring_decode(p, window)
-        c_vec = ring_decode(c, window)
-        matrix.append([Fraction(v) for v in p_vec + c_vec])
+        f_sums = divisor_sums(ring_decode(p, window))
+        g_sums = divisor_sums(ring_decode(c, window))
+        for x, (f, g) in enumerate(zip(f_sums, g_sums)):
+            if marks[x] is None and f:
+                if g % f:
+                    raise InconsistentPairsError(
+                        f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are "
+                        "not generated by an integer operator"
+                    )
+                marks[x] = g // f
+            # A mark still open means F_x = 0 so far, and then G_x must be 0.
+            if g != (marks[x] or 0) * f:
+                raise InconsistentPairsError(
+                    f"pairs break G_x = eps_x * F_x at D{x + 1}; no single "
+                    "ring element generates them"
+                )
+    undetermined = tuple(x + 1 for x, eps in enumerate(marks) if eps is None)
+    rank = window - len(undetermined)
+    if undetermined:
+        return KpaResult(
+            window=window, pairs_used=len(pairs), rank=rank, matrix=None, undetermined=undetermined
+        )
+    # Column i is the image of D(i): its divisor sums are eps_x at the
+    # divisors x of i and 0 elsewhere.
+    columns = [
+        from_divisor_sums([eps if i % x == 0 else 0 for x, eps in enumerate(marks, start=1)])
+        for i in range(1, window + 1)
+    ]
+    rows = tuple(zip(*columns))
+    return KpaResult(
+        window=window,
+        pairs_used=len(pairs),
+        rank=rank,
+        matrix=OperatorMatrix(window=window, rows=rows),
+    )
+
+
+def generic_plaintext_solver(
+    pairs: Sequence[tuple[BurnsideElement, BurnsideElement]], window: int
+) -> KpaResult:
+    """Solve for any integer operator on W_L that maps each p to its c.
+
+    The reference for known_plaintext_solver: it assumes nothing about
+    the operator's form.  Fraction-free (Bareiss) Gauss-Jordan elimination
+    of the augmented system [P | C] in exact integers; after full
+    reduction every pivot equals the last one, d, and the operator's
+    entries are the right-hand sides divided by d, so the operator is
+    integral exactly when d divides them.  Returns an undetermined
+    result (matrix None) when the plaintexts do not span the window;
+    raises InconsistentPairsError when no single integer operator
+    explains the pairs.
+    """
+    _check_solver_input(pairs, window)
+    # Augmented system [P | C]: row j is (plaintext_j, ciphertext_j).
+    matrix = [ring_decode(p, window) + ring_decode(c, window) for p, c in pairs]
 
     n_rows = len(matrix)
     pivot_cols: list[int] = []
+    previous = 1
     row = 0
     for col in range(window):
         pivot = next((r for r in range(row, n_rows) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        lead = matrix[row][col]
-        matrix[row] = [v / lead for v in matrix[row]]
+        lead_row = matrix[row]
+        lead = lead_row[col]
         for r in range(n_rows):
-            if r != row and matrix[r][col]:
+            if r != row:
                 factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
+                # Bareiss step: every quotient is an exact minor of [P | C].
+                matrix[r] = [(lead * a - factor * b) // previous for a, b in zip(matrix[r], lead_row)]
+        previous = lead
         pivot_cols.append(col)
         row += 1
         if row == n_rows:
@@ -375,22 +453,21 @@ def known_plaintext_solver(
 
     rank = len(pivot_cols)
     if rank < window:
-        return KpaResult(window=window, pairs_used=n_rows, rank=rank, matrix=None)
+        free = tuple(col + 1 for col in range(window) if col not in pivot_cols)
+        return KpaResult(window=window, pairs_used=n_rows, rank=rank, matrix=None, undetermined=free)
 
-    # Full rank: the reduced system reads off M row by row.  Row r of the
-    # eliminated matrix solves P*x = C[:, t] componentwise: x[col] for
-    # pivot column col is the entry in rhs column t.
+    # Full rank: the P part is now previous * I, so pivot row r holds
+    # previous * M[t][col] in right-hand column t (output t, input col).
     entries: list[list[int]] = [[0] * window for _ in range(window)]
     for r, col in enumerate(pivot_cols):
         for t in range(window):
-            value = matrix[r][window + t]
-            if value.denominator != 1:
+            value, remainder = divmod(matrix[r][window + t], previous)
+            if remainder:
                 raise InconsistentPairsError(
                     "recovered operator is not integral; pairs are not "
                     "generated by an integer operator"
                 )
-            # value is entry (t, col) of M: output coordinate t, input col.
-            entries[t][col] = int(value)
+            entries[t][col] = value
     rows = tuple(tuple(r) for r in entries)
     return KpaResult(
         window=window,
@@ -456,6 +533,11 @@ class KpaDemoResult:
     matches_true_operator: bool | None
     twins: tuple[KeySet, ...]
     twins_match: tuple[bool, ...]
+
+    @property
+    def ok(self) -> bool:
+        """No recovered matrix disagrees with the key's, and every twin's matches."""
+        return self.matches_true_operator is not False and all(self.twins_match)
 
 
 def run_kpa_demo(
@@ -598,12 +680,16 @@ def format_kpa_report(result: KpaDemoResult) -> str:
         lines.append(_indent(result.solver.matrix.render()))
     else:
         lines.append("operator fully determined: no (underdetermined system)")
+        lines.append(f"open marks     : {', '.join(f'D{x}' for x in result.solver.undetermined)}")
     twin_bits = ", ".join(
         f"{t} ({'same' if ok else 'DIFFERENT'} matrix)"
         for t, ok in zip(result.twins, result.twins_match)
     )
     lines.append(f"scaled twins   : {twin_bits}")
-    lines.append(
-        "conclusion     : recovering the operator does not identify the key set"
+    verdict = (
+        "recovering the operator does not identify the key set"
+        if result.ok
+        else "demonstration FAILED"
     )
+    lines.append(f"conclusion     : {verdict}")
     return "\n".join(lines)

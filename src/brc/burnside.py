@@ -46,6 +46,8 @@ __all__ = [
     "key_coeff",
     "key_coeff_bruteforce",
     "key_coeff_fold",
+    "divisor_sums",
+    "from_divisor_sums",
     "window_product",
     "DEFAULT_SUBSET_CAP",
 ]
@@ -426,6 +428,30 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
     return sum(key_coeff(s, n) for n in range(x, s.max_index + 1, x))
 
 
+def divisor_sums(values: Sequence[int]) -> list[int]:
+    """F_x = sum_{x|n<=L} values[n-1] for x = 1..L, L = len(values).
+
+    The divisor-sum matrix Z (Z[x][n] = 1 when x divides n) carries a
+    window element into mark coordinates: its mark at D(x) is 2*F_x.
+    Costs O(L log L).
+    """
+    padded = [0, *values]
+    return [sum(padded[x::x]) for x in range(1, len(padded))]
+
+
+def from_divisor_sums(sums: Sequence[int]) -> list[int]:
+    """The values whose divisor sums are `sums`: the inverse of divisor_sums.
+
+    Z is unitriangular, so the downward sweep
+    c_x = G_x - sum_{m=2x,3x,...<=L} c_m recovers c in O(L log L).
+    """
+    # In place, descending x: every slot above x already holds c.
+    out = [0, *sums]
+    for x in range(len(sums) // 2, 0, -1):
+        out[x] -= sum(out[2 * x :: x])
+    return out[1:]
+
+
 def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
     """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k, L = len(values).
 
@@ -433,11 +459,9 @@ def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
     phi_x(a) = a_O2 + 2*sum_{x|n} a_n (SO2 has mark 0 there), and marks
     are multiplicative: phi_x(a*b) = phi_x(a)*phi_x(b).  A window element
     p and its product c = p*k both lie on D(1)..D(L), since no product
-    raises a dihedral index, so phi_x(p) = 2*F_x with the divisor sum
-    F_x = sum_{x|n<=L} p_n, and the divisor sums of c are
-    G_x = F_x*phi_x(k).  The divisor-sum matrix is unitriangular, so c is
-    recovered from G by the downward sweep
-    c_x = G_x - sum_{m=2x,3x,...<=L} c_m.
+    raises a dihedral index, so phi_x(p) = 2*F_x with the divisor sums
+    F = divisor_sums(p), and the divisor sums of c are
+    G_x = F_x*phi_x(k); from_divisor_sums(G) is c.
 
     Both sweeps cost O(L log L).  The marks of k at x <= L are gathered
     from its terms: each D(n) term adds 2*k_n at the divisors of n that
@@ -457,11 +481,4 @@ def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
                 e = n // d
                 if e != d and e <= length:
                     marks[e] += 2 * c
-    # In place: ascending x turns sums[x] into G_x while every slot above
-    # x still holds p; descending x then leaves c above x when c_x is due.
-    sums = [0, *values]
-    for x in range(1, length + 1):
-        sums[x] = marks[x] * sum(sums[x::x])
-    for x in range(length // 2, 0, -1):
-        sums[x] -= sum(sums[2 * x :: x])
-    return sums[1:]
+    return from_divisor_sums([m * f for m, f in zip(marks[1:], divisor_sums(values))])

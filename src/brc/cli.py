@@ -98,7 +98,7 @@ def _cmd_attack_ambiguity(args: argparse.Namespace) -> int:
 def _cmd_attack_kpa(args: argparse.Namespace) -> int:
     result = attacks.run_kpa_demo(read_key_file(args.key), args.window, args.pairs, seed=args.seed)
     print(attacks.format_kpa_report(result))
-    return 0
+    return 0 if result.ok else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -14,6 +16,7 @@ from brc.attacks import (
     format_ambiguity_report,
     format_cpa_report,
     format_kpa_report,
+    generic_plaintext_solver,
     identity_query_leak,
     known_plaintext_solver,
     operator_matrix,
@@ -32,7 +35,7 @@ from brc.burnside import (
     key_coeff_fold,
     key_element,
 )
-from brc.cipher import SupportWindowError
+from brc.cipher import SupportWindowError, ring_encode
 from strategies import key_sets
 
 from math import gcd
@@ -212,6 +215,11 @@ def test_identity_query_leak():
 # --------------------------------------------------------- known plaintexts
 
 
+# The mark-coordinate solver and its generic reference must agree on
+# every pair set below; each test runs both.
+SOLVERS = (known_plaintext_solver, generic_plaintext_solver)
+
+
 def _probe_pairs(key, window):
     pairs = []
     for i in range(1, window + 1):
@@ -222,19 +230,23 @@ def _probe_pairs(key, window):
 
 def test_solver_recovers_operator_from_probes():
     key = key_element([2, 3])
-    result = known_plaintext_solver(_probe_pairs(key, 4), 4)
-    assert result.determined
-    assert result.rank == 4
-    assert result.matrix == operator_matrix(key, 4)
+    for solver in SOLVERS:
+        result = solver(_probe_pairs(key, 4), 4)
+        assert result.determined
+        assert result.rank == 4
+        assert result.undetermined == ()
+        assert result.matrix == operator_matrix(key, 4)
 
 
 def test_solver_reports_underdetermined():
     key = key_element([2])
     p = BurnsideElement({D(1): 1})
-    result = known_plaintext_solver([(p, p * key)], 2)
-    assert not result.determined
-    assert result.matrix is None
-    assert result.rank == 1
+    for solver in SOLVERS:
+        result = solver([(p, p * key)], 2)
+        assert not result.determined
+        assert result.matrix is None
+        assert result.rank == 1
+        assert result.undetermined == (2,)
 
 
 def test_solver_detects_inconsistent_pairs():
@@ -245,8 +257,9 @@ def test_solver_detects_inconsistent_pairs():
     p3 = p1 + p2
     c3 = (p3 * key) + BurnsideElement({D(1): 1})
     pairs = [(p1, p1 * key), (p2, p2 * key), (p3, c3)]
-    with pytest.raises(InconsistentPairsError):
-        known_plaintext_solver(pairs, 2)
+    for solver in SOLVERS:
+        with pytest.raises(InconsistentPairsError):
+            solver(pairs, 2)
 
 
 def test_solver_detects_non_integral_operator():
@@ -255,8 +268,9 @@ def test_solver_detects_non_integral_operator():
         (BurnsideElement({D(1): 2}), BurnsideElement({D(1): 1})),
         (BurnsideElement({D(2): 1}), BurnsideElement({D(2): 1})),
     ]
-    with pytest.raises(InconsistentPairsError):
-        known_plaintext_solver(pairs, 2)
+    for solver in SOLVERS:
+        with pytest.raises(InconsistentPairsError):
+            solver(pairs, 2)
 
 
 def test_solver_handles_mixed_support_pairs():
@@ -273,14 +287,48 @@ def test_solver_handles_mixed_support_pairs():
     for vec in vectors:
         p = BurnsideElement({D(i): v for i, v in enumerate(vec, start=1) if v})
         pairs.append((p, p * key))
-    result = known_plaintext_solver(pairs, window)
-    assert result.determined
-    assert result.matrix == operator_matrix(key, window)
+    for solver in SOLVERS:
+        result = solver(pairs, window)
+        assert result.determined
+        assert result.matrix == operator_matrix(key, window)
 
 
 def test_solver_rejects_support_outside_window():
-    with pytest.raises(SupportWindowError):
-        known_plaintext_solver([(BurnsideElement({D(3): 1}), ZERO)], 2)
+    for solver in SOLVERS:
+        with pytest.raises(SupportWindowError):
+            solver([(BurnsideElement({D(3): 1}), ZERO)], 2)
+
+
+def test_solver_rejects_ciphertext_off_a_zero_divisor_sum():
+    # D2 - D1 has divisor sum 0 at D1, so any ring element maps it to an
+    # element with divisor sum 0 there; D1 has 1.  A generic linear map
+    # can still send one vector anywhere.
+    pairs = [(BurnsideElement({D(1): -1, D(2): 1}), BurnsideElement({D(1): 1}))]
+    with pytest.raises(InconsistentPairsError, match="D1"):
+        known_plaintext_solver(pairs, 2)
+    assert generic_plaintext_solver(pairs, 2).rank == 1
+
+
+@given(key_sets(max_size=4, max_index=40), st.integers(1, 30), st.integers(-3, 2), st.integers(0, 2**32 - 1))
+def test_mark_solver_at_least_as_strong_as_generic(s, window, extra_pairs, seed):
+    key = key_element(s)
+    # Uniform plaintext bytes, as run_kpa_demo draws them; hypothesis
+    # integers favour zeros, which would leave almost every system short.
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(max(1, window + extra_pairs)):
+        p = ring_encode([rng.randint(0, 127) for _ in range(window)])
+        pairs.append((p, p * key))
+    marks = known_plaintext_solver(pairs, window)
+    generic = generic_plaintext_solver(pairs, window)
+    assert marks.rank >= generic.rank
+    assert len(marks.undetermined) == window - marks.rank
+    assert len(generic.undetermined) == window - generic.rank
+    expected = operator_matrix(key, window)
+    if marks.determined:
+        assert marks.matrix == expected
+    if generic.determined:
+        assert generic.matrix == expected
 
 
 # -------------------------------------------------------------- demo drivers
@@ -320,10 +368,27 @@ def test_run_cpa_sweep_counts():
     assert [probe for probe, _ in result.probes] == sorted(probe for probe, _ in result.probes)
 
 
+def test_run_kpa_demo_one_pair_determines_window():
+    # A single random pair pins every mark of W_8 when none of its
+    # divisor sums vanishes.
+    result = run_kpa_demo(KeySet([2]), window=8, n_pairs=1, seed=1)
+    assert result.solver.determined
+    assert result.solver.rank == 8
+    assert result.matches_true_operator
+    assert result.ok
+
+
 def test_run_kpa_demo_underdetermined():
-    result = run_kpa_demo(KeySet([2]), window=8, n_pairs=2, seed=1)
+    # With seed 6 the one plaintext's divisor sum at D5 is 0.
+    result = run_kpa_demo(KeySet([2]), window=8, n_pairs=1, seed=6)
     assert not result.solver.determined
-    assert "underdetermined" in format_kpa_report(result)
+    assert result.solver.rank == 7
+    assert result.solver.undetermined == (5,)
+    assert result.matches_true_operator is None
+    assert result.ok
+    report = format_kpa_report(result)
+    assert "underdetermined" in report
+    assert "open marks     : D5\n" in report
 
 
 def test_format_cpa_report_mentions_probe_and_queries():

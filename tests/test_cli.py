@@ -2,10 +2,12 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from brc import attacks
 from brc.cli import build_parser, main
 from brc.cipher import read_key_file
 from brc.burnside import KeySet
@@ -235,6 +237,23 @@ def test_attack_kpa_report(tmp_path, keyfile, capsys):
     assert code == 0
     assert "system rank    : 4 / 4" in out
     assert "does not identify the key set" in out
+
+
+def test_attack_kpa_fails_on_wrong_recovered_matrix(keyfile, capsys, monkeypatch):
+    solve = attacks.known_plaintext_solver
+
+    def wrong_solver(pairs, window):
+        result = solve(pairs, window)
+        rows = tuple(tuple(-e for e in row) for row in result.matrix.rows)
+        return replace(result, matrix=attacks.OperatorMatrix(window=window, rows=rows))
+
+    monkeypatch.setattr(attacks, "known_plaintext_solver", wrong_solver)
+    code, out, _ = run_cli(
+        capsys, "attack", "kpa", "--key", str(keyfile), "--pairs", "6", "--window", "4", "--seed", "0"
+    )
+    assert code == 1
+    assert "matches hidden key's operator: NO" in out
+    assert out.endswith("conclusion     : demonstration FAILED\n")
 
 
 def test_attack_kpa_rejects_zero_window(keyfile, capsys):
