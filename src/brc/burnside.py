@@ -436,7 +436,11 @@ def divisor_sums(values: Sequence[int]) -> list[int]:
     Costs O(L log L).
     """
     padded = [0, *values]
-    return [sum(padded[x::x]) for x in range(1, len(padded))]
+    half = len(values) // 2
+    sums = [sum(padded[x::x]) for x in range(1, half + 1)]
+    # Above L/2 the only multiple of x in the window is x itself.
+    sums.extend(values[half:])
+    return sums
 
 
 def from_divisor_sums(sums: Sequence[int]) -> list[int]:

@@ -16,6 +16,10 @@ O(min(L, sqrt(n))) steps per D(n) term, so a key index as large as
 stays the general ring product and the reference the tests compare
 against.
 
+The dense window vector is the cipher's one representation: a
+`Ciphertext` stores it, and the file codec writes it and reads it back
+without building a sparse element (`Ciphertext.element` builds one).
+
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
 for anything else):
@@ -25,12 +29,15 @@ for anything else):
 
     ciphertext file:    BRC-CT v1
                         L 5
-                        <canonical element rendering>
+                        D1 -3
+                        D4 7
 
-Numbers are ASCII digits with no leading zeros, `+` or `_`.  The
-declared length L travels with the ciphertext, since only nonzero
-coefficients are stored and trailing zeros would otherwise be lost; it
-is at most MAX_LENGTH.
+The body is the canonical rendering of the window element: one
+`D<n> <c>` line per nonzero coefficient, n ascending, or `0`.  Numbers
+are ASCII digits with no leading zeros, `+` or `_`.  The declared
+length L travels with the ciphertext, since only nonzero coefficients
+are stored and trailing zeros would otherwise be lost; it is at most
+MAX_LENGTH.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .burnside import (
     SO2,
     BurnsideElement,
     D,
-    ElementFormatError,
     KeySet,
     key_element,
     window_product,
@@ -83,6 +89,9 @@ MAX_LENGTH = 1 << 20
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
 _LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
+# One line of a nonzero ciphertext body.  Matched line by line: a pattern
+# repeating a group over the whole body keeps state for every repetition.
+_CT_TERM = re.compile(r"^D([1-9][0-9]*) (-?[1-9][0-9]*)$", re.MULTILINE)
 
 
 class MessageError(ValueError):
@@ -97,30 +106,46 @@ class FileFormatError(ValueError):
     """Key or ciphertext file violates its strict text format."""
 
 
-def _check_window(element: BurnsideElement, length: int, what: str) -> None:
-    if element.coeff(O2) or element.coeff(SO2):
-        raise SupportWindowError(f"{what} has support outside the dihedral span")
-    for k in element.dihedral_indices():
-        if k > length:
-            raise SupportWindowError(f"{what} has support at D{k}, outside window L={length}")
-
-
 def _check_key(key: BurnsideElement) -> None:
     if key.coeff(O2) != 1:
         raise ValueError("not a key element: coefficient at O2 must be 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ciphertext:
-    """Encrypted element together with its declared message length."""
+    """Encrypted window vector: coefficient values[n-1] at D(n), n = 1..length.
 
-    element: BurnsideElement
-    length: int
+    The vector is the one stored form, and its size is the declared
+    message length.  `Ciphertext(values=v)` takes it directly;
+    `Ciphertext(element=e, length=L)` reads it off an element that must
+    lie in the window D(1)..D(L) (SupportWindowError otherwise).
+    `element` rebuilds the sparse element on demand.
+    """
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"declared length must be >= 1, got {self.length}")
-        _check_window(self.element, self.length, "ciphertext")
+    values: tuple[int, ...]
+
+    def __init__(
+        self,
+        element: BurnsideElement | None = None,
+        length: int | None = None,
+        *,
+        values: Sequence[int] | None = None,
+    ) -> None:
+        if values is None:
+            values = ring_decode(element, length)
+        elif element is not None or length is not None:
+            raise TypeError("pass element and length, or values, not both")
+        elif not values:
+            raise ValueError("declared length must be >= 1, got 0")
+        object.__setattr__(self, "values", tuple(values))
+
+    @property
+    def length(self) -> int:
+        return len(self.values)
+
+    @property
+    def element(self) -> BurnsideElement:
+        return ring_encode(self.values)
 
 
 def encode_text(data: bytes | str) -> list[int]:
@@ -158,10 +183,14 @@ def ring_encode(values: Sequence[int]) -> BurnsideElement:
 
 
 def ring_decode(element: BurnsideElement, length: int) -> list[int]:
-    """Coefficient vector of `element` on D(1)..D(length)."""
+    """Coefficient vector of `element` on D(1)..D(length); it must lie in that window."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    _check_window(element, length, "element")
+    if element.coeff(O2) or element.coeff(SO2):
+        raise SupportWindowError("element has support outside the dihedral span")
+    for k in element.dihedral_indices():
+        if k > length:
+            raise SupportWindowError(f"element has support at D{k}, outside window L={length}")
     values = [0] * length
     for g, c in element.items():
         values[g.index - 1] = c
@@ -171,25 +200,23 @@ def ring_decode(element: BurnsideElement, length: int) -> list[int]:
 def encrypt(plaintext: BurnsideElement, length: int, key: BurnsideElement) -> Ciphertext:
     """Multiply the plaintext element by the key inside window `length`."""
     _check_key(key)
-    return Ciphertext(ring_encode(window_product(ring_decode(plaintext, length), key)), length)
+    return Ciphertext(values=window_product(ring_decode(plaintext, length), key))
 
 
 def decrypt(ciphertext: Ciphertext, key: BurnsideElement) -> BurnsideElement:
     """Apply the same multiplication; the key is its own inverse."""
     _check_key(key)
-    return ring_encode(window_product(ring_decode(ciphertext.element, ciphertext.length), key))
+    return ring_encode(window_product(ciphertext.values, key))
 
 
 def encrypt_message(data: bytes | str, key_set: KeySet) -> Ciphertext:
     """encode_text + encrypt in one step, on the coefficient vector."""
-    values = encode_text(data)
-    return Ciphertext(ring_encode(window_product(values, key_element(key_set))), len(values))
+    return Ciphertext(values=window_product(encode_text(data), key_element(key_set)))
 
 
 def decrypt_message(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
     """decrypt + decode_text in one step, on the coefficient vector."""
-    values = ring_decode(ciphertext.element, ciphertext.length)
-    return decode_text(window_product(values, key_element(key_set)))
+    return decode_text(window_product(ciphertext.values, key_element(key_set)))
 
 
 def write_key_file(path: str | Path, key_set: KeySet) -> None:
@@ -224,30 +251,45 @@ def read_key_file(path: str | Path) -> KeySet:
 
 
 def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
-    body = ciphertext.element.render()
+    """Write the header, the declared length and the nonzero terms of the vector."""
+    body = "\n".join(f"D{n} {c}" for n, c in enumerate(ciphertext.values, start=1) if c) or "0"
     Path(path).write_text(f"{CT_MAGIC}\nL {ciphertext.length}\n{body}\n")
 
 
 def read_ciphertext_file(path: str | Path) -> Ciphertext:
-    lines = _read_ascii(path, "ciphertext").split("\n")
-    if len(lines) < 4:
+    """Read a canonical ciphertext file straight into its window vector."""
+    parts = _read_ascii(path, "ciphertext").split("\n", 2)
+    if len(parts) < 3 or not parts[2]:
         raise FileFormatError("truncated ciphertext file")
-    if lines[-1]:
+    header, length_line, body = parts
+    if not body.endswith("\n"):
         raise FileFormatError("ciphertext file must end with a newline")
-    if lines[0] != CT_MAGIC:
-        raise FileFormatError(f"bad ciphertext header {lines[0]!r}")
-    m = _LENGTH_LINE.fullmatch(lines[1])
+    if header != CT_MAGIC:
+        raise FileFormatError(f"bad ciphertext header {header!r}")
+    m = _LENGTH_LINE.fullmatch(length_line)
     if m is None:
-        raise FileFormatError(f"bad length line {lines[1]!r}")
+        raise FileFormatError(f"bad length line {length_line!r}")
     # Compare digit counts first: int() refuses very long digit strings.
     if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
         raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
     length = int(m[1])
+    if body == "0\n":
+        return Ciphertext(values=[0] * length)
+    terms = _CT_TERM.findall(body)
+    # Each match is one whole line, so every line matched iff the counts agree.
+    if len(terms) != body.count("\n"):
+        bad = next(ln for ln in body.split("\n") if not _CT_TERM.fullmatch(ln))
+        raise FileFormatError(f"bad ciphertext term line {bad!r}")
     try:
-        element = BurnsideElement.parse("\n".join(lines[2:-1]))
-    except ElementFormatError as exc:
-        raise FileFormatError(f"bad element body: {exc}") from None
-    try:
-        return Ciphertext(element=element, length=length)
-    except SupportWindowError as exc:
-        raise FileFormatError(str(exc)) from None
+        labels = [int(n) for n, _ in terms]
+        coeffs = [int(c) for _, c in terms]
+    except ValueError:  # more digits than int() converts
+        raise FileFormatError("number too long in ciphertext body") from None
+    if labels != sorted(set(labels)):
+        raise FileFormatError("ciphertext terms must be in strictly ascending order")
+    if labels[-1] > length:
+        raise FileFormatError(f"ciphertext has support at D{labels[-1]}, outside window L={length}")
+    values = [0] * length
+    for n, c in zip(labels, coeffs):
+        values[n - 1] = c
+    return Ciphertext(values=values)

@@ -13,6 +13,7 @@ from brc.burnside import (
     Generator,
     KeySet,
     basic_degree,
+    divisor_sums,
     key_coeff,
     key_coeff_bruteforce,
     key_coeff_fold,
@@ -340,3 +341,11 @@ def test_window_product_examples():
 def test_window_product_equals_ring_product(values, k):
     p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
     assert window_product(values, k) == _window_vector(p * k, len(values))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 100])
+def test_divisor_sums_equal_naive_sums(length):
+    values = [(37 * n) % 23 - 11 for n in range(1, length + 1)]
+    naive = [sum(values[n - 1] for n in range(x, length + 1, x)) for x in range(1, length + 1)]
+    assert divisor_sums(values) == naive
+    assert divisor_sums(tuple(values)) == naive

@@ -316,6 +316,12 @@ def test_ciphertext_file_zero_element(tmp_path):
         # declared length above MAX_LENGTH
         "BRC-CT v1\nL 2000000\nD1 1\n",
         "BRC-CT v1\nL " + "9" * 5000 + "\nD1 1\n",
+        # numbers longer than int() converts, repeated and misplaced terms
+        "BRC-CT v1\nL 2\nD" + "1" * 5000 + " 1\n",
+        "BRC-CT v1\nL 2\nD1 " + "1" * 5000 + "\n",
+        "BRC-CT v1\nL 2\nD1 1\nD1 1\n",
+        "BRC-CT v1\nL 2\nD1 1\nSO2 1\n",
+        "BRC-CT v1\nL 2\n0\nD1 5\n",
     ],
 )
 def test_ciphertext_file_strict_parsing(tmp_path, content):
@@ -323,6 +329,21 @@ def test_ciphertext_file_strict_parsing(tmp_path, content):
     path.write_text(content)
     with pytest.raises(FileFormatError):
         read_ciphertext_file(path)
+
+
+# Window vectors with many zero entries, so that gaps between terms show.
+_sparse_vectors = st.lists(st.one_of(st.just(0), st.integers(-(10**6), 10**6)), min_size=1, max_size=300)
+
+
+@given(st.one_of(_sparse_vectors, st.integers(1, 300).map(lambda n: [0] * n)))
+def test_ciphertext_codec_matches_element_rendering(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("codec") / "v.ct"
+    write_ciphertext_file(path, Ciphertext(values=values))
+    assert path.read_bytes() == f"BRC-CT v1\nL {len(values)}\n{ring_encode(values).render()}\n".encode()
+    back = read_ciphertext_file(path)
+    assert back.values == tuple(values)
+    assert back.length == len(values)
+    assert back.element == ring_encode(values)
 
 
 def test_ciphertext_file_accepts_max_length(tmp_path):

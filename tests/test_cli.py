@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from brc import attacks
+from brc import attacks, cipher
 from brc.cli import build_parser, main
 from brc.cipher import read_key_file
-from brc.burnside import KeySet
+from brc.burnside import BurnsideElement, KeySet
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +124,25 @@ def test_decrypt_rejects_declared_length_above_cap(tmp_path, keyfile, capsys):
     assert code == 1
     assert "above the limit" in err
     assert not out.exists()
+
+
+def test_encrypt_decrypt_build_no_sparse_element(tmp_path, keyfile, capsys, monkeypatch):
+    # Files are written from and read into the window vector directly.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("sparse element built on the file path")
+
+    monkeypatch.setattr(BurnsideElement, "parse", refuse)
+    monkeypatch.setattr(BurnsideElement, "render", refuse)
+    monkeypatch.setattr(cipher, "ring_encode", refuse)
+    monkeypatch.setattr(cipher, "ring_decode", refuse)
+    msg = tmp_path / "msg.txt"
+    ct = tmp_path / "msg.ct"
+    out = tmp_path / "msg.out"
+    data = bytes(32 + (7 * i) % 95 for i in range(10_000))
+    msg.write_bytes(data)
+    assert run_cli(capsys, "encrypt", "--key", str(keyfile), "--in", str(msg), "--out", str(ct))[0] == 0
+    assert run_cli(capsys, "decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(out))[0] == 0
+    assert out.read_bytes() == data
 
 
 def test_decrypt_long_declared_length_is_fast(tmp_path, keyfile, capsys):
