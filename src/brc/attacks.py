@@ -10,7 +10,9 @@ reference; builds prime-scaled key sets that are indistinguishable on
 any such window (so passive data never identifies the key set); and
 runs the one-query chosen-plaintext experiment that distinguishes any
 two candidate key sets with certainty, alone or over every pair of a
-bounded key space.
+bounded key space.  The known-plaintext demonstration never leaves mark
+coordinates: its messages are window vectors, its matrix is built from
+marks, and its twins are compared by marks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, count as count_from, islice, permutations
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 from .burnside import (
     IDENTITY,
@@ -32,8 +34,11 @@ from .burnside import (
     from_divisor_sums,
     key_coeff_fold,
     key_element,
+    key_marks,
+    mark_product,
+    window_marks,
 )
-from .cipher import encrypt, ring_decode, ring_encode
+from .cipher import ring_decode
 
 __all__ = [
     "OperatorMatrix",
@@ -102,16 +107,24 @@ class OperatorMatrix:
         return "\n".join(" ".join(f"{e:>{width}}" for e in row) for row in self.rows)
 
 
+def _operator_from_marks(marks: Sequence[int]) -> OperatorMatrix:
+    # M = Z^-1 * diag(marks) * Z: column i is the image of D(i), whose
+    # divisor sums are marks[x-1] at the divisors x of i and 0 elsewhere.
+    # The image lies on D(1)..D(i), so inverting its first i sums suffices.
+    window = len(marks)
+    columns = [
+        from_divisor_sums([eps if i % x == 0 else 0 for x, eps in zip(range(1, i + 1), marks)])
+        + [0] * (window - i)
+        for i in range(1, window + 1)
+    ]
+    return OperatorMatrix(window=window, rows=tuple(zip(*columns)))
+
+
 def operator_matrix(key: BurnsideElement, window: int) -> OperatorMatrix:
-    """Matrix of multiplication by `key` restricted to the window."""
+    """Matrix of multiplication by `key` (any element) restricted to the window, from its marks."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    columns = []
-    for i in range(1, window + 1):
-        image = BurnsideElement({D(i): 1}) * key
-        columns.append(ring_decode(image, window))
-    rows = tuple(tuple(columns[i][j] for i in range(window)) for j in range(window))
-    return OperatorMatrix(window=window, rows=rows)
+    return _operator_from_marks(window_marks(key, window))
 
 
 def _is_prime(n: int) -> bool:
@@ -338,17 +351,28 @@ class KpaResult:
         return self.matrix is not None
 
 
-def _check_solver_input(
-    pairs: Sequence[tuple[BurnsideElement, BurnsideElement]], window: int
-) -> None:
+# A plaintext or ciphertext on the window: an element or its coefficient vector.
+WindowVector = Union[BurnsideElement, Sequence[int]]
+
+
+def _check_solver_input(pairs: Sequence[tuple[WindowVector, WindowVector]], window: int) -> None:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if not pairs:
         raise ValueError("at least one plaintext/ciphertext pair is required")
 
 
+def _window_vector(v: WindowVector, window: int) -> Sequence[int]:
+    """Coefficients of a pair entry on D(1)..D(window); an element is decoded once."""
+    if isinstance(v, BurnsideElement):
+        return ring_decode(v, window)
+    if len(v) != window:
+        raise ValueError(f"vector of {len(v)} coefficients on the window W_{window}")
+    return v
+
+
 def known_plaintext_solver(
-    pairs: Sequence[tuple[BurnsideElement, BurnsideElement]], window: int
+    pairs: Sequence[tuple[WindowVector, WindowVector]], window: int
 ) -> KpaResult:
     """Solve for the window operator from plaintext/ciphertext pairs.
 
@@ -361,13 +385,14 @@ def known_plaintext_solver(
     integer (it is M's diagonal entry).  Any failure raises
     InconsistentPairsError.  `rank` counts the determined marks; when
     some stay open the result is undetermined (matrix None) and names
-    them.  Each pair costs O(L log L) and the matrix O(L^2 log L).
+    them.  A pair holds window vectors of length L or window elements.
+    Each pair costs O(L log L) and the matrix O(L^2 log L).
     """
     _check_solver_input(pairs, window)
     marks: list[int | None] = [None] * window
     for p, c in pairs:
-        f_sums = divisor_sums(ring_decode(p, window))
-        g_sums = divisor_sums(ring_decode(c, window))
+        f_sums = divisor_sums(_window_vector(p, window))
+        g_sums = divisor_sums(_window_vector(c, window))
         for x, (f, g) in enumerate(zip(f_sums, g_sums)):
             if marks[x] is None and f:
                 if g % f:
@@ -388,23 +413,13 @@ def known_plaintext_solver(
         return KpaResult(
             window=window, pairs_used=len(pairs), rank=rank, matrix=None, undetermined=undetermined
         )
-    # Column i is the image of D(i): its divisor sums are eps_x at the
-    # divisors x of i and 0 elsewhere.
-    columns = [
-        from_divisor_sums([eps if i % x == 0 else 0 for x, eps in enumerate(marks, start=1)])
-        for i in range(1, window + 1)
-    ]
-    rows = tuple(zip(*columns))
     return KpaResult(
-        window=window,
-        pairs_used=len(pairs),
-        rank=rank,
-        matrix=OperatorMatrix(window=window, rows=rows),
+        window=window, pairs_used=len(pairs), rank=rank, matrix=_operator_from_marks(marks)
     )
 
 
 def generic_plaintext_solver(
-    pairs: Sequence[tuple[BurnsideElement, BurnsideElement]], window: int
+    pairs: Sequence[tuple[WindowVector, WindowVector]], window: int
 ) -> KpaResult:
     """Solve for any integer operator on W_L that maps each p to its c.
 
@@ -420,7 +435,7 @@ def generic_plaintext_solver(
     """
     _check_solver_input(pairs, window)
     # Augmented system [P | C]: row j is (plaintext_j, ciphertext_j).
-    matrix = [ring_decode(p, window) + ring_decode(c, window) for p, c in pairs]
+    matrix = [[*_window_vector(p, window), *_window_vector(c, window)] for p, c in pairs]
 
     n_rows = len(matrix)
     pivot_cols: list[int] = []
@@ -505,20 +520,24 @@ class AmbiguityResult:
 def run_ambiguity_demo(
     s: KeySet | Iterable[int], window: int, count: int
 ) -> AmbiguityResult:
-    """Exhibit `count` distinct key sets acting identically on the window."""
+    """Exhibit `count` distinct key sets acting identically on the window.
+
+    Z is invertible, so two keys have the same window operator exactly
+    when their marks at D(1)..D(window) agree: the twins are compared by marks.
+    """
     s = as_key_set(s)
     base_key = key_element(s)
     base_matrix = operator_matrix(base_key, window)
+    base_marks = key_marks(s, window)
     twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
-    twin_keys = [key_element(t) for _, t in twins]
     return AmbiguityResult(
         base=s,
         window=window,
         base_key=base_key,
         base_matrix=base_matrix,
         twins=twins,
-        matrices_equal=tuple(operator_matrix(k, window) == base_matrix for k in twin_keys),
-        elements_differ=tuple(k != base_key for k in twin_keys),
+        matrices_equal=tuple(key_marks(t, window) == base_marks for _, t in twins),
+        elements_differ=tuple(key_element(t) != base_key for _, t in twins),
     )
 
 
@@ -550,7 +569,9 @@ def run_kpa_demo(
     """Generate seeded random pairs, solve, and show key non-identifiability.
 
     Even when the operator is fully recovered, the prime-scaled twins
-    produce the very same matrix, so the key set remains open.
+    produce the very same matrix, so the key set remains open.  Each
+    ciphertext vector is the mark product of its plaintext vector with
+    key_marks(key_set, window).
     """
     key_set = as_key_set(key_set)
     if window < 1:
@@ -558,12 +579,14 @@ def run_kpa_demo(
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
     ambiguity = run_ambiguity_demo(key_set, window, twin_count)
+    marks = key_marks(key_set, window)
     rng = random.Random(seed)
     pairs = []
     for _ in range(n_pairs):
         values = [rng.randint(0, 127) for _ in range(window)]
-        plain = ring_encode(values) if any(values) else BurnsideElement({D(1): 1})
-        pairs.append((plain, encrypt(plain, window, ambiguity.base_key).element))
+        if not any(values):
+            values = [1] + [0] * (window - 1)
+        pairs.append((values, mark_product(values, marks)))
     solver = known_plaintext_solver(pairs, window)
     matches = solver.matrix == ambiguity.base_matrix if solver.determined else None
     return KpaDemoResult(

@@ -48,6 +48,9 @@ __all__ = [
     "key_coeff_fold",
     "divisor_sums",
     "from_divisor_sums",
+    "window_marks",
+    "key_marks",
+    "mark_product",
     "window_product",
     "DEFAULT_SUBSET_CAP",
 ]
@@ -456,33 +459,58 @@ def from_divisor_sums(sums: Sequence[int]) -> list[int]:
     return out[1:]
 
 
+def _divisors_upto(n: int, limit: int) -> Iterator[int]:
+    # Divisors of n that are <= limit, in O(min(limit, sqrt(n))) steps:
+    # a divisor e <= limit above sqrt(n) is found as the cofactor n // d.
+    for d in range(1, min(limit, isqrt(n)) + 1):
+        if n % d == 0:
+            yield d
+            e = n // d
+            if e != d and e <= limit:
+                yield e
+
+
+def window_marks(k: BurnsideElement, length: int) -> list[int]:
+    """Marks phi_x(k) = k_O2 + 2*sum_{x|n} k_n for x = 1..length (SO2 has mark 0)."""
+    marks = [k.coeff(O2)] * length
+    for g, c in k._terms.items():
+        if g.family == _DIHEDRAL:
+            for d in _divisors_upto(g.index, length):
+                marks[d - 1] += 2 * c
+    return marks
+
+
+def key_marks(s: KeySet | Iterable[int], length: int) -> list[int]:
+    """window_marks(key_element(s), length) without building the key element.
+
+    O2 - D(i) has mark -1 at the divisors of i and +1 elsewhere, and marks
+    are multiplicative, so eps_x = (-1)**#{i in s : x | i}.
+    """
+    marks = [1] * length
+    for i in as_key_set(s):
+        for d in _divisors_upto(i, length):
+            marks[d - 1] = -marks[d - 1]
+    return marks
+
+
+def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
+    """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k from marks[x-1] = phi_x(k).
+
+    No product raises a dihedral index, so p and c = p*k both lie on
+    D(1)..D(L), and marks are multiplicative: with phi_x(p) = 2*F_x for
+    F = divisor_sums(p), c has divisor sums G_x = F_x*phi_x(k), and
+    from_divisor_sums(G) is c.  Both sweeps cost O(L log L).
+    """
+    if len(marks) != len(values):
+        raise ValueError(f"{len(marks)} marks for a window of {len(values)}")
+    return from_divisor_sums([m * f for m, f in zip(marks, divisor_sums(values))])
+
+
 def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
     """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k, L = len(values).
 
-    Computed in mark coordinates.  The mark of an element a at D(x) is
-    phi_x(a) = a_O2 + 2*sum_{x|n} a_n (SO2 has mark 0 there), and marks
-    are multiplicative: phi_x(a*b) = phi_x(a)*phi_x(b).  A window element
-    p and its product c = p*k both lie on D(1)..D(L), since no product
-    raises a dihedral index, so phi_x(p) = 2*F_x with the divisor sums
-    F = divisor_sums(p), and the divisor sums of c are
-    G_x = F_x*phi_x(k); from_divisor_sums(G) is c.
-
-    Both sweeps cost O(L log L).  The marks of k at x <= L are gathered
-    from its terms: each D(n) term adds 2*k_n at the divisors of n that
-    are <= L, found in O(min(L, sqrt(n))) steps, so no step grows with
-    the largest index of k.  The result equals the ring product exactly
-    for every multiplier k; for a key every mark is +-1.
+    mark_product with the marks window_marks(k, L).  The result equals
+    the ring product exactly for every multiplier k; for a key every
+    mark is +-1.
     """
-    length = len(values)
-    marks = [k.coeff(O2)] * (length + 1)
-    for g, c in k._terms.items():
-        if g.family != _DIHEDRAL:
-            continue
-        n = g.index
-        for d in range(1, min(length, isqrt(n)) + 1):
-            if n % d == 0:
-                marks[d] += 2 * c
-                e = n // d
-                if e != d and e <= length:
-                    marks[e] += 2 * c
-    return from_divisor_sums([m * f for m, f in zip(marks[1:], divisor_sums(values))])
+    return mark_product(values, window_marks(k, len(values)))

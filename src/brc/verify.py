@@ -102,6 +102,8 @@ def _expected_product(g: Generator, h: Generator) -> BurnsideElement:
 
 def verify_table(max_index: int = 24) -> SuiteResult:
     """Ring product against the literal table entry, all basis pairs."""
+    if max_index < 1:
+        raise ValueError(f"max_index must be >= 1, got {max_index}")
 
     def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
         gens = _generators(max_index)
@@ -135,6 +137,12 @@ def verify_recurrence(max_index: int = 24) -> SuiteResult:
     return _run("recurrence", cases())
 
 
+def _check_trials(trials: int) -> None:
+    # 0 trials leaves only the exhaustive cases, if the suite has any.
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
 def _random_key_set(rng: random.Random, max_size: int, max_index: int) -> KeySet:
     size = rng.randint(1, max_size)
     return KeySet(rng.sample(range(1, max_index + 1), size))
@@ -149,6 +157,7 @@ def verify_involution(
     seed: int = 0,
 ) -> SuiteResult:
     """key * key == identity, exhaustively small plus random large."""
+    _check_trials(trials)
 
     def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
         for size in range(1, exhaustive_size + 1):
@@ -170,6 +179,7 @@ def verify_prop_coeff(
     trials: int = 500, max_size: int = 8, max_index: int = 60, seed: int = 0
 ) -> SuiteResult:
     """Closed-form coefficient == brute-force expansion == element lookup."""
+    _check_trials(trials)
 
     def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
         rng = random.Random(seed)

@@ -35,8 +35,9 @@ from brc.burnside import (
     key_coeff_fold,
     key_element,
 )
-from brc.cipher import SupportWindowError, ring_encode
-from strategies import key_sets
+from brc import attacks, cipher
+from brc.cipher import SupportWindowError, ring_decode, ring_encode
+from strategies import elements, key_sets, unit_multipliers
 
 from math import gcd
 
@@ -71,6 +72,20 @@ def test_operator_matrix_diagonal_reads_folded_coeffs():
     m = operator_matrix(key_element(s), 12)
     for i, entry in enumerate(m.diagonal(), start=1):
         assert entry == 1 + 2 * key_coeff_fold(s, i)
+
+
+@given(
+    st.one_of(
+        key_sets(max_size=6, max_index=1000).map(key_element),
+        unit_multipliers(),
+        elements(max_index=1000),
+    ),
+    st.integers(1, 60),
+)
+def test_operator_matrix_equals_ring_product_columns(k, window):
+    # Reference: column i is D(i) * k through the generic ring product.
+    columns = [ring_decode(BurnsideElement({D(i): 1}) * k, window) for i in range(1, window + 1)]
+    assert operator_matrix(k, window).rows == tuple(zip(*columns))
 
 
 def test_operator_matrix_rejects_bad_window():
@@ -293,6 +308,26 @@ def test_solver_handles_mixed_support_pairs():
         assert result.matrix == operator_matrix(key, window)
 
 
+def test_solvers_accept_window_vectors():
+    key = key_element([2, 5])
+    vectors = [[1, 0, 2, 0, 0], [0, 1, 0, 3, 0], [0, 0, 1, 0, 4], [1, 1, 1, 1, 1], [2, 0, 0, 1, 0]]
+    elements_ = [ring_encode(v) for v in vectors]
+    for solver in SOLVERS:
+        by_element = solver([(p, p * key) for p in elements_], 5)
+        by_vector = solver([(v, ring_decode(p * key, 5)) for v, p in zip(vectors, elements_)], 5)
+        mixed = solver([(v, p * key) for v, p in zip(vectors, elements_)], 5)
+        assert by_vector == by_element == mixed
+        assert by_vector.matrix == operator_matrix(key, 5)
+
+
+def test_solvers_reject_vector_of_wrong_length():
+    for solver in SOLVERS:
+        with pytest.raises(ValueError, match="W_2"):
+            solver([([1, 0, 0], [1, 0])], 2)
+        with pytest.raises(ValueError, match="W_2"):
+            solver([((1, 0), (1,))], 2)
+
+
 def test_solver_rejects_support_outside_window():
     for solver in SOLVERS:
         with pytest.raises(SupportWindowError):
@@ -341,6 +376,33 @@ def test_run_ambiguity_demo_succeeds():
     assert [q for q, _ in result.twins] == [7, 11, 13]
     report = format_ambiguity_report(result)
     assert "{14, 21}" in report and "matrices identical" in report
+
+
+def test_run_ambiguity_demo_compares_twins_by_marks(monkeypatch):
+    # A key that is not a scaled twin has other marks on W_5: {2, 3} and
+    # {2, 3, 5} differ at D5, so the demonstration must fail.
+    monkeypatch.setattr(attacks, "ambiguous_family", lambda s, window, count: [KeySet([14, 21]), KeySet([2, 3, 5])])
+    result = run_ambiguity_demo(KeySet([2, 3]), window=5, count=2)
+    assert result.matrices_equal == (True, False)
+    assert result.elements_differ == (True, True)
+    assert not result.ok
+    assert operator_matrix(key_element([2, 3, 5]), 5) != result.base_matrix
+
+
+def test_run_kpa_demo_builds_no_sparse_messages(monkeypatch):
+    # Plaintexts and ciphertexts stay window vectors from draw to solver.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse element built or decoded")
+
+    for module, name in [(cipher, "ring_encode"), (cipher, "ring_decode"), (cipher, "encrypt"), (attacks, "ring_decode")]:
+        monkeypatch.setattr(module, name, refuse)
+    calls = []
+    solve = attacks.known_plaintext_solver
+    monkeypatch.setattr(attacks, "known_plaintext_solver", lambda pairs, window: calls.append(pairs) or solve(pairs, window))
+    result = run_kpa_demo(KeySet([2, 3, 7]), window=12, n_pairs=12, seed=4)
+    assert result.matches_true_operator and result.ok
+    assert len(calls) == 1
+    assert all(isinstance(p, list) and isinstance(c, list) for p, c in calls[0])
 
 
 def test_run_kpa_demo_determined():

@@ -18,6 +18,9 @@ from brc.burnside import (
     key_coeff_bruteforce,
     key_coeff_fold,
     key_element,
+    key_marks,
+    mark_product,
+    window_marks,
     window_product,
 )
 from strategies import elements, key_sets
@@ -349,3 +352,40 @@ def test_divisor_sums_equal_naive_sums(length):
     naive = [sum(values[n - 1] for n in range(x, length + 1, x)) for x in range(1, length + 1)]
     assert divisor_sums(values) == naive
     assert divisor_sums(tuple(values)) == naive
+
+
+# ------------------------------------------------------------------ marks
+
+
+@given(elements(max_index=1000), st.integers(0, 60))
+def test_window_marks_equal_mark_definition(k, length):
+    # phi_x(k) = k_O2 + 2 * sum_{x|n} k_n; SO2 has mark 0 at every D(x).
+    want = [
+        k.coeff(O2) + 2 * sum(c for g, c in k.terms() if g.is_dihedral and g.index % x == 0)
+        for x in range(1, length + 1)
+    ]
+    assert window_marks(k, length) == want
+
+
+@given(key_sets(max_size=8, max_index=1000), st.integers(0, 60))
+def test_key_marks_equal_marks_of_key_element(s, length):
+    direct = [(-1) ** sum(1 for i in s if i % x == 0) for x in range(1, length + 1)]
+    assert key_marks(s, length) == direct
+    assert window_marks(key_element(s), length) == direct
+
+
+def test_key_marks_of_huge_indices():
+    # Neither the size of S nor of its indices enters the cost beyond a
+    # walk of the divisors <= L: 18 indices of 22 and 23 digits mark W_6 directly.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+    total = 1
+    for q in primes:
+        total *= q
+    s = KeySet(total // q for q in primes)
+    # 2, 3 and 5 divide all but one index (17 of 18: odd), 4 divides none.
+    assert key_marks(s, 6) == [1, -1, -1, 1, -1, 1]
+
+
+def test_mark_product_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="marks"):
+        mark_product([1, 2, 3], [1, -1])

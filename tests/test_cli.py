@@ -55,6 +55,16 @@ def test_keygen_rejects_garbage(capsys):
     assert "error" in err
 
 
+def test_keygen_out_rejects_key_above_cap(tmp_path, capsys):
+    path = tmp_path / "key.brc"
+    indices = ",".join(str(i) for i in range(1, cipher.MAX_KEY_SIZE + 2))
+    code, out, err = run_cli(capsys, "keygen", "--indices", indices, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert "above the limit" in err
+    assert not path.exists()
+
+
 # ------------------------------------------------------------ encrypt/decrypt
 
 
@@ -143,6 +153,53 @@ def test_encrypt_decrypt_build_no_sparse_element(tmp_path, keyfile, capsys, monk
     assert run_cli(capsys, "encrypt", "--key", str(keyfile), "--in", str(msg), "--out", str(ct))[0] == 0
     assert run_cli(capsys, "decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(out))[0] == 0
     assert out.read_bytes() == data
+
+
+def _prime_product_key_file(tmp_path):
+    # s_i = (product of the first 18 primes) / p_i: every subset of the 18
+    # indices has its own gcd, so key_element(S) has 2**18 terms.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+    total = 1
+    for q in primes:
+        total *= q
+    path = tmp_path / "k18.brc"
+    cipher.write_key_file(path, KeySet(total // q for q in primes))
+    return path
+
+
+@pytest.mark.parametrize("size", [2, 10_000])
+def test_eighteen_index_key_encrypts_fast(tmp_path, capsys, monkeypatch, size):
+    # The message path uses the key's marks and never builds its element.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("key element built on the message path")
+
+    monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
+    key = _prime_product_key_file(tmp_path)
+    msg = tmp_path / "msg.txt"
+    ct = tmp_path / "msg.ct"
+    out = tmp_path / "msg.out"
+    data = bytes(32 + (11 * i) % 95 for i in range(size))
+    msg.write_bytes(data)
+    start = time.perf_counter()
+    assert run_cli(capsys, "encrypt", "--key", str(key), "--in", str(msg), "--out", str(ct))[0] == 0
+    assert run_cli(capsys, "decrypt", "--key", str(key), "--in", str(ct), "--out", str(out))[0] == 0
+    elapsed = time.perf_counter() - start
+    assert out.read_bytes() == data
+    assert elapsed < 1.0
+
+
+def test_key_file_above_cap_exits_1(tmp_path, capsys):
+    key = tmp_path / "big.brc"
+    key.write_text("BRC-KEY v1\nS " + " ".join(str(i) for i in range(1, cipher.MAX_KEY_SIZE + 2)) + "\n")
+    with pytest.raises(cipher.FileFormatError, match="above the limit"):
+        read_key_file(key)
+    msg = tmp_path / "msg.txt"
+    msg.write_bytes(b"Hi")
+    ct = tmp_path / "msg.ct"
+    code, _, err = run_cli(capsys, "encrypt", "--key", str(key), "--in", str(msg), "--out", str(ct))
+    assert code == 1
+    assert "above the limit" in err
+    assert not ct.exists()
 
 
 def test_decrypt_long_declared_length_is_fast(tmp_path, keyfile, capsys):
@@ -243,6 +300,26 @@ def test_attack_ambiguity_example(capsys):
     assert "matrices identical" in out
 
 
+def test_attack_ambiguity_transcript(capsys):
+    code, out, _ = run_cli(capsys, "attack", "ambiguity", "--s", "2,3", "--window", "6", "--count", "3")
+    assert code == 0
+    assert out == (
+        "Key ambiguity on the window W_6\n"
+        "base key set   : {2, 3}\n"
+        "twin q=7     : {14, 21}  matrix equal: yes  key element differs: yes\n"
+        "twin q=11    : {22, 33}  matrix equal: yes  key element differs: yes\n"
+        "twin q=13    : {26, 39}  matrix equal: yes  key element differs: yes\n"
+        "operator matrix on the window:\n"
+        "     1  2  2  2  0  4\n"
+        "     0 -1  0 -2  0 -2\n"
+        "     0  0 -1  0  0 -2\n"
+        "     0  0  0  1  0  0\n"
+        "     0  0  0  0  1  0\n"
+        "     0  0  0  0  0  1\n"
+        "conclusion     : matrices identical; key set not identifiable from this window\n"
+    )
+
+
 def test_attack_ambiguity_invalid_count(capsys):
     code, _, err = run_cli(capsys, "attack", "ambiguity", "--s", "2", "--window", "5", "--count", "0")
     assert code == 1
@@ -256,6 +333,59 @@ def test_attack_kpa_report(tmp_path, keyfile, capsys):
     assert code == 0
     assert "system rank    : 4 / 4" in out
     assert "does not identify the key set" in out
+
+
+@pytest.fixture
+def key_2_3_7_12_30(tmp_path):
+    path = tmp_path / "k5.brc"
+    cipher.write_key_file(path, KeySet([2, 3, 7, 12, 30]))
+    return path
+
+
+def test_attack_kpa_transcript(key_2_3_7_12_30, capsys):
+    code, out, _ = run_cli(
+        capsys, "attack", "kpa", "--key", str(key_2_3_7_12_30), "--pairs", "8", "--window", "8", "--seed", "0"
+    )
+    assert code == 0
+    assert out == (
+        "Known-plaintext attack on the window W_8\n"
+        "hidden key set : {2, 3, 7, 12, 30}\n"
+        "seed           : 0\n"
+        "pairs used     : 8\n"
+        "system rank    : 8 / 8\n"
+        "operator fully determined: yes\n"
+        "matches hidden key's operator: yes\n"
+        "recovered matrix:\n"
+        "    -1  0  0  0  0  2  0  0\n"
+        "     0 -1  0  0  0 -2  0  0\n"
+        "     0  0 -1  0  0 -2  0  0\n"
+        "     0  0  0 -1  0  0  0 -2\n"
+        "     0  0  0  0 -1  0  0  0\n"
+        "     0  0  0  0  0  1  0  0\n"
+        "     0  0  0  0  0  0 -1  0\n"
+        "     0  0  0  0  0  0  0  1\n"
+        "scaled twins   : {22, 33, 77, 132, 330} (same matrix), {26, 39, 91, 156, 390} (same matrix), "
+        "{34, 51, 119, 204, 510} (same matrix)\n"
+        "conclusion     : recovering the operator does not identify the key set\n"
+    )
+
+
+def test_attack_kpa_underdetermined_transcript(keyfile, capsys):
+    code, out, _ = run_cli(
+        capsys, "attack", "kpa", "--key", str(keyfile), "--pairs", "1", "--window", "8", "--seed", "6"
+    )
+    assert code == 0
+    assert out == (
+        "Known-plaintext attack on the window W_8\n"
+        "hidden key set : {2, 3}\n"
+        "seed           : 6\n"
+        "pairs used     : 1\n"
+        "system rank    : 7 / 8\n"
+        "operator fully determined: no (underdetermined system)\n"
+        "open marks     : D5\n"
+        "scaled twins   : {22, 33} (same matrix), {26, 39} (same matrix), {34, 51} (same matrix)\n"
+        "conclusion     : recovering the operator does not identify the key set\n"
+    )
 
 
 def test_attack_kpa_fails_on_wrong_recovered_matrix(keyfile, capsys, monkeypatch):
@@ -321,6 +451,24 @@ def test_verify_zero_trials_runs_only_exhaustive_cases(capsys):
     code, out, _ = run_cli(capsys, "verify", "involution", "--trials", "0")
     assert code == 0
     assert "cases=298" in out  # every key set of up to 3 indices from 1..12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--max-index", "-1"],
+        ["table", "--max-index", "0"],
+        ["recurrence", "--max-index", "0"],
+        ["prop-coeff", "--trials", "-1"],
+        ["involution", "--trials", "-2"],
+        ["all", "--trials", "-1"],
+    ],
+)
+def test_verify_rejects_empty_or_negative_ranges(capsys, args):
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert code == 1
+    assert "PASS" not in out
+    assert "must be" in err
 
 
 def test_readme_cli_lines_parse():
