@@ -10,9 +10,8 @@ reference; builds prime-scaled key sets that are indistinguishable on
 any such window (so passive data never identifies the key set); and
 runs the one-query chosen-plaintext experiment that distinguishes any
 two candidate key sets with certainty, alone or over every pair of a
-bounded key space.  The known-plaintext demonstration never leaves mark
-coordinates: its messages are window vectors, its matrix is built from
-marks, and its twins are compared by marks.
+bounded key space.  The known-plaintext and ambiguity demonstrations
+work on window vectors and key marks and never build a key element.
 """
 
 from __future__ import annotations
@@ -231,10 +230,11 @@ def cpa_distinguish(
     """
     s0, s1 = as_key_set(s0), as_key_set(s1)
     probe = choose_probe(s0, s1)
-    response = oracle(probe)
-    observed = response.coeff(D(probe))
+    # Folds first: an oversize candidate hits their cap before the oracle builds its element.
     expected0 = 1 + 2 * key_coeff_fold(s0, probe)
     expected1 = 1 + 2 * key_coeff_fold(s1, probe)
+    response = oracle(probe)
+    observed = response.coeff(D(probe))
     if observed == expected0:
         guess = 0
     elif observed == expected1:
@@ -494,11 +494,11 @@ def generic_plaintext_solver(
 
 @dataclass(frozen=True)
 class AmbiguityResult:
-    """Prime-scaled twins and their window-operator comparison."""
+    """Prime-scaled twins and their window-operator comparison, from the base key's marks."""
 
     base: KeySet
     window: int
-    base_key: BurnsideElement
+    base_marks: tuple[int, ...]
     base_matrix: OperatorMatrix
     twins: tuple[tuple[int, KeySet], ...]
     matrices_equal: tuple[bool, ...]
@@ -522,22 +522,25 @@ def run_ambiguity_demo(
 ) -> AmbiguityResult:
     """Exhibit `count` distinct key sets acting identically on the window.
 
-    Z is invertible, so two keys have the same window operator exactly
-    when their marks at D(1)..D(window) agree: the twins are compared by marks.
+    Uses key sets and their marks only, never a key element, so the cost
+    does not grow as 2**|S|.  Z is invertible, so twins are compared by their
+    marks at D(1)..D(window).  Distinct key sets have distinct elements:
+    at x = max(S ^ T) the counts #{s : x | s} differ by one, so the marks
+    at D(x) have opposite signs; hence `elements_differ` is t != s.
     """
     s = as_key_set(s)
-    base_key = key_element(s)
-    base_matrix = operator_matrix(base_key, window)
-    base_marks = key_marks(s, window)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    base_marks = tuple(key_marks(s, window))
     twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
     return AmbiguityResult(
         base=s,
         window=window,
-        base_key=base_key,
-        base_matrix=base_matrix,
+        base_marks=base_marks,
+        base_matrix=_operator_from_marks(base_marks),
         twins=twins,
-        matrices_equal=tuple(key_marks(t, window) == base_marks for _, t in twins),
-        elements_differ=tuple(key_element(t) != base_key for _, t in twins),
+        matrices_equal=tuple(tuple(key_marks(t, window)) == base_marks for _, t in twins),
+        elements_differ=tuple(t != s for _, t in twins),
     )
 
 
@@ -564,33 +567,28 @@ def run_kpa_demo(
     window: int,
     n_pairs: int,
     seed: int = 0,
-    twin_count: int = 3,
 ) -> KpaDemoResult:
     """Generate seeded random pairs, solve, and show key non-identifiability.
 
-    Even when the operator is fully recovered, the prime-scaled twins
+    Even when the operator is fully recovered, three prime-scaled twins
     produce the very same matrix, so the key set remains open.  Each
     ciphertext vector is the mark product of its plaintext vector with
-    key_marks(key_set, window).
+    the key's window marks; no key element is built.
     """
-    key_set = as_key_set(key_set)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    ambiguity = run_ambiguity_demo(key_set, window, 3)
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
-    ambiguity = run_ambiguity_demo(key_set, window, twin_count)
-    marks = key_marks(key_set, window)
     rng = random.Random(seed)
     pairs = []
     for _ in range(n_pairs):
         values = [rng.randint(0, 127) for _ in range(window)]
         if not any(values):
             values = [1] + [0] * (window - 1)
-        pairs.append((values, mark_product(values, marks)))
+        pairs.append((values, mark_product(values, ambiguity.base_marks)))
     solver = known_plaintext_solver(pairs, window)
     matches = solver.matrix == ambiguity.base_matrix if solver.determined else None
     return KpaDemoResult(
-        key_set=key_set,
+        key_set=ambiguity.base,
         window=window,
         seed=seed,
         solver=solver,

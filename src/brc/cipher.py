@@ -105,6 +105,8 @@ _LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
 # One line of a nonzero ciphertext body.  Matched line by line: a pattern
 # repeating a group over the whole body keeps state for every repetition.
 _CT_TERM = re.compile(r"^D([1-9][0-9]*) (-?[1-9][0-9]*)$", re.MULTILINE)
+# Body characters handed to one findall call, rounded up to a whole line.
+_CT_CHUNK = 1 << 14
 
 
 class MessageError(ValueError):
@@ -293,24 +295,38 @@ def read_ciphertext_file(path: str | Path) -> Ciphertext:
     # Compare digit counts first: int() refuses very long digit strings.
     if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
         raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
-    length = int(m[1])
-    if body == "0\n":
-        return Ciphertext(values=[0] * length)
-    terms = _CT_TERM.findall(body)
-    # Each match is one whole line, so every line matched iff the counts agree.
-    if len(terms) != body.count("\n"):
-        bad = next(ln for ln in body.split("\n") if not _CT_TERM.fullmatch(ln))
-        raise FileFormatError(f"bad ciphertext term line {bad!r}")
-    try:
-        labels = [int(n) for n, _ in terms]
-        coeffs = [int(c) for _, c in terms]
-    except ValueError:  # more digits than int() converts
-        raise FileFormatError("number too long in ciphertext body") from None
-    if labels != sorted(set(labels)):
-        raise FileFormatError("ciphertext terms must be in strictly ascending order")
-    if labels[-1] > length:
-        raise FileFormatError(f"ciphertext has support at D{labels[-1]}, outside window L={length}")
-    values = [0] * length
-    for n, c in zip(labels, coeffs):
-        values[n - 1] = c
+    values = [0] * int(m[1])
+    if body != "0\n":
+        _read_terms(body, values)
     return Ciphertext(values=values)
+
+
+def _read_terms(body: str, values: list[int]) -> None:
+    """Fill `values` from a nonzero body, _CT_CHUNK characters of whole lines at a time.
+
+    Only one chunk's matched strings and numbers are alive at once, so the
+    reader holds little beyond the text and the vector.
+    """
+    last = start = 0
+    while start < len(body):
+        end = body.find("\n", start + _CT_CHUNK) + 1 or len(body)
+        chunk = body[start:end]
+        terms = _CT_TERM.findall(chunk)
+        # Each match is one whole line, so every line matched iff the counts agree.
+        if len(terms) != chunk.count("\n"):
+            bad = next(ln for ln in chunk.split("\n") if not _CT_TERM.fullmatch(ln))
+            raise FileFormatError(f"bad ciphertext term line {bad!r}")
+        try:
+            labels = [int(n) for n, _ in terms]
+            coeffs = [int(c) for _, c in terms]
+        except ValueError:  # more digits than int() converts
+            raise FileFormatError("number too long in ciphertext body") from None
+        if labels[0] <= last or labels != sorted(set(labels)):
+            raise FileFormatError("ciphertext terms must be in strictly ascending order")
+        # Ascending, so the last label bounds the chunk before any is used as an index.
+        last = labels[-1]
+        if last > len(values):
+            raise FileFormatError(f"ciphertext has support at D{last}, outside window L={len(values)}")
+        for n, c in zip(labels, coeffs):
+            values[n - 1] = c
+        start = end

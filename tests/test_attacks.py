@@ -183,6 +183,17 @@ def test_cpa_distinguish_overlapping_sets():
     assert result.guess == 0
 
 
+def test_cpa_cap_raises_before_the_oracle(monkeypatch):
+    # The folds' subset cap rejects 21-index candidates before the oracle
+    # builds the hidden key element of 2**21 terms.
+    def refuse(*args):
+        raise AssertionError("key element built")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    with pytest.raises(ValueError, match="cap"):
+        run_cpa_experiment(KeySet(range(1, 22)), KeySet([*range(1, 21), 22]), hidden_bit=0)
+
+
 def test_cpa_oracle_mismatch_detected():
     with pytest.raises(OracleMismatchError):
         cpa_distinguish(KeySet([2]), KeySet([3]), lambda x: ZERO)
@@ -387,6 +398,21 @@ def test_run_ambiguity_demo_compares_twins_by_marks(monkeypatch):
     assert result.elements_differ == (True, True)
     assert not result.ok
     assert operator_matrix(key_element([2, 3, 5]), 5) != result.base_matrix
+
+
+@given(key_sets(max_size=4, max_index=30), st.lists(key_sets(max_size=4, max_index=30), max_size=4), st.integers(1, 12))
+def test_run_ambiguity_demo_set_comparison_is_exact(s, others, window):
+    # elements_differ compares key sets; distinct sets have distinct key
+    # elements, so it agrees with comparing the elements themselves, also
+    # for the base set and for candidates that are not twins.
+    family = [s, *others]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "ambiguous_family", lambda *_: family)
+        result = run_ambiguity_demo(s, window, len(family))
+    base = key_element(s)
+    assert result.elements_differ == tuple(key_element(t) != base for t in family)
+    assert result.matrices_equal == tuple(operator_matrix(key_element(t), window) == result.base_matrix for t in family)
+    assert result.base_matrix == operator_matrix(base, window)
 
 
 def test_run_kpa_demo_builds_no_sparse_messages(monkeypatch):

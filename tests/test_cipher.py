@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from brc import cipher
 from brc.burnside import IDENTITY, SO2, O2, ZERO, BurnsideElement, D, KeySet, key_element
 from brc.cipher import (
     MAX_LENGTH,
@@ -350,6 +352,50 @@ def test_ciphertext_file_accepts_max_length(tmp_path):
     path = tmp_path / "max.ct"
     path.write_text(f"BRC-CT v1\nL {MAX_LENGTH}\nD1 1\n")
     assert read_ciphertext_file(path).length == MAX_LENGTH
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "D1 1\nD1 1\n",  # repeated across a chunk boundary
+        "D2 1\nD1 1\n",  # descending across a chunk boundary
+        "D1 1\nD5 1\n",  # support outside L 4, in a later chunk
+        "D1 1\nD2 1\nD3 x\n",  # bad line in a later chunk
+        "D1 1\nD2 " + "1" * 5000 + "\n",  # too long, in a later chunk
+    ],
+)
+def test_ciphertext_reader_checks_every_chunk(tmp_path, monkeypatch, body):
+    # With a 1-character chunk every line is a chunk of its own.
+    monkeypatch.setattr(cipher, "_CT_CHUNK", 1)
+    path = tmp_path / "bad.ct"
+    path.write_text(f"BRC-CT v1\nL 4\n{body}")
+    with pytest.raises(FileFormatError):
+        read_ciphertext_file(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_ciphertext_reader_chunking_round_trips(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cipher, "_CT_CHUNK", chunk)
+    values = [(-1) ** n * n * 1000 if n % 3 else 0 for n in range(1, 3001)]
+    path = tmp_path / "v.ct"
+    write_ciphertext_file(path, Ciphertext(values=values))
+    assert read_ciphertext_file(path).values == tuple(values)
+
+
+def test_ciphertext_reader_memory_is_linear_in_file(tmp_path):
+    # A dense 100 KB ciphertext: the reader's peak stays a small multiple
+    # of the file, since it keeps no per-line strings for the whole body.
+    data = bytes(32 + (13 * i) % 95 for i in range(100_000))
+    path = tmp_path / "dense.ct"
+    write_ciphertext_file(path, encrypt_message(data, KeySet([2, 3, 5, 7, 11, 13])))
+    tracemalloc.start()
+    try:
+        ciphertext = read_ciphertext_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decrypt_message(ciphertext, KeySet([2, 3, 5, 7, 11, 13])) == data
+    assert peak < 5 * path.stat().st_size
 
 
 # Characters of the ciphertext grammar plus near misses.

@@ -188,6 +188,28 @@ def test_eighteen_index_key_encrypts_fast(tmp_path, capsys, monkeypatch, size):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("mode", ["kpa", "ambiguity"])
+def test_eighteen_index_key_attack_demos_fast(tmp_path, capsys, monkeypatch, mode):
+    # The demos work on the key's marks and never build a key element.
+    def refuse(*args, **kwargs):
+        raise AssertionError("key element built by an attack demo")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
+    key = _prime_product_key_file(tmp_path)
+    if mode == "kpa":
+        argv = ["attack", "kpa", "--key", str(key), "--pairs", "1", "--window", "8"]
+    else:
+        indices = ",".join(str(i) for i in read_key_file(key))
+        argv = ["attack", "ambiguity", "--s", indices, "--window", "8", "--count", "3"]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "FAILED" not in out
+    assert elapsed < 1.0
+
+
 def test_key_file_above_cap_exits_1(tmp_path, capsys):
     key = tmp_path / "big.brc"
     key.write_text("BRC-KEY v1\nS " + " ".join(str(i) for i in range(1, cipher.MAX_KEY_SIZE + 2)) + "\n")
@@ -231,6 +253,19 @@ def test_attack_cpa_identical_sets_error(capsys):
     code, _, err = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "2", "--hidden-bit", "0")
     assert code == 1
     assert "identical" in err
+
+
+def test_attack_cpa_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("key element built")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    s0 = ",".join(str(i) for i in range(1, 22))
+    s1 = ",".join(str(i) for i in [*range(1, 21), 22])
+    code, out, err = run_cli(capsys, "attack", "cpa", "--s0", s0, "--s1", s1, "--hidden-bit", "0")
+    assert code == 1
+    assert out == ""
+    assert "subset enumeration cap" in err
 
 
 def test_attack_cpa_random_prints_seed(capsys):
