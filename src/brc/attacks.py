@@ -57,6 +57,7 @@ __all__ = [
     "KpaResult",
     "known_plaintext_solver",
     "generic_plaintext_solver",
+    "MAX_WINDOW",
     "AmbiguityResult",
     "run_ambiguity_demo",
     "KpaDemoResult",
@@ -492,6 +493,11 @@ def generic_plaintext_solver(
     )
 
 
+# The ambiguity and known-plaintext demonstrations build and print a
+# dense window x window operator matrix, so their window is capped.
+MAX_WINDOW = 1000
+
+
 @dataclass(frozen=True)
 class AmbiguityResult:
     """Prime-scaled twins and their window-operator comparison, from the base key's marks."""
@@ -522,6 +528,9 @@ def run_ambiguity_demo(
 ) -> AmbiguityResult:
     """Exhibit `count` distinct key sets acting identically on the window.
 
+    The window must lie in 1..MAX_WINDOW; `run_kpa_demo` relies on this
+    check too.
+
     Uses key sets and their marks only, never a key element, so the cost
     does not grow as 2**|S|.  Z is invertible, so twins are compared by their
     marks at D(1)..D(window).  Distinct key sets have distinct elements:
@@ -531,6 +540,8 @@ def run_ambiguity_demo(
     s = as_key_set(s)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be <= {MAX_WINDOW}, got {window}")
     base_marks = tuple(key_marks(s, window))
     twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
     return AmbiguityResult(

@@ -12,6 +12,14 @@ the full class O2.  Products of basis classes:
 extended bilinearly.  Elements are kept in canonical sparse form (no
 zero coefficients stored), so equality is structural equality.
 
+A basis class is a `Generator`, an immutable ``(family, index)`` tuple
+(index 0 for SO2 and O2), so hashing and ordering are plain tuple
+operations.  The product reads the O2 and SO2 coefficients of both
+factors once, accumulates the dihedral coefficients of the result in a
+dict keyed by the integer index (the terms 2*a*b at gcd(i, j) and the
+O2-identity terms), and builds each D(n) only once, for the nonzero
+sums.
+
 Canonical text rendering, one term per line in ascending basis order
 D1 < D2 < ... < SO2 < O2, e.g. for O2 + 2*D1 - D3:
 
@@ -25,9 +33,9 @@ The zero element renders as the single line ``0``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -65,32 +73,42 @@ class ElementFormatError(ValueError):
     """Raised when canonical element text cannot be parsed."""
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """Basis class of the ring: a dihedral class D(k), SO2 or O2."""
+class Generator(tuple):
+    """Basis class of the ring: a dihedral class D(k), SO2 or O2.
 
-    family: int
-    index: int = 0
+    An immutable ``(family, index)`` pair, so hashing and comparison are
+    the built-in tuple operations and the basis order is tuple order.
+    """
 
-    def __post_init__(self) -> None:
-        if self.family == _DIHEDRAL:
-            if self.index < 1:
-                raise ValueError(f"dihedral index must be >= 1, got {self.index}")
-        elif self.family in (_ROTATION, _FULL):
-            if self.index != 0:
+    __slots__ = ()
+
+    def __new__(cls, family: int, index: int = 0) -> Generator:
+        if family == _DIHEDRAL:
+            if index < 1:
+                raise ValueError(f"dihedral index must be >= 1, got {index}")
+        elif family in (_ROTATION, _FULL):
+            if index != 0:
                 raise ValueError("SO2/O2 carry no index")
         else:
-            raise ValueError(f"unknown generator family {self.family}")
+            raise ValueError(f"unknown generator family {family}")
+        return tuple.__new__(cls, (family, index))
+
+    family = property(itemgetter(0))
+    index = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
     @property
     def is_dihedral(self) -> bool:
-        return self.family == _DIHEDRAL
+        return self[0] == _DIHEDRAL
 
     @property
     def label(self) -> str:
-        if self.family == _DIHEDRAL:
-            return f"D{self.index}"
-        return "SO2" if self.family == _ROTATION else "O2"
+        family, index = self
+        if family == _DIHEDRAL:
+            return f"D{index}"
+        return "SO2" if family == _ROTATION else "O2"
 
     def __repr__(self) -> str:
         return self.label
@@ -206,30 +224,35 @@ class BurnsideElement:
             return BurnsideElement._raw({g: c * other for g, c in self._terms.items()})
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        acc: dict[Generator, int] = {}
-        for g, a in self._terms.items():
-            gf = g.family
-            gi = g.index
-            for h, b in other._terms.items():
-                hf = h.family
-                if gf == _FULL:
-                    basis, m = h, 1
-                elif hf == _FULL:
-                    basis, m = g, 1
-                elif gf == _ROTATION:
-                    if hf != _ROTATION:
-                        continue
-                    basis, m = SO2, 2
-                elif hf == _ROTATION:
-                    continue
-                else:
-                    basis, m = D(gcd(gi, h.index)), 2
-                s = acc.get(basis, 0) + a * b * m
-                if s:
-                    acc[basis] = s
-                elif basis in acc:
-                    del acc[basis]
-        return BurnsideElement._raw(acc)
+        lhs = self._terms
+        rhs = other._terms
+        a_full = lhs.get(O2, 0)
+        b_full = rhs.get(O2, 0)
+        a_rot = lhs.get(SO2, 0)
+        b_rot = rhs.get(SO2, 0)
+        a_dih = [(g[1], c) for g, c in lhs.items() if g[0] == _DIHEDRAL]
+        b_dih = [(h[1], c) for h, c in rhs.items() if h[0] == _DIHEDRAL]
+        # Dihedral coefficients of the product, keyed by index.
+        acc: dict[int, int] = {}
+        if b_full:
+            for i, a in a_dih:
+                acc[i] = a * b_full
+        if a_full:
+            for j, b in b_dih:
+                acc[j] = acc.get(j, 0) + a_full * b
+        for i, a in a_dih:
+            a2 = 2 * a
+            for j, b in b_dih:
+                k = gcd(i, j)
+                acc[k] = acc.get(k, 0) + a2 * b
+        out = {D(k): c for k, c in acc.items() if c}
+        rot = a_full * b_rot + a_rot * b_full + 2 * a_rot * b_rot
+        if rot:
+            out[SO2] = rot
+        full = a_full * b_full
+        if full:
+            out[O2] = full
+        return BurnsideElement._raw(out)
 
     def __rmul__(self, other: int) -> BurnsideElement:
         if isinstance(other, int):

@@ -40,11 +40,14 @@ are stored and trailing zeros would otherwise be lost; it is at most
 MAX_LENGTH.  A key file holds at most MAX_KEY_SIZE = 20 indices, the
 subset-enumeration cap, so any key file also works with key_coeff.
 Marking a message costs min(L, sqrt(s)) divisor tests per index s, each
-linear in the digits of s: `brc encrypt` of a MAX_LENGTH message took
-131 s and 115 MB under 20 indices of 4300 digits (the longest int()
-reads) with many small divisors, the worst case found, and 2.8 s under
-20 indices below 2**64; `brc decrypt` took 132 s and 3.9 s (one run
-each, 2-vCPU VM, Python 3.11.7).
+linear in the digits of s, so a key file index has at most
+MAX_INDEX_DIGITS = 30 digits.  That admits the product of the first 20
+primes over each one of them: 20 indices of 27 digits whose key element
+has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
+digits that are multiples of lcm(1..60), the worst case found, `brc
+encrypt` of a MAX_LENGTH message took 3.9 s and `brc decrypt` 4.4 s,
+peak RSS 116 MB (one run each, 2-vCPU VM, Python 3.11.7); 4300-digit
+indices, the longest int() reads, took 131 s before the cap.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ __all__ = [
     "CT_MAGIC",
     "MAX_LENGTH",
     "MAX_KEY_SIZE",
+    "MAX_INDEX_DIGITS",
 ]
 
 KEY_MAGIC = "BRC-KEY v1"
@@ -99,6 +103,10 @@ MAX_LENGTH = 1 << 20
 
 # Most indices in a key file and in `brc keygen --out` (module docstring).
 MAX_KEY_SIZE = DEFAULT_SUBSET_CAP
+
+# Most decimal digits of one index in a key file and in `brc keygen --out`
+# (module docstring).  KeySet itself takes indices of any size.
+MAX_INDEX_DIGITS = 30
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
 _LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
@@ -237,9 +245,11 @@ def decrypt_message(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
 
 
 def write_key_file(path: str | Path, key_set: KeySet) -> None:
-    """Write a key file; a key set above MAX_KEY_SIZE indices is a ValueError."""
+    """Write a key file; above MAX_KEY_SIZE indices or MAX_INDEX_DIGITS digits is a ValueError."""
     if len(key_set) > MAX_KEY_SIZE:
         raise ValueError(f"key set has {len(key_set)} indices, above the limit {MAX_KEY_SIZE}")
+    if key_set.max_index >= 10**MAX_INDEX_DIGITS:
+        raise ValueError(f"key index has more than {MAX_INDEX_DIGITS} digits")
     indices = " ".join(str(i) for i in key_set)
     Path(path).write_text(f"{KEY_MAGIC}\nS {indices}\n")
 
@@ -264,10 +274,9 @@ def read_key_file(path: str | Path) -> KeySet:
     tokens = lines[1].split()[1:]
     if len(tokens) > MAX_KEY_SIZE:
         raise FileFormatError(f"key file holds {len(tokens)} indices, above the limit {MAX_KEY_SIZE}")
-    try:
-        indices = [int(tok) for tok in tokens]
-    except ValueError:  # more digits than int() converts
-        raise FileFormatError("key index too long") from None
+    if max(map(len, tokens)) > MAX_INDEX_DIGITS:
+        raise FileFormatError(f"key index has more than {MAX_INDEX_DIGITS} digits")
+    indices = [int(tok) for tok in tokens]
     if indices != sorted(set(indices)):
         raise FileFormatError("key indices must be strictly increasing")
     return KeySet(indices)

@@ -119,14 +119,12 @@ def _descend(
     lattice: LatticeData, leading: Mapping[Generator, int]
 ) -> BurnsideElement:
     """Shared downward solve: peel coefficients off class by class."""
+    # Only classes already solved with a nonzero coefficient contribute.
     coeffs: dict[Generator, int] = {}
-    seen: list[Generator] = []
     for cls in lattice.classes:
         acc = 0
-        for above in seen:
-            c = coeffs.get(above, 0)
-            if c:
-                acc += c * lattice.contains_count(cls, above) * lattice.weyl[above]
+        for above, c in coeffs.items():
+            acc += c * lattice.contains_count(cls, above) * lattice.weyl[above]
         numerator = leading[cls] - acc
         quotient, remainder = divmod(numerator, lattice.weyl[cls])
         if remainder:
@@ -136,7 +134,6 @@ def _descend(
             )
         if quotient:
             coeffs[cls] = quotient
-        seen.append(cls)
     return BurnsideElement(coeffs)
 
 

@@ -1,5 +1,8 @@
+import copy
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from brc.burnside import (
@@ -23,6 +26,7 @@ from brc.burnside import (
     window_marks,
     window_product,
 )
+from brc.degree import o2_lattice, recurrence_mul
 from strategies import elements, key_sets
 
 
@@ -61,6 +65,41 @@ def test_dihedral_index_must_be_positive():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         Generator(7, 1)
+
+
+@pytest.mark.parametrize("g", [D(1), D(12), SO2, O2])
+def test_generator_pickle_and_copy_roundtrip(g):
+    for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert type(back) is Generator
+        assert back == g
+        assert hash(back) == hash(g)
+        assert back.label == g.label
+
+
+def test_generator_sorts_in_basis_order():
+    assert sorted([O2, SO2, D(10), D(2)]) == [D(2), D(10), SO2, O2]
+
+
+def test_generator_repr_and_str_are_labels():
+    assert [repr(g) for g in (D(4), SO2, O2)] == ["D4", "SO2", "O2"]
+    assert [str(g) for g in (D(4), SO2, O2)] == ["D4", "SO2", "O2"]
+
+
+def test_generator_is_immutable():
+    g = D(3)
+    with pytest.raises(AttributeError):
+        g.index = 4
+    assert g.family == 0 and g.index == 3
+
+
+def test_generator_constructor_equals_d():
+    assert Generator(0, 3) == D(3)
+    assert hash(Generator(0, 3)) == hash(D(3))
+
+
+def test_element_rejects_plain_tuple_key():
+    with pytest.raises(TypeError):
+        BurnsideElement({(0, 3): 1})
 
 
 # ------------------------------------------------------------------ elements
@@ -324,6 +363,23 @@ def test_key_element_structure(s):
 def test_key_coeff_vanishes_above_max_index(s):
     for n in range(s.max_index + 1, s.max_index + 11):
         assert key_coeff(s, n) == 0
+
+
+_LATTICE_24 = o2_lattice(24)
+
+
+@given(elements(max_index=24, max_coeff=3), elements(max_index=24, max_coeff=3))
+@example(elem(D1=1, O2=-2), elem(D1=1))  # 2*D1 - 2*D1: the product is zero
+@example(elem(SO2=1, O2=-2), elem(SO2=1))  # 2*SO2 - 2*SO2
+@example(elem(D2=1, D3=-1), elem(D2=1, D3=1))  # the D1 terms cancel
+def test_mul_equals_lattice_recurrence_expansion(a, b):
+    expected = ZERO
+    for g, x in a.items():
+        for h, y in b.items():
+            expected = expected + recurrence_mul(g, h, _LATTICE_24) * (x * y)
+    product = a * b
+    assert product == expected
+    assert all(c for _, c in product.items())
 
 
 # ------------------------------------------------------ window product

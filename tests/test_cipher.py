@@ -237,6 +237,19 @@ def test_key_file_roundtrip(tmp_path):
     assert read_key_file(path) == KeySet([2, 3, 10])
 
 
+def test_key_file_index_digit_cap(tmp_path):
+    path = tmp_path / "key.brc"
+    longest = 10**cipher.MAX_INDEX_DIGITS - 1
+    write_key_file(path, KeySet([3, longest]))
+    assert read_key_file(path) == KeySet([3, longest])
+    path.write_text(f"BRC-KEY v1\nS 3 {longest + 1}\n")
+    with pytest.raises(FileFormatError, match="digits"):
+        read_key_file(path)
+    with pytest.raises(ValueError, match="digits"):
+        write_key_file(tmp_path / "k2.brc", KeySet([3, longest + 1]))
+    assert not (tmp_path / "k2.brc").exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -65,6 +65,24 @@ def test_keygen_out_rejects_key_above_cap(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_keygen_out_rejects_index_above_digit_cap(tmp_path, capsys):
+    path = tmp_path / "key.brc"
+    too_long = "1" * (cipher.MAX_INDEX_DIGITS + 1)
+    code, out, err = run_cli(capsys, "keygen", "--indices", f"2,{too_long}", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"more than {cipher.MAX_INDEX_DIGITS} digits" in err
+    assert not path.exists()
+
+
+def test_keygen_out_accepts_index_at_digit_cap(tmp_path, capsys):
+    path = tmp_path / "key.brc"
+    longest = "9" * cipher.MAX_INDEX_DIGITS
+    code, _, _ = run_cli(capsys, "keygen", "--indices", f"2,{longest}", "--out", str(path))
+    assert code == 0
+    assert read_key_file(path) == KeySet([2, int(longest)])
+
+
 # ------------------------------------------------------------ encrypt/decrypt
 
 
@@ -447,6 +465,32 @@ def test_attack_kpa_rejects_zero_window(keyfile, capsys):
     assert code == 1
     assert out == ""
     assert "window" in err
+
+
+@pytest.mark.parametrize("mode", ["kpa", "ambiguity"])
+def test_attack_demos_reject_window_above_cap(keyfile, capsys, monkeypatch, mode):
+    # The cap is checked before any mark, pair or matrix is computed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("demo work started above the window cap")
+
+    monkeypatch.setattr(attacks, "key_marks", refuse)
+    monkeypatch.setattr(attacks, "_operator_from_marks", refuse)
+    window = str(attacks.MAX_WINDOW + 1)
+    if mode == "kpa":
+        argv = ["attack", "kpa", "--key", str(keyfile), "--pairs", "1", "--window", window]
+    else:
+        argv = ["attack", "ambiguity", "--s", "2,3", "--window", window, "--count", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"window must be <= {attacks.MAX_WINDOW}" in err
+
+
+def test_attack_ambiguity_at_window_cap(capsys):
+    window = str(attacks.MAX_WINDOW)
+    code, out, _ = run_cli(capsys, "attack", "ambiguity", "--s", "2,3", "--window", window, "--count", "1")
+    assert code == 0
+    assert "FAILED" not in out
 
 
 def test_attack_kpa_requires_window(keyfile, capsys):
