@@ -33,9 +33,10 @@ The zero element renders as the single line ``0``.
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from functools import partial
+from itertools import combinations, takewhile
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -521,19 +522,34 @@ def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
 
     No product raises a dihedral index, so p and c = p*k both lie on
     D(1)..D(L), and marks are multiplicative: with phi_x(p) = 2*F_x for
-    F = divisor_sums(p), c has divisor sums G_x = F_x*phi_x(k), and
-    from_divisor_sums(G) is c.  Both sweeps cost O(L log L).
+    F = divisor_sums(p), c has divisor sums G_x = F_x*phi_x(k), so
+    c = Z^-1(m*F) = p + Z^-1((m - 1)*F).  The correction h = (m - 1)*F
+    vanishes above T, the last x with marks[x-1] != 1, and so does
+    Z^-1 h (every multiple of an x > T lies above T): it is
+    from_divisor_sums of h on D(1)..D(T), added to p there, and c equals
+    p above T.  F_x is summed only where m_x != 1, so the cost is
+    O(L + sum_{x<=T, m_x!=1} L/x + T log T); a key's marks are +1 at
+    every x that divides no key index.  Returns a new list.
     """
     if len(marks) != len(values):
         raise ValueError(f"{len(marks)} marks for a window of {len(values)}")
-    return from_divisor_sums([m * f for m, f in zip(marks, divisor_sums(values))])
+    # The trailing marks are all 1, so their sum is their count.
+    top = len(marks) - sum(takewhile(partial(eq, 1), reversed(marks)))
+    half = min(top, len(values) // 2)
+    h = [(m - 1) * sum(values[x - 1 :: x]) if m != 1 else 0 for x, m in zip(range(1, half + 1), marks)]
+    # Above L/2 the only multiple of x in the window is x itself.
+    h += [(m - 1) * p for m, p in zip(marks[half:top], values[half:top])]
+    out = list(map(add, values, from_divisor_sums(h)))
+    out += values[top:]
+    return out
 
 
 def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
     """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k, L = len(values).
 
-    mark_product with the marks window_marks(k, L).  The result equals
-    the ring product exactly for every multiplier k; for a key every
-    mark is +-1.
+    mark_product with the marks window_marks(k, L), so it costs
+    O(L + sum_{x<=T, phi_x(k)!=1} L/x + T log T), T the last x with
+    phi_x(k) != 1.  The result equals the ring product exactly for every
+    multiplier k; for a key every mark is +-1.
     """
     return mark_product(values, window_marks(k, len(values)))

@@ -7,12 +7,14 @@ The product never raises a dihedral index, so ciphertext support stays
 inside the window {D(1), ..., D(L)}.
 
 Encryption and decryption compute that product in mark coordinates
-(`burnside.mark_product`): divisor sums of the message vector, a
-pointwise multiplication by the key's marks, which are all +-1, and a
-Mobius inversion, O(L log L) whatever the key.  `encrypt` and `decrypt`
-gather the marks from a key element; `encrypt_message` and
-`decrypt_message` read them straight off the key set
-(`burnside.key_marks`) and never build the element, which can have
+(`burnside.mark_product`).  The key's marks eps_x are all +-1, and +1 at
+every x that divides no key index, so the ciphertext is the message
+vector plus a Mobius inversion on D(1)..D(T) of (eps_x - 1) times the
+divisor sums, T the last x <= L with eps_x != 1.  That costs
+O(L + sum_{x<=T, eps_x!=1} L/x + T log T), at most O(L log L).
+`encrypt` and `decrypt` gather the marks from a key element;
+`encrypt_message` and `decrypt_message` read them straight off the key
+set (`burnside.key_marks`) and never build the element, which can have
 2**|S| terms.  `BurnsideElement.__mul__` stays the general ring product
 and the reference the tests compare against.
 
@@ -42,12 +44,13 @@ subset-enumeration cap, so any key file also works with key_coeff.
 Marking a message costs min(L, sqrt(s)) divisor tests per index s, each
 linear in the digits of s, so a key file index has at most
 MAX_INDEX_DIGITS = 30 digits.  That admits the product of the first 20
-primes over each one of them: 20 indices of 27 digits whose key element
-has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
-digits that are multiples of lcm(1..60), the worst case found, `brc
-encrypt` of a MAX_LENGTH message took 3.9 s and `brc decrypt` 4.4 s,
-peak RSS 116 MB (one run each, 2-vCPU VM, Python 3.11.7); 4300-digit
-indices, the longest int() reads, took 131 s before the cap.
+primes over each one of them: 20 indices of 25 to 27 digits whose key
+element has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
+digits that are multiples of lcm(1..60), the worst case found (20 752
+marks of -1, the last at x = 1 048 509), `brc encrypt` of a MAX_LENGTH
+message took 3.9 s at peak RSS 109 MB and `brc decrypt` 4.2 s at
+69 MB (one run each, 2-vCPU VM, Python 3.11.7); 4300-digit indices,
+the longest int() reads, took 131 s before the cap.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ __all__ = [
     "decrypt",
     "encrypt_message",
     "decrypt_message",
+    "check_key_limits",
     "write_key_file",
     "read_key_file",
     "write_ciphertext_file",
@@ -101,10 +105,10 @@ CT_MAGIC = "BRC-CT v1"
 # on a dense vector of L coefficients.
 MAX_LENGTH = 1 << 20
 
-# Most indices in a key file and in `brc keygen --out` (module docstring).
+# Most indices in a key file and in `brc keygen` (module docstring).
 MAX_KEY_SIZE = DEFAULT_SUBSET_CAP
 
-# Most decimal digits of one index in a key file and in `brc keygen --out`
+# Most decimal digits of one index in a key file and in `brc keygen`
 # (module docstring).  KeySet itself takes indices of any size.
 MAX_INDEX_DIGITS = 30
 
@@ -182,9 +186,9 @@ def encode_text(data: bytes | str) -> list[int]:
         raise MessageError("empty message")
     if len(data) > MAX_LENGTH:
         raise MessageError(f"message of {len(data)} bytes is longer than {MAX_LENGTH} bytes")
-    for pos, b in enumerate(data):
-        if b > 127:
-            raise MessageError(f"non-ASCII byte 0x{b:02x} at position {pos}")
+    if not data.isascii():
+        pos = next(pos for pos, b in enumerate(data) if b > 127)
+        raise MessageError(f"non-ASCII byte 0x{data[pos]:02x} at position {pos}")
     return list(data)
 
 
@@ -192,10 +196,15 @@ def decode_text(values: Sequence[int]) -> bytes:
     """Inverse of encode_text; every value must be a 7-bit code."""
     if not values:
         raise MessageError("empty vector")
-    for pos, v in enumerate(values):
-        if not 0 <= v <= 127:
-            raise MessageError(f"recovered value {v} at position {pos} is outside [0, 127]")
-    return bytes(values)
+    try:
+        data = bytes(values)
+    except ValueError:  # a value outside 0..255, named below
+        pass
+    else:
+        if data.isascii():
+            return data
+    pos, v = next((pos, v) for pos, v in enumerate(values) if not 0 <= v <= 127)
+    raise MessageError(f"recovered value {v} at position {pos} is outside [0, 127]")
 
 
 def ring_encode(values: Sequence[int]) -> BurnsideElement:
@@ -244,12 +253,17 @@ def decrypt_message(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
     return decode_text(mark_product(ciphertext.values, marks))
 
 
-def write_key_file(path: str | Path, key_set: KeySet) -> None:
-    """Write a key file; above MAX_KEY_SIZE indices or MAX_INDEX_DIGITS digits is a ValueError."""
+def check_key_limits(key_set: KeySet) -> None:
+    """ValueError above MAX_KEY_SIZE indices or MAX_INDEX_DIGITS digits per index."""
     if len(key_set) > MAX_KEY_SIZE:
         raise ValueError(f"key set has {len(key_set)} indices, above the limit {MAX_KEY_SIZE}")
     if key_set.max_index >= 10**MAX_INDEX_DIGITS:
         raise ValueError(f"key index has more than {MAX_INDEX_DIGITS} digits")
+
+
+def write_key_file(path: str | Path, key_set: KeySet) -> None:
+    """Write a key file; a key beyond check_key_limits is a ValueError."""
+    check_key_limits(key_set)
     indices = " ".join(str(i) for i in key_set)
     Path(path).write_text(f"{KEY_MAGIC}\nS {indices}\n")
 

@@ -18,6 +18,7 @@ from typing import Sequence
 from . import attacks
 from .burnside import KeySet, key_element
 from .cipher import (
+    check_key_limits,
     decrypt_message,
     encrypt_message,
     read_ciphertext_file,
@@ -38,6 +39,8 @@ def _parse_key_set(text: str) -> KeySet:
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
     key_set = _parse_key_set(args.indices)
+    # Before key_element, whose size grows as 2**|S|.
+    check_key_limits(key_set)
     if args.out:
         write_key_file(args.out, key_set)
         print(f"wrote key file {args.out}", file=sys.stderr)

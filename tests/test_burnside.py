@@ -17,6 +17,7 @@ from brc.burnside import (
     KeySet,
     basic_degree,
     divisor_sums,
+    from_divisor_sums,
     key_coeff,
     key_coeff_bruteforce,
     key_coeff_fold,
@@ -440,6 +441,42 @@ def test_key_marks_of_huge_indices():
     s = KeySet(total // q for q in primes)
     # 2, 3 and 5 divide all but one index (17 of 18: odd), 4 divides none.
     assert key_marks(s, 6) == [1, -1, -1, 1, -1, 1]
+
+
+@st.composite
+def mark_product_cases(draw):
+    """(values, marks) on one window: values a list or a tuple, marks of four shapes."""
+    length = draw(st.integers(1, 200))
+    values = draw(st.lists(st.integers(-1000, 1000), min_size=length, max_size=length))
+    if draw(st.booleans()):
+        values = tuple(values)
+    shape = draw(st.sampled_from(["key", "signs", "ones", "integers"]))
+    if shape == "key":
+        index = st.one_of(st.integers(1, length), st.integers(1, 10**6))
+        marks = key_marks(KeySet(draw(st.sets(index, min_size=1, max_size=10))), length)
+    elif shape == "signs":
+        # +-1 marks ending in a run of 1s of any length, up to the whole window.
+        top = draw(st.integers(0, length))
+        marks = draw(st.lists(st.sampled_from([1, -1]), min_size=top, max_size=top)) + [1] * (length - top)
+    elif shape == "ones":
+        marks = [1] * length
+    else:
+        marks = draw(st.lists(st.integers(-(10**6), 10**6), min_size=length, max_size=length))
+    return values, marks
+
+
+@given(mark_product_cases())
+@example(([7], [-1]))  # L = 1
+@example(((3, -4, 5), [1, 1, 1]))  # T = 0: the product is p itself
+@example(([1, -2, 3, -4, 5, -6], [1, -1, 1, 1, 1, -1]))  # T = L
+def test_mark_product_equals_dense_reference(case):
+    values, marks = case
+    before = (list(values), list(marks))
+    dense = from_divisor_sums([m * f for m, f in zip(marks, divisor_sums(values))])
+    out = mark_product(values, marks)
+    assert out == dense
+    assert type(out) is list and out is not values
+    assert (list(values), list(marks)) == before
 
 
 def test_mark_product_rejects_length_mismatch():

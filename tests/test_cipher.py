@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 import tracemalloc
 
@@ -74,6 +76,39 @@ def test_decode_rejects_out_of_range():
         decode_text([65, 300])
     with pytest.raises(MessageError):
         decode_text([-1])
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"ab\x7f\xe9\xff", "non-ASCII byte 0xe9 at position 3"),
+        (bytearray(b"\x80"), "non-ASCII byte 0x80 at position 0"),
+        ("ab\u00e9", "non-ASCII character at position 2"),
+    ],
+)
+def test_encode_error_names_first_bad_byte(data, message):
+    with pytest.raises(MessageError) as info:
+        encode_text(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([65, 128, 300], "recovered value 128 at position 1 is outside [0, 127]"),
+        ((0, 127, -3, 200), "recovered value -3 at position 2 is outside [0, 127]"),
+        ([10**40], f"recovered value {10**40} at position 0 is outside [0, 127]"),
+        ([1, 2, 255], "recovered value 255 at position 2 is outside [0, 127]"),
+    ],
+)
+def test_decode_error_names_first_bad_value(values, message):
+    with pytest.raises(MessageError) as info:
+        decode_text(values)
+    assert str(info.value) == message
+
+
+def test_decode_accepts_tuples_and_every_code():
+    assert decode_text(tuple(range(128))) == bytes(range(128))
 
 
 # ------------------------------------------------------------- ring encoding
@@ -225,6 +260,19 @@ def test_huge_key_index_encrypts_1kb_quickly():
     assert elapsed < 1.0
     assert ct.element == ring_encode(list(data)) * key_element(s)
     assert decrypt_message(ct, s) == data
+
+
+def test_encrypt_message_ciphertext_file_is_fixed(tmp_path):
+    # A seeded 10 KB message under a 16-index key; the digest pins the
+    # whole ciphertext file, so any change to the product shows here.
+    key = KeySet([3, 5, 8, 11, 14, 18, 21, 26, 30, 33, 37, 42, 47, 52, 58, 63])
+    data = bytes(b & 0x7F for b in random.Random(20261018).randbytes(10_000))
+    path = tmp_path / "msg.ct"
+    write_ciphertext_file(path, encrypt_message(data, key))
+    text = path.read_bytes()
+    assert len(text) == 89856
+    assert hashlib.sha256(text).hexdigest() == "4d6e1a7846a20ddc5be1553d3ace42641408ed0a50830bc742771e254465c533"
+    assert decrypt_message(read_ciphertext_file(path), key) == data
 
 
 # -------------------------------------------------------------- file formats

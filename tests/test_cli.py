@@ -75,6 +75,23 @@ def test_keygen_out_rejects_index_above_digit_cap(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_keygen_without_out_rejects_key_above_cap(capsys):
+    # The key element has up to 2**|S| terms, so the cap holds without --out too.
+    indices = ",".join(str(i) for i in range(1, cipher.MAX_KEY_SIZE + 2))
+    code, out, err = run_cli(capsys, "keygen", "--indices", indices)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: key set has {cipher.MAX_KEY_SIZE + 1} indices, above the limit {cipher.MAX_KEY_SIZE}\n"
+
+
+def test_keygen_without_out_rejects_index_above_digit_cap(capsys):
+    too_long = "1" * (cipher.MAX_INDEX_DIGITS + 1)
+    code, out, err = run_cli(capsys, "keygen", "--indices", f"2,{too_long}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: key index has more than {cipher.MAX_INDEX_DIGITS} digits\n"
+
+
 def test_keygen_out_accepts_index_at_digit_cap(tmp_path, capsys):
     path = tmp_path / "key.brc"
     longest = "9" * cipher.MAX_INDEX_DIGITS
