@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, count as count_from, islice, permutations
 from math import isqrt
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .burnside import (
     IDENTITY,
@@ -37,7 +37,6 @@ from .burnside import (
     mark_product,
     window_marks,
 )
-from .cipher import ring_decode
 
 __all__ = [
     "OperatorMatrix",
@@ -352,28 +351,19 @@ class KpaResult:
         return self.matrix is not None
 
 
-# A plaintext or ciphertext on the window: an element or its coefficient vector.
-WindowVector = Union[BurnsideElement, Sequence[int]]
-
-
-def _check_solver_input(pairs: Sequence[tuple[WindowVector, WindowVector]], window: int) -> None:
+def _check_solver_input(pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int) -> None:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if not pairs:
         raise ValueError("at least one plaintext/ciphertext pair is required")
-
-
-def _window_vector(v: WindowVector, window: int) -> Sequence[int]:
-    """Coefficients of a pair entry on D(1)..D(window); an element is decoded once."""
-    if isinstance(v, BurnsideElement):
-        return ring_decode(v, window)
-    if len(v) != window:
-        raise ValueError(f"vector of {len(v)} coefficients on the window W_{window}")
-    return v
+    for pair in pairs:
+        for v in pair:
+            if len(v) != window:
+                raise ValueError(f"vector of {len(v)} coefficients on the window W_{window}")
 
 
 def known_plaintext_solver(
-    pairs: Sequence[tuple[WindowVector, WindowVector]], window: int
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int
 ) -> KpaResult:
     """Solve for the window operator from plaintext/ciphertext pairs.
 
@@ -386,14 +376,15 @@ def known_plaintext_solver(
     integer (it is M's diagonal entry).  Any failure raises
     InconsistentPairsError.  `rank` counts the determined marks; when
     some stay open the result is undetermined (matrix None) and names
-    them.  A pair holds window vectors of length L or window elements.
+    them.  A pair holds two window vectors of length L (ValueError
+    otherwise); `cipher.ring_decode` turns a window element into one.
     Each pair costs O(L log L) and the matrix O(L^2 log L).
     """
     _check_solver_input(pairs, window)
     marks: list[int | None] = [None] * window
     for p, c in pairs:
-        f_sums = divisor_sums(_window_vector(p, window))
-        g_sums = divisor_sums(_window_vector(c, window))
+        f_sums = divisor_sums(p)
+        g_sums = divisor_sums(c)
         for x, (f, g) in enumerate(zip(f_sums, g_sums)):
             if marks[x] is None and f:
                 if g % f:
@@ -420,23 +411,24 @@ def known_plaintext_solver(
 
 
 def generic_plaintext_solver(
-    pairs: Sequence[tuple[WindowVector, WindowVector]], window: int
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int
 ) -> KpaResult:
     """Solve for any integer operator on W_L that maps each p to its c.
 
     The reference for known_plaintext_solver: it assumes nothing about
-    the operator's form.  Fraction-free (Bareiss) Gauss-Jordan elimination
-    of the augmented system [P | C] in exact integers; after full
-    reduction every pivot equals the last one, d, and the operator's
-    entries are the right-hand sides divided by d, so the operator is
-    integral exactly when d divides them.  Returns an undetermined
-    result (matrix None) when the plaintexts do not span the window;
-    raises InconsistentPairsError when no single integer operator
-    explains the pairs.
+    the operator's form, and takes the same pairs of window vectors.
+    Fraction-free (Bareiss) Gauss-Jordan elimination of the augmented
+    system [P | C] in exact integers; after full reduction every pivot
+    equals the last one, d, and the operator's entries are the
+    right-hand sides divided by d, so the operator is integral exactly
+    when d divides them.  Returns an undetermined result (matrix None)
+    when the plaintexts do not span the window; raises
+    InconsistentPairsError when no single integer operator explains the
+    pairs.
     """
     _check_solver_input(pairs, window)
     # Augmented system [P | C]: row j is (plaintext_j, ciphertext_j).
-    matrix = [[*_window_vector(p, window), *_window_vector(c, window)] for p, c in pairs]
+    matrix = [[*p, *c] for p, c in pairs]
 
     n_rows = len(matrix)
     pivot_cols: list[int] = []

@@ -60,7 +60,6 @@ __all__ = [
     "window_marks",
     "key_marks",
     "mark_product",
-    "window_product",
     "DEFAULT_SUBSET_CAP",
 ]
 
@@ -543,13 +542,3 @@ def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
     out += values[top:]
     return out
 
-
-def window_product(values: Sequence[int], k: BurnsideElement) -> list[int]:
-    """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k, L = len(values).
-
-    mark_product with the marks window_marks(k, L), so it costs
-    O(L + sum_{x<=T, phi_x(k)!=1} L/x + T log T), T the last x with
-    phi_x(k) != 1.  The result equals the ring product exactly for every
-    multiplier k; for a key every mark is +-1.
-    """
-    return mark_product(values, window_marks(k, len(values)))

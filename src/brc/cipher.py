@@ -12,9 +12,12 @@ every x that divides no key index, so the ciphertext is the message
 vector plus a Mobius inversion on D(1)..D(T) of (eps_x - 1) times the
 divisor sums, T the last x <= L with eps_x != 1.  That costs
 O(L + sum_{x<=T, eps_x!=1} L/x + T log T), at most O(L log L).
-`encrypt` and `decrypt` gather the marks from a key element;
-`encrypt_message` and `decrypt_message` read them straight off the key
-set (`burnside.key_marks`) and never build the element, which can have
+`encrypt` and `decrypt` read the marks off a key element
+(`burnside.window_marks`) and refuse it unless its O2 coefficient is 1
+and every mark on the window is +-1: with that O2 coefficient, exactly
+when the product is an involution there.  `encrypt_message` and
+`decrypt_message` read the marks straight off the key set
+(`burnside.key_marks`) and never build the element, which can have
 2**|S| terms.  `BurnsideElement.__mul__` stays the general ring product
 and the reference the tests compare against.
 
@@ -69,7 +72,7 @@ from .burnside import (
     KeySet,
     key_marks,
     mark_product,
-    window_product,
+    window_marks,
 )
 
 __all__ = [
@@ -133,38 +136,33 @@ class FileFormatError(ValueError):
     """Key or ciphertext file violates its strict text format."""
 
 
-def _check_key(key: BurnsideElement) -> None:
+def _key_window_marks(key: BurnsideElement, length: int) -> list[int]:
+    """window_marks(key, length); ValueError unless key is a key element there."""
     if key.coeff(O2) != 1:
         raise ValueError("not a key element: coefficient at O2 must be 1")
+    marks = window_marks(key, length)
+    if marks.count(1) + marks.count(-1) != len(marks):
+        x, m = next((x, m) for x, m in enumerate(marks, start=1) if m not in (1, -1))
+        raise ValueError(f"not a key element: mark {m} at D{x} is not +-1")
+    return marks
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Ciphertext:
     """Encrypted window vector: coefficient values[n-1] at D(n), n = 1..length.
 
     The vector is the one stored form, and its size is the declared
-    message length.  `Ciphertext(values=v)` takes it directly;
-    `Ciphertext(element=e, length=L)` reads it off an element that must
-    lie in the window D(1)..D(L) (SupportWindowError otherwise).
-    `element` rebuilds the sparse element on demand.
+    message length, at least 1.  A window element e becomes one through
+    `Ciphertext(ring_decode(e, L))`; `element` rebuilds the sparse
+    element on demand.
     """
 
     values: tuple[int, ...]
 
-    def __init__(
-        self,
-        element: BurnsideElement | None = None,
-        length: int | None = None,
-        *,
-        values: Sequence[int] | None = None,
-    ) -> None:
-        if values is None:
-            values = ring_decode(element, length)
-        elif element is not None or length is not None:
-            raise TypeError("pass element and length, or values, not both")
-        elif not values:
+    def __post_init__(self) -> None:
+        if not self.values:
             raise ValueError("declared length must be >= 1, got 0")
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "values", tuple(self.values))
 
     @property
     def length(self) -> int:
@@ -231,20 +229,20 @@ def ring_decode(element: BurnsideElement, length: int) -> list[int]:
 
 def encrypt(plaintext: BurnsideElement, length: int, key: BurnsideElement) -> Ciphertext:
     """Multiply the plaintext element by the key inside window `length`."""
-    _check_key(key)
-    return Ciphertext(values=window_product(ring_decode(plaintext, length), key))
+    values = ring_decode(plaintext, length)
+    return Ciphertext(mark_product(values, _key_window_marks(key, length)))
 
 
 def decrypt(ciphertext: Ciphertext, key: BurnsideElement) -> BurnsideElement:
     """Apply the same multiplication; the key is its own inverse."""
-    _check_key(key)
-    return ring_encode(window_product(ciphertext.values, key))
+    marks = _key_window_marks(key, ciphertext.length)
+    return ring_encode(mark_product(ciphertext.values, marks))
 
 
 def encrypt_message(data: bytes | str, key_set: KeySet) -> Ciphertext:
     """encode_text + encrypt in one step, on the coefficient vector and the key's marks."""
     values = encode_text(data)
-    return Ciphertext(values=mark_product(values, key_marks(key_set, len(values))))
+    return Ciphertext(mark_product(values, key_marks(key_set, len(values))))
 
 
 def decrypt_message(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
@@ -321,7 +319,7 @@ def read_ciphertext_file(path: str | Path) -> Ciphertext:
     values = [0] * int(m[1])
     if body != "0\n":
         _read_terms(body, values)
-    return Ciphertext(values=values)
+    return Ciphertext(values)
 
 
 def _read_terms(body: str, values: list[int]) -> None:

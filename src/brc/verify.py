@@ -63,17 +63,18 @@ class SuiteResult:
         return line
 
 
-def _run(name: str, cases: Iterator[tuple[bool, Callable[[], str]]]) -> SuiteResult:
+def _run(name: str, cases: Iterator[str | None]) -> SuiteResult:
+    """Count a suite's cases; each yields None or its counterexample text."""
     start = time.perf_counter()
     total = 0
     failures = 0
     first: str | None = None
-    for ok, describe in cases:
+    for failure in cases:
         total += 1
-        if not ok:
+        if failure is not None:
             failures += 1
             if first is None:
-                first = describe()
+                first = failure
     return SuiteResult(
         name=name,
         cases=total,
@@ -105,15 +106,13 @@ def verify_table(max_index: int = 24) -> SuiteResult:
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
 
-    def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
+    def cases() -> Iterator[str | None]:
         gens = _generators(max_index)
         for g in gens:
             for h in gens:
                 got = BurnsideElement({g: 1}) * BurnsideElement({h: 1})
                 want = _expected_product(g, h)
-                yield got == want, (
-                    lambda g=g, h=h, got=got, want=want: f"{g.label}*{h.label}: got {got}, want {want}"
-                )
+                yield None if got == want else f"{g.label}*{h.label}: got {got}, want {want}"
 
     return _run("table", cases())
 
@@ -121,18 +120,14 @@ def verify_table(max_index: int = 24) -> SuiteResult:
 def verify_recurrence(max_index: int = 24) -> SuiteResult:
     """Lattice-recurrence product against the direct product."""
 
-    def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
+    def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_index)
         gens = _generators(max_index)
         for g in gens:
             for h in gens:
                 direct = BurnsideElement({g: 1}) * BurnsideElement({h: 1})
                 recur = recurrence_mul(g, h, lattice)
-                yield direct == recur, (
-                    lambda g=g, h=h, direct=direct, recur=recur: (
-                        f"{g.label}*{h.label}: direct {direct}, recurrence {recur}"
-                    )
-                )
+                yield None if direct == recur else f"{g.label}*{h.label}: direct {direct}, recurrence {recur}"
 
     return _run("recurrence", cases())
 
@@ -159,18 +154,16 @@ def verify_involution(
     """key * key == identity, exhaustively small plus random large."""
     _check_trials(trials)
 
-    def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
+    def cases() -> Iterator[str | None]:
         for size in range(1, exhaustive_size + 1):
             for combo in combinations(range(1, exhaustive_index + 1), size):
                 k = key_element(combo)
-                yield k * k == IDENTITY, (
-                    lambda combo=combo: f"S={set(combo)}: square is not the identity"
-                )
+                yield None if k * k == IDENTITY else f"S={set(combo)}: square is not the identity"
         rng = random.Random(seed)
         for _ in range(trials):
             s = _random_key_set(rng, trial_size, trial_index)
             k = key_element(s)
-            yield k * k == IDENTITY, (lambda s=s: f"S={s}: square is not the identity")
+            yield None if k * k == IDENTITY else f"S={s}: square is not the identity"
 
     return _run("involution", cases())
 
@@ -181,7 +174,7 @@ def verify_prop_coeff(
     """Closed-form coefficient == brute-force expansion == element lookup."""
     _check_trials(trials)
 
-    def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
+    def cases() -> Iterator[str | None]:
         rng = random.Random(seed)
         for trial in range(trials):
             s = _random_key_set(rng, max_size, max_index)
@@ -194,10 +187,8 @@ def verify_prop_coeff(
             closed = key_coeff(s, s0)
             brute = key_coeff_bruteforce(s, s0)
             element = key_element(s).coeff(D(s0))
-            yield closed == brute == element, (
-                lambda s=s, s0=s0, closed=closed, brute=brute, element=element: (
-                    f"S={s}, s0={s0}: closed {closed}, brute {brute}, element {element}"
-                )
+            yield None if closed == brute == element else (
+                f"S={s}, s0={s0}: closed {closed}, brute {brute}, element {element}"
             )
 
     return _run("prop-coeff", cases())
@@ -210,23 +201,17 @@ def verify_basic_degree(max_irrep: int = 50) -> SuiteResult:
     residue at proper divisors of m.
     """
 
-    def cases() -> Iterator[tuple[bool, Callable[[], str]]]:
+    def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_irrep)
         dims = fixed_point_dims(max_irrep, max_irrep)
         for m in range(0, max_irrep + 1):
             got = basic_degree_recurrence(m, lattice, dims)
             want = basic_degree(m)
-            yield got == want, (
-                lambda m=m, got=got, want=want: f"m={m}: recurrence {got}, direct {want}"
-            )
+            yield None if got == want else f"m={m}: recurrence {got}, direct {want}"
             for k in range(1, m):
                 if m % k == 0:
                     coeff = got.coeff(D(k))
-                    yield coeff == 0, (
-                        lambda m=m, k=k, coeff=coeff: (
-                            f"m={m}: nonzero coefficient {coeff} at proper divisor D{k}"
-                        )
-                    )
+                    yield None if coeff == 0 else f"m={m}: nonzero coefficient {coeff} at proper divisor D{k}"
 
     return _run("rf1", cases())
 

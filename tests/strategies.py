@@ -46,9 +46,11 @@ def window_elements(max_length: int = 300, max_terms: int = 40, max_coeff: int =
 
 
 def unit_multipliers(max_index: int = 1000):
-    """Elements with O2 coefficient 1, the multipliers encrypt accepts.
+    """Elements with O2 coefficient 1 and arbitrary other terms.
 
-    Other terms are arbitrary: SO2, and dihedral classes above any window.
+    SO2, and dihedral classes above any window, so their window marks
+    are odd but mostly not +-1: multipliers that encrypt refuses unless
+    the product happens to be an involution on the window.
     """
     return st.dictionaries(generators(max_index), st.integers(-100, 100), max_size=8).map(
         lambda terms: BurnsideElement({**terms, O2: 1})

@@ -36,7 +36,7 @@ from brc.burnside import (
     key_element,
 )
 from brc import attacks, cipher
-from brc.cipher import SupportWindowError, ring_decode, ring_encode
+from brc.cipher import ring_decode, ring_encode
 from strategies import elements, key_sets, unit_multipliers
 
 from math import gcd
@@ -246,12 +246,13 @@ def test_identity_query_leak():
 SOLVERS = (known_plaintext_solver, generic_plaintext_solver)
 
 
+def _pair(p, key, window):
+    # A known plaintext and its ciphertext as window vectors.
+    return ring_decode(p, window), ring_decode(p * key, window)
+
+
 def _probe_pairs(key, window):
-    pairs = []
-    for i in range(1, window + 1):
-        p = BurnsideElement({D(i): 1})
-        pairs.append((p, p * key))
-    return pairs
+    return [_pair(BurnsideElement({D(i): 1}), key, window) for i in range(1, window + 1)]
 
 
 def test_solver_recovers_operator_from_probes():
@@ -266,9 +267,9 @@ def test_solver_recovers_operator_from_probes():
 
 def test_solver_reports_underdetermined():
     key = key_element([2])
-    p = BurnsideElement({D(1): 1})
+    pair = _pair(BurnsideElement({D(1): 1}), key, 2)
     for solver in SOLVERS:
-        result = solver([(p, p * key)], 2)
+        result = solver([pair], 2)
         assert not result.determined
         assert result.matrix is None
         assert result.rank == 1
@@ -280,9 +281,9 @@ def test_solver_detects_inconsistent_pairs():
     p1 = BurnsideElement({D(1): 1})
     p2 = BurnsideElement({D(2): 1})
     # third pair is linearly dependent but its ciphertext is corrupted
-    p3 = p1 + p2
-    c3 = (p3 * key) + BurnsideElement({D(1): 1})
-    pairs = [(p1, p1 * key), (p2, p2 * key), (p3, c3)]
+    p3, c3 = _pair(p1 + p2, key, 2)
+    c3[0] += 1
+    pairs = [_pair(p1, key, 2), _pair(p2, key, 2), (p3, c3)]
     for solver in SOLVERS:
         with pytest.raises(InconsistentPairsError):
             solver(pairs, 2)
@@ -290,10 +291,7 @@ def test_solver_detects_inconsistent_pairs():
 
 def test_solver_detects_non_integral_operator():
     # 2*D1 -> D1 forces the matrix entry 1/2
-    pairs = [
-        (BurnsideElement({D(1): 2}), BurnsideElement({D(1): 1})),
-        (BurnsideElement({D(2): 1}), BurnsideElement({D(2): 1})),
-    ]
+    pairs = [([2, 0], [1, 0]), ([0, 1], [0, 1])]
     for solver in SOLVERS:
         with pytest.raises(InconsistentPairsError):
             solver(pairs, 2)
@@ -302,7 +300,6 @@ def test_solver_detects_non_integral_operator():
 def test_solver_handles_mixed_support_pairs():
     key = key_element([2, 5])
     window = 5
-    pairs = []
     vectors = [
         [1, 0, 2, 0, 0],
         [0, 1, 0, 3, 0],
@@ -310,9 +307,7 @@ def test_solver_handles_mixed_support_pairs():
         [1, 1, 1, 1, 1],
         [2, 0, 0, 1, 0],
     ]
-    for vec in vectors:
-        p = BurnsideElement({D(i): v for i, v in enumerate(vec, start=1) if v})
-        pairs.append((p, p * key))
+    pairs = [_pair(ring_encode(vec), key, window) for vec in vectors]
     for solver in SOLVERS:
         result = solver(pairs, window)
         assert result.determined
@@ -320,15 +315,15 @@ def test_solver_handles_mixed_support_pairs():
 
 
 def test_solvers_accept_window_vectors():
+    # Lists, as run_kpa_demo passes them, and tuples, as Ciphertext.values holds them.
     key = key_element([2, 5])
     vectors = [[1, 0, 2, 0, 0], [0, 1, 0, 3, 0], [0, 0, 1, 0, 4], [1, 1, 1, 1, 1], [2, 0, 0, 1, 0]]
-    elements_ = [ring_encode(v) for v in vectors]
+    pairs = [_pair(ring_encode(v), key, 5) for v in vectors]
     for solver in SOLVERS:
-        by_element = solver([(p, p * key) for p in elements_], 5)
-        by_vector = solver([(v, ring_decode(p * key, 5)) for v, p in zip(vectors, elements_)], 5)
-        mixed = solver([(v, p * key) for v, p in zip(vectors, elements_)], 5)
-        assert by_vector == by_element == mixed
-        assert by_vector.matrix == operator_matrix(key, 5)
+        by_list = solver(pairs, 5)
+        by_tuple = solver([(tuple(p), tuple(c)) for p, c in pairs], 5)
+        assert by_list == by_tuple
+        assert by_list.matrix == operator_matrix(key, 5)
 
 
 def test_solvers_reject_vector_of_wrong_length():
@@ -339,17 +334,11 @@ def test_solvers_reject_vector_of_wrong_length():
             solver([((1, 0), (1,))], 2)
 
 
-def test_solver_rejects_support_outside_window():
-    for solver in SOLVERS:
-        with pytest.raises(SupportWindowError):
-            solver([(BurnsideElement({D(3): 1}), ZERO)], 2)
-
-
 def test_solver_rejects_ciphertext_off_a_zero_divisor_sum():
     # D2 - D1 has divisor sum 0 at D1, so any ring element maps it to an
     # element with divisor sum 0 there; D1 has 1.  A generic linear map
     # can still send one vector anywhere.
-    pairs = [(BurnsideElement({D(1): -1, D(2): 1}), BurnsideElement({D(1): 1}))]
+    pairs = [([-1, 1], [1, 0])]
     with pytest.raises(InconsistentPairsError, match="D1"):
         known_plaintext_solver(pairs, 2)
     assert generic_plaintext_solver(pairs, 2).rank == 1
@@ -364,7 +353,7 @@ def test_mark_solver_at_least_as_strong_as_generic(s, window, extra_pairs, seed)
     pairs = []
     for _ in range(max(1, window + extra_pairs)):
         p = ring_encode([rng.randint(0, 127) for _ in range(window)])
-        pairs.append((p, p * key))
+        pairs.append(_pair(p, key, window))
     marks = known_plaintext_solver(pairs, window)
     generic = generic_plaintext_solver(pairs, window)
     assert marks.rank >= generic.rank
@@ -420,7 +409,7 @@ def test_run_kpa_demo_builds_no_sparse_messages(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sparse element built or decoded")
 
-    for module, name in [(cipher, "ring_encode"), (cipher, "ring_decode"), (cipher, "encrypt"), (attacks, "ring_decode")]:
+    for module, name in [(cipher, "ring_encode"), (cipher, "ring_decode"), (cipher, "encrypt")]:
         monkeypatch.setattr(module, name, refuse)
     calls = []
     solve = attacks.known_plaintext_solver

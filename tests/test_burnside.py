@@ -25,10 +25,9 @@ from brc.burnside import (
     key_marks,
     mark_product,
     window_marks,
-    window_product,
 )
 from brc.degree import o2_lattice, recurrence_mul
-from strategies import elements, key_sets
+from strategies import elements, key_sets, unit_multipliers
 
 
 def elem(**kw):
@@ -392,15 +391,19 @@ def _window_vector(a, length):
 
 def test_window_product_examples():
     # (3*D1 + D2) * (O2 - D2) = -3*D1 - D2, and SO2 annihilates the window.
-    assert window_product([3, 1], key_element([2])) == [-3, -1]
-    assert window_product([3, 1], elem(SO2=5)) == [0, 0]
-    assert window_product([0, 0, 7], elem(O2=2, D6=1)) == [0, 0, 28]
+    assert mark_product([3, 1], window_marks(key_element([2]), 2)) == [-3, -1]
+    assert mark_product([3, 1], window_marks(elem(SO2=5), 2)) == [0, 0]
+    assert mark_product([0, 0, 7], window_marks(elem(O2=2, D6=1), 3)) == [0, 0, 28]
 
 
-@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=300), elements(max_index=1000))
+@given(
+    st.lists(st.integers(-1000, 1000), min_size=1, max_size=300),
+    st.one_of(elements(max_index=1000), unit_multipliers()),
+)
 def test_window_product_equals_ring_product(values, k):
+    # The mark product is exact for every multiplier, not only for keys.
     p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
-    assert window_product(values, k) == _window_vector(p * k, len(values))
+    assert mark_product(values, window_marks(k, len(values))) == _window_vector(p * k, len(values))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 100])
