@@ -24,6 +24,10 @@ and the reference the tests compare against.
 The dense window vector is the cipher's one representation: a
 `Ciphertext` stores it, and the file codec writes it and reads it back
 without building a sparse element (`Ciphertext.element` builds one).
+The codec works in bulk, one chunk at a time, with no Python loop over
+the terms: the writer formats each slice of the vector with one `%`
+call, and the reader checks each chunk of lines with one regular
+expression match and converts it with one `int()` map.
 
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
@@ -49,17 +53,20 @@ linear in the digits of s, so a key file index has at most
 MAX_INDEX_DIGITS = 30 digits.  That admits the product of the first 20
 primes over each one of them: 20 indices of 25 to 27 digits whose key
 element has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
-digits that are multiples of lcm(1..60), the worst case found (20 752
-marks of -1, the last at x = 1 048 509), `brc encrypt` of a MAX_LENGTH
-message took 3.9 s at peak RSS 109 MB and `brc decrypt` 4.2 s at
-69 MB (one run each, 2-vCPU VM, Python 3.11.7); 4300-digit indices,
-the longest int() reads, took 131 s before the cap.
+digits that are multiples of lcm(1..60), the worst case found (27 745
+marks of -1, the last at x = 1 048 572), `brc encrypt` of a MAX_LENGTH
+message took 2.5-2.9 s at peak RSS 62 MB and `brc decrypt` 3.4-3.6 s
+at 69 MB (two runs each, 2-vCPU VM, Python 3.11.7); 4300-digit
+indices, the longest int() reads, took 131 s before the cap.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice
+from operator import lt
 from pathlib import Path
 from typing import Sequence
 
@@ -117,11 +124,18 @@ MAX_INDEX_DIGITS = 30
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
 _LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
-# One line of a nonzero ciphertext body.  Matched line by line: a pattern
-# repeating a group over the whole body keeps state for every repetition.
-_CT_TERM = re.compile(r"^D([1-9][0-9]*) (-?[1-9][0-9]*)$", re.MULTILINE)
-# Body characters handed to one findall call, rounded up to a whole line.
+# One line of a nonzero ciphertext body, and a run of whole lines.  The
+# run is matched chunk by chunk: a pattern repeating a group over the
+# whole body keeps state for every repetition.
+_CT_TERM = re.compile(r"D[1-9][0-9]* -?[1-9][0-9]*")
+_CT_LINES = re.compile(rf"(?:{_CT_TERM.pattern}\n)+")
+# Body characters checked by one fullmatch call, rounded up to a whole line.
 _CT_CHUNK = 1 << 14
+# Window values formatted by one `%` call of the writer.
+_CT_SLICE = 1 << 12
+# Longest canonical key file: the header, then "S" and MAX_KEY_SIZE
+# indices of MAX_INDEX_DIGITS digits, each after a space.
+_KEY_FILE_MAX = len(f"{KEY_MAGIC}\nS\n") + MAX_KEY_SIZE * (MAX_INDEX_DIGITS + 1)
 
 
 class MessageError(ValueError):
@@ -266,9 +280,11 @@ def write_key_file(path: str | Path, key_set: KeySet) -> None:
     Path(path).write_text(f"{KEY_MAGIC}\nS {indices}\n")
 
 
-def _read_ascii(path: str | Path, what: str) -> str:
+def _read_ascii(path: str | Path, what: str, size: int = -1) -> str:
+    """At most `size` bytes of the file (all with -1), as ASCII text."""
     # Bytes, not text mode: newline translation would accept "\r\n".
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read(size)
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -276,7 +292,12 @@ def _read_ascii(path: str | Path, what: str) -> str:
 
 
 def read_key_file(path: str | Path) -> KeySet:
-    lines = _read_ascii(path, "key").split("\n")
+    # One byte past the longest canonical file tells a longer file apart
+    # without reading it all.
+    text = _read_ascii(path, "key", _KEY_FILE_MAX + 1)
+    if len(text) > _KEY_FILE_MAX:
+        raise FileFormatError(f"key file is longer than {_KEY_FILE_MAX} bytes")
+    lines = text.split("\n")
     if len(lines) != 3 or lines[2]:
         raise FileFormatError("key file must be exactly 2 newline-terminated lines")
     if lines[0] != KEY_MAGIC:
@@ -295,9 +316,21 @@ def read_key_file(path: str | Path) -> KeySet:
 
 
 def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
-    """Write the header, the declared length and the nonzero terms of the vector."""
-    body = "\n".join(f"D{n} {c}" for n, c in enumerate(ciphertext.values, start=1) if c) or "0"
-    Path(path).write_text(f"{CT_MAGIC}\nL {ciphertext.length}\n{body}\n")
+    """Write the header, the declared length and the nonzero terms of the vector.
+
+    Each _CT_SLICE values become text in one `%` call, written at once, so
+    the writer holds one slice's text and no string per term.
+    """
+    values = ciphertext.values
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.write(f"{CT_MAGIC}\nL {len(values)}\n")
+        if not any(values):
+            f.write("0\n")
+        for start in range(0, len(values), _CT_SLICE):
+            part = values[start : start + _CT_SLICE]
+            # n1, c1, n2, c2, ... for the nonzero coefficients c at D(n).
+            flat = tuple(chain.from_iterable(zip(compress(count(start + 1), part), filter(None, part))))
+            f.write(("D%d %d\n" * (len(flat) // 2)) % flat)
 
 
 def read_ciphertext_file(path: str | Path) -> Ciphertext:
@@ -316,38 +349,40 @@ def read_ciphertext_file(path: str | Path) -> Ciphertext:
     # Compare digit counts first: int() refuses very long digit strings.
     if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
         raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
-    values = [0] * int(m[1])
+    # values[0] is a placeholder, so the term D(n) is stored at values[n].
+    values = [0] * (int(m[1]) + 1)
     if body != "0\n":
         _read_terms(body, values)
+    del values[0]
     return Ciphertext(values)
 
 
 def _read_terms(body: str, values: list[int]) -> None:
-    """Fill `values` from a nonzero body, _CT_CHUNK characters of whole lines at a time.
+    """Store each term D(n) c of a nonzero body as values[n] = c.
 
-    Only one chunk's matched strings and numbers are alive at once, so the
-    reader holds little beyond the text and the vector.
+    The body goes in chunks of _CT_CHUNK characters of whole lines: one
+    fullmatch checks a chunk, one split and int() map convert it, and
+    slices and a map store it, with no Python loop over its terms.  Only
+    one chunk's strings and numbers are alive at once, so the reader holds
+    little beyond the text and the vector.
     """
     last = start = 0
     while start < len(body):
         end = body.find("\n", start + _CT_CHUNK) + 1 or len(body)
         chunk = body[start:end]
-        terms = _CT_TERM.findall(chunk)
-        # Each match is one whole line, so every line matched iff the counts agree.
-        if len(terms) != chunk.count("\n"):
+        if _CT_LINES.fullmatch(chunk) is None:
             bad = next(ln for ln in chunk.split("\n") if not _CT_TERM.fullmatch(ln))
             raise FileFormatError(f"bad ciphertext term line {bad!r}")
         try:
-            labels = [int(n) for n, _ in terms]
-            coeffs = [int(c) for _, c in terms]
+            numbers = list(map(int, chunk.replace("D", "").split()))
         except ValueError:  # more digits than int() converts
             raise FileFormatError("number too long in ciphertext body") from None
-        if labels[0] <= last or labels != sorted(set(labels)):
+        labels = numbers[::2]
+        if labels[0] <= last or not all(map(lt, labels, islice(labels, 1, None))):
             raise FileFormatError("ciphertext terms must be in strictly ascending order")
         # Ascending, so the last label bounds the chunk before any is used as an index.
         last = labels[-1]
-        if last > len(values):
-            raise FileFormatError(f"ciphertext has support at D{last}, outside window L={len(values)}")
-        for n, c in zip(labels, coeffs):
-            values[n - 1] = c
+        if last >= len(values):
+            raise FileFormatError(f"ciphertext has support at D{last}, outside window L={len(values) - 1}")
+        deque(map(values.__setitem__, labels, numbers[1::2]), maxlen=0)
         start = end

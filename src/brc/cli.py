@@ -10,7 +10,10 @@ stdout; binary artifacts go to the declared paths.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import random
+import stat
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -18,6 +21,8 @@ from typing import Sequence
 from . import attacks
 from .burnside import KeySet, key_element
 from .cipher import (
+    MAX_LENGTH,
+    MessageError,
     check_key_limits,
     decrypt_message,
     encrypt_message,
@@ -48,9 +53,22 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_message(path: str) -> bytes:
+    """The bytes of a message file; MessageError above MAX_LENGTH, read no further."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_LENGTH + 1)
+        if len(data) <= MAX_LENGTH:
+            return data
+        info = os.fstat(f.fileno())
+    # A pipe or device has no size to report without reading it all.
+    if not stat.S_ISREG(info.st_mode):
+        raise MessageError(f"message is longer than {MAX_LENGTH} bytes")
+    raise MessageError(f"message of {info.st_size} bytes is longer than {MAX_LENGTH} bytes")
+
+
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key_set = read_key_file(args.key)
-    data = Path(args.in_path).read_bytes()
+    data = _read_message(args.in_path)
     ciphertext = encrypt_message(data, key_set)
     write_ciphertext_file(args.out_path, ciphertext)
     print(f"encrypted {len(data)} bytes -> {args.out_path}", file=sys.stderr)
@@ -190,8 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call of main, not at import, and reused: parsing
+    # keeps no state in the parser, each call gets a fresh namespace.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -323,6 +323,31 @@ def test_key_file_index_digit_cap(tmp_path):
     assert not (tmp_path / "k2.brc").exists()
 
 
+def test_key_file_of_the_longest_canonical_size_reads(tmp_path):
+    path = tmp_path / "key.brc"
+    longest = 10**cipher.MAX_INDEX_DIGITS - 1
+    key = KeySet(range(longest - cipher.MAX_KEY_SIZE + 1, longest + 1))
+    write_key_file(path, key)
+    assert path.stat().st_size == cipher._KEY_FILE_MAX
+    assert read_key_file(path) == key
+
+
+def test_key_file_reader_stops_past_the_longest_canonical_size(tmp_path):
+    # A sparse 64 MiB file: the reader refuses it after the first bytes.
+    path = tmp_path / "huge.brc"
+    with open(path, "wb") as f:
+        f.write(b"BRC-KEY v1\nS 2 3\n")
+        f.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match=f"longer than {cipher._KEY_FILE_MAX} bytes"):
+            read_key_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -482,6 +507,37 @@ def test_ciphertext_reader_memory_is_linear_in_file(tmp_path):
         tracemalloc.stop()
     assert decrypt_message(ciphertext, KeySet([2, 3, 5, 7, 11, 13])) == data
     assert peak < 5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("slice_size", [1, 7, cipher._CT_SLICE])
+@pytest.mark.parametrize(
+    "values",
+    [[0] * 5, [(-1) ** n * n * 1000 if n % 3 else 0 for n in range(1, 3001)], [0] * 4000 + [5, 0, -3]],
+)
+def test_ciphertext_writer_slicing_round_trips(tmp_path, monkeypatch, slice_size, values):
+    monkeypatch.setattr(cipher, "_CT_SLICE", slice_size)
+    path = tmp_path / "v.ct"
+    write_ciphertext_file(path, Ciphertext(values=values))
+    assert path.read_bytes() == f"BRC-CT v1\nL {len(values)}\n{ring_encode(values).render()}\n".encode()
+    assert read_ciphertext_file(path).values == tuple(values)
+
+
+def test_ciphertext_writer_memory_is_one_slice(tmp_path):
+    # A dense 100 KB ciphertext: the writer's peak is a small multiple of
+    # one slice (its tuples, label ints and text, under 128 bytes a value),
+    # not of the 1 MB file.
+    data = bytes(32 + (13 * i) % 95 for i in range(100_000))
+    ciphertext = encrypt_message(data, KeySet([2, 3, 5, 7, 11, 13]))
+    assert all(ciphertext.values)
+    path = tmp_path / "dense.ct"
+    tracemalloc.start()
+    try:
+        write_ciphertext_file(path, ciphertext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_ciphertext_file(path) == ciphertext
+    assert peak < 128 * cipher._CT_SLICE < path.stat().st_size
 
 
 # Characters of the ciphertext grammar plus near misses.

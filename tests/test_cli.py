@@ -1,7 +1,10 @@
+import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -128,6 +131,35 @@ def test_encrypt_rejects_empty_input(tmp_path, keyfile, capsys):
     code, _, err = run_cli(capsys, "encrypt", "--key", str(keyfile), "--in", str(msg), "--out", str(tmp_path / "x.ct"))
     assert code == 1
     assert "empty" in err
+
+
+def test_encrypt_reads_no_further_than_the_longest_message(tmp_path, keyfile, capsys):
+    # A sparse 64 MiB input: refused after MAX_LENGTH + 1 bytes, with the
+    # file's size in the message.
+    msg = tmp_path / "huge.txt"
+    with open(msg, "wb") as f:
+        f.truncate(64 << 20)
+    ct = tmp_path / "x.ct"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "encrypt", "--key", str(keyfile), "--in", str(msg), "--out", str(ct))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == f"error: message of {64 << 20} bytes is longer than {cipher.MAX_LENGTH} bytes\n"
+    assert peak < 4 * cipher.MAX_LENGTH
+    assert not ct.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_encrypt_refuses_an_endless_input(tmp_path, keyfile, capsys):
+    # A device has no size to report; it is read only up to the limit.
+    ct = tmp_path / "x.ct"
+    code, _, err = run_cli(capsys, "encrypt", "--key", str(keyfile), "--in", "/dev/zero", "--out", str(ct))
+    assert code == 1
+    assert err == f"error: message is longer than {cipher.MAX_LENGTH} bytes\n"
+    assert not ct.exists()
 
 
 def test_encrypt_reports_non_ascii_position(tmp_path, keyfile, capsys):
@@ -565,6 +597,27 @@ def test_verify_rejects_empty_or_negative_ranges(capsys, args):
     assert code == 1
     assert "PASS" not in out
     assert "must be" in err
+
+
+def test_main_reuses_its_parser_without_carrying_options_over(capsys):
+    # main builds its parser once per process; each call must still behave
+    # exactly as the same command alone in a fresh interpreter.
+    cpa = ["attack", "cpa", "--s0", "2", "--s1", "3"]
+    calls = [
+        [*cpa, "--random", "--seed", "5"],
+        [*cpa, "--hidden-bit", "1"],
+        [*cpa, "--hidden-bit", "0", "--seed", "5"],
+        ["keygen", "--indices", "2,3"],
+        ["verify", "table", "--max-index", "3"],
+    ]
+    seconds = re.compile(r"\(\d+\.\d+s\)")
+    codes = []
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        alone = subprocess.run([sys.executable, "-m", "brc", *argv], capture_output=True, text=True)
+        assert (code, seconds.sub("", out), err) == (alone.returncode, seconds.sub("", alone.stdout), alone.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 1, 0, 0]
 
 
 def test_readme_cli_lines_parse():
