@@ -3,15 +3,17 @@
 Everything an adversary can observe lives in a finite window
 W_L = span{D(1), ..., D(L)}: the key acts there as an integer L x L
 matrix, M = Z^-1 * diag(eps) * Z in mark coordinates (Z the divisor-sum
-matrix, eps_x the key's marks).  This module recovers that matrix from
-known plaintexts by reading the marks off divisor sums, often from a
-single pair, with a generic fraction-free elimination kept as the
-reference; builds prime-scaled key sets that are indistinguishable on
-any such window (so passive data never identifies the key set); and
-runs the one-query chosen-plaintext experiment that distinguishes any
-two candidate key sets with certainty, alone or over every pair of a
-bounded key space.  The known-plaintext and ambiguity demonstrations
-work on window vectors and key marks and never build a key element.
+matrix, eps_x the key's marks).  This module recovers those marks from
+known plaintexts by reading them off divisor sums, often from a single
+pair, with a generic fraction-free elimination of the dense matrix kept
+as the reference; builds prime-scaled key sets that are
+indistinguishable on any such window (so passive data never identifies
+the key set); and runs the one-query chosen-plaintext experiment that
+distinguishes any two candidate key sets with certainty, alone or over
+every pair of a bounded key space.  The known-plaintext and ambiguity
+demonstrations work on window vectors and key marks and never build a
+key element; the operator matrix is built from the marks only when a
+result's `matrix` is read, as a report does up to MAX_PRINTED_WINDOW.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
 from math import isqrt
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .burnside import (
@@ -37,6 +41,7 @@ from .burnside import (
     mark_product,
     window_marks,
 )
+from .cipher import MAX_LENGTH
 
 __all__ = [
     "OperatorMatrix",
@@ -56,7 +61,9 @@ __all__ = [
     "KpaResult",
     "known_plaintext_solver",
     "generic_plaintext_solver",
-    "MAX_WINDOW",
+    "MAX_PRINTED_WINDOW",
+    "MAX_DRAWN_VALUES",
+    "MIN_PAIR_COST",
     "AmbiguityResult",
     "run_ambiguity_demo",
     "KpaDemoResult",
@@ -334,21 +341,31 @@ def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
 class KpaResult:
     """Outcome of a known-plaintext operator solve.
 
-    `undetermined` lists the window indices the pairs leave open, one per
-    missing unit of rank: the marks eps_x no pair pins down for
-    known_plaintext_solver, the free columns of the elimination for
-    generic_plaintext_solver.
+    `marks` holds eps_1..eps_L when known_plaintext_solver pins every one
+    down, and is None otherwise.  `undetermined` lists the window indices
+    the pairs leave open, one per missing unit of rank: the marks eps_x no
+    pair pins down for known_plaintext_solver, the free columns of the
+    elimination for generic_plaintext_solver.
     """
 
     window: int
     pairs_used: int
     rank: int
-    matrix: OperatorMatrix | None
+    marks: tuple[int, ...] | None
     undetermined: tuple[int, ...] = ()
 
     @property
     def determined(self) -> bool:
-        return self.matrix is not None
+        return self.rank == self.window
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix | None:
+        """The recovered operator on W_L, built from the marks on first access.
+
+        None while the result is undetermined.  generic_plaintext_solver
+        stores the matrix it eliminated here instead.
+        """
+        return None if self.marks is None else _operator_from_marks(self.marks)
 
 
 def _check_solver_input(pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int) -> None:
@@ -365,7 +382,7 @@ def _check_solver_input(pairs: Sequence[tuple[Sequence[int], Sequence[int]]], wi
 def known_plaintext_solver(
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int
 ) -> KpaResult:
-    """Solve for the window operator from plaintext/ciphertext pairs.
+    """Solve for the key's marks on the window from plaintext/ciphertext pairs.
 
     Works in mark coordinates.  On W_L the key acts as
     M = Z^-1 * diag(eps) * Z, with Z the divisor-sum matrix and eps_x
@@ -375,39 +392,56 @@ def known_plaintext_solver(
     eps_x * F_x, G_x must vanish where F_x does, and eps_x must be an
     integer (it is M's diagonal entry).  Any failure raises
     InconsistentPairsError.  `rank` counts the determined marks; when
-    some stay open the result is undetermined (matrix None) and names
+    some stay open the result is undetermined (marks None) and names
     them.  A pair holds two window vectors of length L (ValueError
     otherwise); `cipher.ring_decode` turns a window element into one.
-    Each pair costs O(L log L) and the matrix O(L^2 log L).
+    Each pair costs O(L log L); the result's `matrix` view costs
+    O(L^2 log L) on first access and is not built here.
     """
     _check_solver_input(pairs, window)
-    marks: list[int | None] = [None] * window
+    # 0 holds the place of a mark still open.
+    marks = [0] * window
+    open_x: Sequence[int] = range(window)
     for p, c in pairs:
         f_sums = divisor_sums(p)
         g_sums = divisor_sums(c)
-        for x, (f, g) in enumerate(zip(f_sums, g_sums)):
-            if marks[x] is None and f:
-                if g % f:
-                    raise InconsistentPairsError(
-                        f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are "
-                        "not generated by an integer operator"
-                    )
-                marks[x] = g // f
-            # A mark still open means F_x = 0 so far, and then G_x must be 0.
-            if g != (marks[x] or 0) * f:
-                raise InconsistentPairsError(
-                    f"pairs break G_x = eps_x * F_x at D{x + 1}; no single "
-                    "ring element generates them"
-                )
-    undetermined = tuple(x + 1 for x, eps in enumerate(marks) if eps is None)
-    rank = window - len(undetermined)
-    if undetermined:
-        return KpaResult(
-            window=window, pairs_used=len(pairs), rank=rank, matrix=None, undetermined=undetermined
-        )
+        opened = [x for x in open_x if f_sums[x]]
+        for x in opened:
+            marks[x] = g_sums[x] // f_sums[x]
+        # One pass checks G_x = eps_x * F_x at every x: an open mark asks
+        # G_x = 0 where F_x = 0, and a floored non-integer mark fails.
+        if list(map(mul, marks, f_sums)) != g_sums:
+            raise _first_inconsistency(marks, set(opened), f_sums, g_sums)
+        open_x = [x for x in open_x if not f_sums[x]]
+    undetermined = tuple(x + 1 for x in open_x)
     return KpaResult(
-        window=window, pairs_used=len(pairs), rank=rank, matrix=_operator_from_marks(marks)
+        window=window,
+        pairs_used=len(pairs),
+        rank=window - len(undetermined),
+        marks=None if undetermined else tuple(marks),
+        undetermined=undetermined,
     )
+
+
+def _first_inconsistency(
+    marks: Sequence[int], opened: set[int], f_sums: Sequence[int], g_sums: Sequence[int]
+) -> InconsistentPairsError:
+    # The error of a pair that failed the check, found by walking x upwards:
+    # a mark the pair opens must be an integer, and every other x must
+    # keep G_x = eps_x * F_x with the marks read before the pair.
+    for x, (eps, f, g) in enumerate(zip(marks, f_sums, g_sums)):
+        if x in opened:
+            if g % f:
+                return InconsistentPairsError(
+                    f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are "
+                    "not generated by an integer operator"
+                )
+        elif g != eps * f:
+            return InconsistentPairsError(
+                f"pairs break G_x = eps_x * F_x at D{x + 1}; no single "
+                "ring element generates them"
+            )
+    raise AssertionError("a pair failed the check at no window index")
 
 
 def generic_plaintext_solver(
@@ -424,7 +458,8 @@ def generic_plaintext_solver(
     when d divides them.  Returns an undetermined result (matrix None)
     when the plaintexts do not span the window; raises
     InconsistentPairsError when no single integer operator explains the
-    pairs.
+    pairs.  Its results carry no marks: the eliminated matrix itself is
+    the result's `matrix`.
     """
     _check_solver_input(pairs, window)
     # Augmented system [P | C]: row j is (plaintext_j, ciphertext_j).
@@ -462,7 +497,7 @@ def generic_plaintext_solver(
     rank = len(pivot_cols)
     if rank < window:
         free = tuple(col + 1 for col in range(window) if col not in pivot_cols)
-        return KpaResult(window=window, pairs_used=n_rows, rank=rank, matrix=None, undetermined=free)
+        return KpaResult(window=window, pairs_used=n_rows, rank=rank, marks=None, undetermined=free)
 
     # Full rank: the P part is now previous * I, so pivot row r holds
     # previous * M[t][col] in right-hand column t (output t, input col).
@@ -476,18 +511,32 @@ def generic_plaintext_solver(
                     "generated by an integer operator"
                 )
             entries[t][col] = value
-    rows = tuple(tuple(r) for r in entries)
-    return KpaResult(
-        window=window,
-        pairs_used=n_rows,
-        rank=rank,
-        matrix=OperatorMatrix(window=window, rows=rows),
-    )
+    result = KpaResult(window=window, pairs_used=n_rows, rank=rank, marks=None)
+    # Fill the cached `matrix` view, which has no marks to build from.
+    result.__dict__["matrix"] = OperatorMatrix(window=window, rows=tuple(tuple(r) for r in entries))
+    return result
 
 
-# The ambiguity and known-plaintext demonstrations build and print a
-# dense window x window operator matrix, so their window is capped.
-MAX_WINDOW = 1000
+# The ambiguity and known-plaintext demonstrations work on marks and
+# window vectors, O(L) memory, and accept any window up to MAX_LENGTH.
+# Their reports print the dense window x window operator matrix up to
+# this window; above it they list the x with eps_x = -1 instead, and no
+# matrix is built.
+MAX_PRINTED_WINDOW = 1000
+
+# Most plaintext values (pairs x window) the known-plaintext demonstration
+# draws: four pairs at the full window, a few seconds.  A pair on a small
+# window counts as MIN_PAIR_COST values, about what its own lists and
+# solver pass cost, so a million pairs on W_1 are refused as well.
+MAX_DRAWN_VALUES = 4 * MAX_LENGTH
+MIN_PAIR_COST = 64
+
+
+def _check_demo_window(window: int) -> None:
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if window > MAX_LENGTH:
+        raise ValueError(f"window must be <= {MAX_LENGTH}, got {window}")
 
 
 @dataclass(frozen=True)
@@ -497,10 +546,14 @@ class AmbiguityResult:
     base: KeySet
     window: int
     base_marks: tuple[int, ...]
-    base_matrix: OperatorMatrix
     twins: tuple[tuple[int, KeySet], ...]
     matrices_equal: tuple[bool, ...]
     elements_differ: tuple[bool, ...]
+
+    @cached_property
+    def base_matrix(self) -> OperatorMatrix:
+        """The base key's operator on W_L, built from its marks on first access."""
+        return _operator_from_marks(self.base_marks)
 
     @property
     def all_matrices_equal(self) -> bool:
@@ -520,8 +573,7 @@ def run_ambiguity_demo(
 ) -> AmbiguityResult:
     """Exhibit `count` distinct key sets acting identically on the window.
 
-    The window must lie in 1..MAX_WINDOW; `run_kpa_demo` relies on this
-    check too.
+    The window must lie in 1..MAX_LENGTH.
 
     Uses key sets and their marks only, never a key element, so the cost
     does not grow as 2**|S|.  Z is invertible, so twins are compared by their
@@ -530,17 +582,13 @@ def run_ambiguity_demo(
     at D(x) have opposite signs; hence `elements_differ` is t != s.
     """
     s = as_key_set(s)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if window > MAX_WINDOW:
-        raise ValueError(f"window must be <= {MAX_WINDOW}, got {window}")
+    _check_demo_window(window)
     base_marks = tuple(key_marks(s, window))
     twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
     return AmbiguityResult(
         base=s,
         window=window,
         base_marks=base_marks,
-        base_matrix=_operator_from_marks(base_marks),
         twins=twins,
         matrices_equal=tuple(tuple(key_marks(t, window)) == base_marks for _, t in twins),
         elements_differ=tuple(t != s for _, t in twins),
@@ -565,6 +613,32 @@ class KpaDemoResult:
         return self.matches_true_operator is not False and all(self.twins_match)
 
 
+_REJECTED_BYTES = bytes(range(128, 256))
+# Mersenne words per getrandbits call of the plaintext draw.
+_DRAW_WORDS = 1 << 16
+
+
+def _draw_plaintext_values(rng: random.Random, count: int) -> bytes:
+    """The values of `[rng.randint(0, 127) for _ in range(count)]`, drawn in bulk.
+
+    randint(0, 127) takes getrandbits(8), the top byte of one 32-bit
+    Mersenne word, and draws again while that byte is >= 128.
+    getrandbits(32*m) packs the next m words little-endian, so its bytes
+    3, 7, 11, ... are their top bytes in order, and dropping those >= 128
+    leaves the values the loop returns.  Words past the last value kept
+    are drawn and discarded, so `rng` ends in another state than the
+    loop leaves it in.
+    """
+    values = bytearray()
+    while len(values) < count:
+        # About two words per value still wanted: half the top bytes are kept.
+        words = min(2 * (count - len(values)) + 64, _DRAW_WORDS)
+        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        values += top_bytes.translate(None, _REJECTED_BYTES)
+    del values[count:]
+    return bytes(values)
+
+
 def run_kpa_demo(
     key_set: KeySet | Iterable[int],
     window: int,
@@ -575,21 +649,36 @@ def run_kpa_demo(
 
     Even when the operator is fully recovered, three prime-scaled twins
     produce the very same matrix, so the key set remains open.  Each
-    ciphertext vector is the mark product of its plaintext vector with
-    the key's window marks; no key element is built.
+    plaintext holds `window` values of `random.Random(seed).randint(0, 127)`
+    (a plaintext of zeros becomes D(1)), and each ciphertext vector is
+    the mark product of its plaintext vector with the key's window marks;
+    no key element is built.  The recovered marks are compared with the
+    key's, which is exact because Z is invertible, and no operator matrix
+    is built here.  The window must lie in 1..MAX_LENGTH, and
+    n_pairs * max(window, MIN_PAIR_COST) at most MAX_DRAWN_VALUES.
+    Memory stays O(n_pairs * window): `brc attack kpa --window 1048576
+    --pairs 4` takes about 4.4 s and 206 MB peak RSS (Python 3.11,
+    2 vCPU).
     """
-    ambiguity = run_ambiguity_demo(key_set, window, 3)
+    key_set = as_key_set(key_set)
+    _check_demo_window(window)
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
-    rng = random.Random(seed)
+    if n_pairs * max(window, MIN_PAIR_COST) > MAX_DRAWN_VALUES:
+        raise ValueError(
+            f"{n_pairs} pairs on W_{window} cost more than {MAX_DRAWN_VALUES} plaintext "
+            f"values (a pair counts as at least {MIN_PAIR_COST})"
+        )
+    ambiguity = run_ambiguity_demo(key_set, window, 3)
+    drawn = _draw_plaintext_values(random.Random(seed), n_pairs * window)
     pairs = []
-    for _ in range(n_pairs):
-        values = [rng.randint(0, 127) for _ in range(window)]
+    for start in range(0, n_pairs * window, window):
+        values = list(drawn[start : start + window])
         if not any(values):
             values = [1] + [0] * (window - 1)
         pairs.append((values, mark_product(values, ambiguity.base_marks)))
     solver = known_plaintext_solver(pairs, window)
-    matches = solver.matrix == ambiguity.base_matrix if solver.determined else None
+    matches = solver.marks == ambiguity.base_marks if solver.determined else None
     return KpaDemoResult(
         key_set=ambiguity.base,
         window=window,
@@ -603,6 +692,12 @@ def run_kpa_demo(
 
 def _indent(text: str, pad: str = "    ") -> str:
     return "\n".join(pad + line for line in text.splitlines())
+
+
+def _minus_marks(marks: Sequence[int]) -> str:
+    # Stands in for an operator matrix too large to print.
+    minus = ", ".join(f"D{x}" for x, eps in enumerate(marks, 1) if eps == -1)
+    return f"-1 at {minus}; +1 elsewhere (no matrix above W_{MAX_PRINTED_WINDOW})"
 
 
 def _decision_lines(guess: int, queries: int, hidden_bit: int, seed: int | None) -> list[str]:
@@ -674,8 +769,11 @@ def format_ambiguity_report(result: AmbiguityResult) -> str:
             f"twin q={q:<6}: {twin}  matrix equal: {'yes' if m_eq else 'NO'}  "
             f"key element differs: {'yes' if e_diff else 'NO'}"
         )
-    lines.append("operator matrix on the window:")
-    lines.append(_indent(result.base_matrix.render()))
+    if result.window <= MAX_PRINTED_WINDOW:
+        lines.append("operator matrix on the window:")
+        lines.append(_indent(result.base_matrix.render()))
+    else:
+        lines.append(f"operator marks on the window: {_minus_marks(result.base_marks)}")
     verdict = (
         "matrices identical; key set not identifiable from this window"
         if result.ok
@@ -699,9 +797,13 @@ def format_kpa_report(result: KpaDemoResult) -> str:
             f"matches hidden key's operator: "
             f"{'yes' if result.matches_true_operator else 'NO'}"
         )
-        assert result.solver.matrix is not None
-        lines.append("recovered matrix:")
-        lines.append(_indent(result.solver.matrix.render()))
+        if result.window <= MAX_PRINTED_WINDOW:
+            assert result.solver.matrix is not None
+            lines.append("recovered matrix:")
+            lines.append(_indent(result.solver.matrix.render()))
+        else:
+            assert result.solver.marks is not None
+            lines.append(f"recovered marks: {_minus_marks(result.solver.marks)}")
     else:
         lines.append("operator fully determined: no (underdetermined system)")
         lines.append(f"open marks     : {', '.join(f'D{x}' for x in result.solver.undetermined)}")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -31,9 +32,12 @@ from brc.burnside import (
     BurnsideElement,
     D,
     KeySet,
+    divisor_sums,
     key_coeff,
     key_coeff_fold,
     key_element,
+    key_marks,
+    mark_product,
 )
 from brc import attacks, cipher
 from brc.cipher import ring_decode, ring_encode
@@ -366,6 +370,63 @@ def test_mark_solver_at_least_as_strong_as_generic(s, window, extra_pairs, seed)
         assert generic.matrix == expected
 
 
+def _walked_mark_solver(pairs, window):
+    # The mark solver's checks one x at a time: the order and text of the
+    # errors known_plaintext_solver must keep.
+    marks = [None] * window
+    for p, c in pairs:
+        for x, (f, g) in enumerate(zip(divisor_sums(p), divisor_sums(c))):
+            if marks[x] is None and f:
+                if g % f:
+                    return f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are not generated by an integer operator"
+                marks[x] = g // f
+            if g != (marks[x] or 0) * f:
+                return f"pairs break G_x = eps_x * F_x at D{x + 1}; no single ring element generates them"
+    return marks
+
+
+@given(
+    key_sets(max_size=3, max_index=12),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.lists(st.integers(-2, 3), min_size=12, max_size=12), st.integers(0, 11), st.integers(-3, 3)), min_size=1, max_size=4),
+)
+def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
+    # Mostly zeros and small values, so marks stay open across pairs and a
+    # corrupted ciphertext entry can fail at a mark read, at an open mark
+    # or at a mark fixed by an earlier pair.
+    marks = key_marks(s, window)
+    pairs = []
+    for values, at, delta in draws:
+        p = values[:window]
+        c = mark_product(p, marks)
+        c[at % window] += delta
+        pairs.append((p, c))
+    expected = _walked_mark_solver(pairs, window)
+    if isinstance(expected, str):
+        with pytest.raises(InconsistentPairsError) as info:
+            known_plaintext_solver(pairs, window)
+        assert str(info.value) == expected
+        return
+    result = known_plaintext_solver(pairs, window)
+    assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
+    assert result.marks == (None if result.undetermined else tuple(expected))
+
+
+def test_solver_returns_marks_and_builds_matrix_on_access(monkeypatch):
+    key = key_element([2, 5])
+    expected = operator_matrix(key, 6)
+    built = []
+    build = attacks._operator_from_marks
+    monkeypatch.setattr(attacks, "_operator_from_marks", lambda marks: built.append(marks) or build(marks))
+    result = known_plaintext_solver(_probe_pairs(key, 6), 6)
+    assert result.marks == tuple(key_marks([2, 5], 6))
+    assert built == []
+    assert result.matrix == expected
+    assert result.matrix is result.matrix
+    assert built == [result.marks]
+    assert generic_plaintext_solver(_probe_pairs(key, 6), 6).marks is None
+
+
 # -------------------------------------------------------------- demo drivers
 
 
@@ -432,6 +493,53 @@ def test_run_kpa_demo_determined():
 def test_run_kpa_demo_rejects_bad_window():
     with pytest.raises(ValueError, match="window"):
         run_kpa_demo(KeySet([2, 3]), window=0, n_pairs=3)
+
+
+def _demo_plaintexts(monkeypatch, window, n_pairs, seed):
+    seen = []
+    solve = attacks.known_plaintext_solver
+    monkeypatch.setattr(attacks, "known_plaintext_solver", lambda pairs, w: seen.extend(pairs) or solve(pairs, w))
+    result = run_kpa_demo(KeySet([2, 3]), window=window, n_pairs=n_pairs, seed=seed)
+    assert result.ok
+    return [p for p, _ in seen]
+
+
+# W_1 with seed 139 draws the value 0 first: the all-zero fallback.  W_40000
+# with 2 pairs draws across several getrandbits calls.
+@pytest.mark.parametrize(
+    "window, n_pairs, seeds",
+    [(1, 1, [*range(40), 139]), (1, 9, range(20)), (3, 7, range(30)), (8, 1, range(30)), (60, 60, range(5)), (40000, 2, [0, 1])],
+)
+def test_run_kpa_demo_plaintexts_are_the_randint_loop(monkeypatch, window, n_pairs, seeds):
+    assert random.Random(139).randint(0, 127) == 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(n_pairs):
+            values = [rng.randint(0, 127) for _ in range(window)]
+            expected.append(values if any(values) else [1] + [0] * (window - 1))
+        with monkeypatch.context() as mp:
+            assert _demo_plaintexts(mp, window, n_pairs, seed) == expected, (window, n_pairs, seed)
+
+
+def test_run_kpa_demo_large_window_stays_linear(monkeypatch):
+    # No operator matrix at W_65536, whose L x L entries alone would be 32 GiB.
+    # Two pairs usually leave a few marks above L/2 open; seed 11 leaves none.
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator matrix built by the demo")
+
+    monkeypatch.setattr(attacks, "_operator_from_marks", refuse)
+    window = 1 << 16
+    tracemalloc.start()
+    try:
+        result = run_kpa_demo(KeySet([2, 3, 7, 12, 30]), window=window, n_pairs=2, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.matches_true_operator
+    assert result.solver.rank == window
+    assert result.solver.marks == tuple(key_marks([2, 3, 7, 12, 30], window))
+    assert peak < 24 << 20, peak
 
 
 def test_run_cpa_sweep_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import shlex
@@ -495,8 +496,7 @@ def test_attack_kpa_fails_on_wrong_recovered_matrix(keyfile, capsys, monkeypatch
 
     def wrong_solver(pairs, window):
         result = solve(pairs, window)
-        rows = tuple(tuple(-e for e in row) for row in result.matrix.rows)
-        return replace(result, matrix=attacks.OperatorMatrix(window=window, rows=rows))
+        return replace(result, marks=tuple(-eps for eps in result.marks))
 
     monkeypatch.setattr(attacks, "known_plaintext_solver", wrong_solver)
     code, out, _ = run_cli(
@@ -524,7 +524,7 @@ def test_attack_demos_reject_window_above_cap(keyfile, capsys, monkeypatch, mode
 
     monkeypatch.setattr(attacks, "key_marks", refuse)
     monkeypatch.setattr(attacks, "_operator_from_marks", refuse)
-    window = str(attacks.MAX_WINDOW + 1)
+    window = str(cipher.MAX_LENGTH + 1)
     if mode == "kpa":
         argv = ["attack", "kpa", "--key", str(keyfile), "--pairs", "1", "--window", window]
     else:
@@ -532,14 +532,59 @@ def test_attack_demos_reject_window_above_cap(keyfile, capsys, monkeypatch, mode
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert f"window must be <= {attacks.MAX_WINDOW}" in err
+    assert f"window must be <= {cipher.MAX_LENGTH}" in err
 
 
 def test_attack_ambiguity_at_window_cap(capsys):
-    window = str(attacks.MAX_WINDOW)
+    # The largest window whose operator matrix the report prints.
+    window = str(attacks.MAX_PRINTED_WINDOW)
     code, out, _ = run_cli(capsys, "attack", "ambiguity", "--s", "2,3", "--window", window, "--count", "1")
     assert code == 0
     assert "FAILED" not in out
+    assert "operator matrix on the window:\n" in out
+    assert len(out.splitlines()) == 5 + attacks.MAX_PRINTED_WINDOW
+
+
+@pytest.mark.parametrize("mode", ["kpa", "ambiguity"])
+def test_attack_demos_above_print_bound_list_minus_marks(keyfile, capsys, mode):
+    window = str(attacks.MAX_PRINTED_WINDOW + 1)
+    if mode == "kpa":
+        argv = ["attack", "kpa", "--key", str(keyfile), "--pairs", "3", "--window", window]
+        line = "recovered marks: "
+    else:
+        argv = ["attack", "ambiguity", "--s", "2,3", "--window", window, "--count", "1"]
+        line = "operator marks on the window: "
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert f"{line}-1 at D2, D3; +1 elsewhere (no matrix above W_1000)\n" in out
+    assert "matrix:" not in out and "matrix on the window" not in out
+    assert out.endswith("does not identify the key set\n" if mode == "kpa" else "from this window\n")
+
+
+def test_attack_kpa_report_digest(key_2_3_7_12_30, capsys):
+    # SHA-256 of the report as first released: the plaintexts must stay the
+    # values of random.Random(0).randint(0, 127) on every Python version.
+    code, out, _ = run_cli(
+        capsys, "attack", "kpa", "--key", str(key_2_3_7_12_30), "--pairs", "60", "--window", "60"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "b35446f605e08f3a0c7973556da88c2f1e1931c32cee7a326d28a2beba82de04"
+
+
+@pytest.mark.parametrize(
+    "pairs, window",
+    [("0", "8"), ("5", str(cipher.MAX_LENGTH)), ("8", str(cipher.MAX_LENGTH // 2 + 1)), ("65537", "1")],
+)
+def test_attack_kpa_rejects_oversize_draw_before_work(keyfile, capsys, monkeypatch, pairs, window):
+    def refuse(*args, **kwargs):
+        raise AssertionError("demo work started for a refused pair count")
+
+    monkeypatch.setattr(attacks, "run_ambiguity_demo", refuse)
+    monkeypatch.setattr(attacks, "_draw_plaintext_values", refuse)
+    code, out, err = run_cli(capsys, "attack", "kpa", "--key", str(keyfile), "--pairs", pairs, "--window", window)
+    assert code == 1
+    assert out == ""
+    assert ("at least one pair" if pairs == "0" else "more than 4194304 plaintext values") in err
 
 
 def test_attack_kpa_requires_window(keyfile, capsys):
