@@ -61,6 +61,7 @@ __all__ = [
     "KpaResult",
     "known_plaintext_solver",
     "generic_plaintext_solver",
+    "MAX_TWINS",
     "MAX_PRINTED_WINDOW",
     "MAX_DRAWN_VALUES",
     "MIN_PAIR_COST",
@@ -153,10 +154,18 @@ def ambiguous_key(s: KeySet | Iterable[int], window: int, q: int) -> KeySet:
     return KeySet(q * i for i in s)
 
 
+# Most twins ambiguous_family builds.  Each twin costs a prime search and,
+# in run_ambiguity_demo, its marks on the window and one report line: about
+# 3 s for the full cap at the window MAX_LENGTH.
+MAX_TWINS = 100
+
+
 def ambiguous_family(s: KeySet | Iterable[int], window: int, count: int) -> list[KeySet]:
-    """The first `count` prime-scaled twins of `s` above the window."""
+    """The first `count` prime-scaled twins of `s` above the window, count <= MAX_TWINS."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > MAX_TWINS:
+        raise ValueError(f"count must be <= {MAX_TWINS}, got {count}")
     primes = (q for q in count_from(window + 1) if _is_prime(q))
     return [ambiguous_key(s, window, q) for q in islice(primes, count)]
 
@@ -573,7 +582,7 @@ def run_ambiguity_demo(
 ) -> AmbiguityResult:
     """Exhibit `count` distinct key sets acting identically on the window.
 
-    The window must lie in 1..MAX_LENGTH.
+    The window must lie in 1..MAX_LENGTH and the count in 1..MAX_TWINS.
 
     Uses key sets and their marks only, never a key element, so the cost
     does not grow as 2**|S|.  Z is invertible, so twins are compared by their

@@ -396,11 +396,26 @@ def basic_degree(m: int) -> BurnsideElement:
 
 
 def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
-    """Product of the basic degrees over the index set (self-inverse)."""
-    out = IDENTITY
+    """Product of the basic degrees over the index set (self-inverse).
+
+    One fold over the sorted indices, on the dihedral coefficients keyed
+    by int index: with O2 coefficient 1, k*(O2 - D(i)) is
+    k - D(i) - sum_j 2*k_j*D(gcd(i, j)), so each factor costs one gcd per
+    term and the O2 coefficient stays 1.  The D(n) classes are built
+    once, at the end, for the nonzero terms.  Shares no code with the
+    ring product, which key_coeff_bruteforce chains instead.
+    """
+    acc: dict[int, int] = {}
+    get = acc.get
     for i in as_key_set(s):
-        out = out * basic_degree(i)
-    return out
+        terms = list(acc.items())
+        acc[i] = get(i, 0) - 1
+        for j, c in terms:
+            k = gcd(i, j)
+            acc[k] = get(k, 0) - 2 * c
+    out = {D(k): c for k, c in acc.items() if c}
+    out[O2] = 1
+    return BurnsideElement._raw(out)
 
 
 def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
@@ -426,8 +441,10 @@ def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
 def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
     """Same coefficient, read off a literal expansion of the product.
 
-    Multiplies the basic-degree factors one by one with the ring
-    product and looks up D(s0); the independent check for key_coeff.
+    Chains the generic ring product, BurnsideElement.__mul__, over the
+    basic-degree factors left to right from IDENTITY and looks up D(s0).
+    Neither key_coeff's subset enumeration nor key_element's fold shares
+    this code, so the three are independent checks of one another.
     """
     if s0 < 1:
         raise ValueError(f"dihedral index must be >= 1, got {s0}")

@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     ambiguity = attack_sub.add_parser("ambiguity", help="prime-scaled keys identical on a window")
     ambiguity.add_argument("--s", required=True, help="base key set, e.g. 2,3")
     ambiguity.add_argument("--window", type=int, required=True, help="observation window size L")
-    ambiguity.add_argument("--count", type=int, required=True, help="number of scaled twins")
+    ambiguity.add_argument(
+        "--count", type=int, required=True, help=f"number of scaled twins, at most {attacks.MAX_TWINS}"
+    )
     ambiguity.set_defaults(func=_cmd_attack_ambiguity)
 
     kpa = attack_sub.add_parser("kpa", help="known-plaintext operator recovery")

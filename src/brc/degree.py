@@ -120,17 +120,20 @@ def _descend(
 ) -> BurnsideElement:
     """Shared downward solve: peel coefficients off class by class."""
     # Only classes already solved with a nonzero coefficient contribute.
+    # The lattice tables are read by direct lookup, not a method call per pair.
+    count = lattice.contains.get
+    weyl = lattice.weyl
     coeffs: dict[Generator, int] = {}
     for cls in lattice.classes:
         acc = 0
         for above, c in coeffs.items():
-            acc += c * lattice.contains_count(cls, above) * lattice.weyl[above]
+            acc += c * count((cls, above), 0) * weyl[above]
         numerator = leading[cls] - acc
-        quotient, remainder = divmod(numerator, lattice.weyl[cls])
+        quotient, remainder = divmod(numerator, weyl[cls])
         if remainder:
             raise LatticeConsistencyError(
                 f"non-integral coefficient at {cls.label}: "
-                f"{numerator} / {lattice.weyl[cls]}"
+                f"{numerator} / {weyl[cls]}"
             )
         if quotient:
             coeffs[cls] = quotient
@@ -141,10 +144,11 @@ def recurrence_mul(h: Generator, k: Generator, lattice: LatticeData) -> Burnside
     """Product of two basis classes computed from the lattice alone."""
     lattice._check_member(h)
     lattice._check_member(k)
+    count = lattice.contains.get
     wh = lattice.weyl[h]
     wk = lattice.weyl[k]
     leading = {
-        cls: lattice.contains_count(cls, h) * wh * lattice.contains_count(cls, k) * wk
+        cls: count((cls, h), 0) * wh * count((cls, k), 0) * wk
         for cls in lattice.classes
     }
     return _descend(lattice, leading)

@@ -84,8 +84,10 @@ def _run(name: str, cases: Iterator[str | None]) -> SuiteResult:
     )
 
 
-def _generators(max_index: int) -> list[Generator]:
-    return [D(k) for k in range(1, max_index + 1)] + [SO2, O2]
+def _units(max_index: int) -> dict[Generator, BurnsideElement]:
+    # Each basis class as a one-term element, built once per generator.
+    gens = [D(k) for k in range(1, max_index + 1)] + [SO2, O2]
+    return {g: BurnsideElement({g: 1}) for g in gens}
 
 
 def _expected_product(g: Generator, h: Generator) -> BurnsideElement:
@@ -107,10 +109,10 @@ def verify_table(max_index: int = 24) -> SuiteResult:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
 
     def cases() -> Iterator[str | None]:
-        gens = _generators(max_index)
-        for g in gens:
-            for h in gens:
-                got = BurnsideElement({g: 1}) * BurnsideElement({h: 1})
+        units = _units(max_index)
+        for g, unit_g in units.items():
+            for h, unit_h in units.items():
+                got = unit_g * unit_h
                 want = _expected_product(g, h)
                 yield None if got == want else f"{g.label}*{h.label}: got {got}, want {want}"
 
@@ -122,10 +124,10 @@ def verify_recurrence(max_index: int = 24) -> SuiteResult:
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_index)
-        gens = _generators(max_index)
-        for g in gens:
-            for h in gens:
-                direct = BurnsideElement({g: 1}) * BurnsideElement({h: 1})
+        units = _units(max_index)
+        for g, unit_g in units.items():
+            for h, unit_h in units.items():
+                direct = unit_g * unit_h
                 recur = recurrence_mul(g, h, lattice)
                 yield None if direct == recur else f"{g.label}*{h.label}: direct {direct}, recurrence {recur}"
 
@@ -171,7 +173,12 @@ def verify_involution(
 def verify_prop_coeff(
     trials: int = 500, max_size: int = 8, max_index: int = 60, seed: int = 0
 ) -> SuiteResult:
-    """Closed-form coefficient == brute-force expansion == element lookup."""
+    """Three independent algorithms for one key coefficient agree.
+
+    key_coeff enumerates subsets, key_coeff_bruteforce chains the generic
+    ring product, and key_element folds the factors by int index; the
+    case fails unless all three give the same coefficient.
+    """
     _check_trials(trials)
 
     def cases() -> Iterator[str | None]:

@@ -131,6 +131,19 @@ def test_ambiguous_family_first_primes():
     assert ambiguous_family(KeySet([3]), 2, 1) == [KeySet([9])]
 
 
+def test_ambiguous_family_count_cap(monkeypatch):
+    assert len(ambiguous_family(KeySet([2]), 3, attacks.MAX_TWINS)) == attacks.MAX_TWINS
+
+    def refuse(q):
+        raise AssertionError("prime search ran for a count above the cap")
+
+    # Refused before any prime search, so a huge count costs nothing.
+    monkeypatch.setattr(attacks, "_is_prime", refuse)
+    for count in (attacks.MAX_TWINS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"count must be <= {attacks.MAX_TWINS}"):
+            ambiguous_family(KeySet([2]), 3, count)
+
+
 def test_ambiguous_family_rejects_zero_count():
     with pytest.raises(ValueError):
         ambiguous_family(KeySet([2]), 3, 0)

@@ -1,5 +1,8 @@
 import copy
 import pickle
+from functools import reduce
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given
@@ -268,6 +271,64 @@ def test_key_element_two_indices():
 def test_key_element_is_involution():
     k = key_element([2, 3])
     assert k * k == IDENTITY
+
+
+def _chained_key_element(s):
+    # The left-to-right IDENTITY * basic_degree(i) * ... chain of ring products.
+    return reduce(mul, map(basic_degree, sorted(s)), IDENTITY)
+
+
+# Key indices up to 30 digits: small ones with many shared divisors, large
+# random ones, and large multiples of small ones, so gcds above 1 occur.
+_key_indices = st.one_of(
+    st.integers(1, 120),
+    st.integers(1, 10**30 - 1),
+    st.builds(mul, st.integers(1, 60), st.integers(1, 10**28)),
+)
+
+
+@given(st.sets(_key_indices, min_size=1, max_size=12))
+def test_key_element_equals_ring_product_chain(s):
+    k = key_element(s)
+    chained = _chained_key_element(s)
+    assert k == chained
+    assert k.render() == chained.render()
+
+
+def test_key_element_sixteen_index_prime_product():
+    # The product of the first 16 primes over each prime: every subset of
+    # the 16 indices has its own gcd, so the key element has 2**16 terms.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    s = KeySet(prod(primes) // q for q in primes)
+    k = key_element(s)
+    chained = _chained_key_element(s)
+    assert len(k.support()) == 2**16
+    assert k == chained
+    assert k.render() == chained.render()
+
+
+def test_key_element_never_calls_ring_product(monkeypatch):
+    # key_element is the third, independent algorithm of the prop-coeff
+    # check: it must not reach BurnsideElement.__mul__, which
+    # key_coeff_bruteforce chains once per index.
+    s = KeySet([4, 6, 9, 10, 15, 35])
+    want = _chained_key_element(s)
+    want_coeffs = {n: key_coeff_bruteforce(s, n) for n in range(1, s.max_index + 1)}
+    real_mul = BurnsideElement.__mul__
+    calls = []
+
+    def refuse(self, other):
+        raise AssertionError("BurnsideElement.__mul__ called")
+
+    def count(self, other):
+        calls.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
+    assert key_element(s) == want
+    monkeypatch.setattr(BurnsideElement, "__mul__", count)
+    assert {n: key_coeff_bruteforce(s, n) for n in want_coeffs} == want_coeffs
+    assert len(calls) == len(s) * len(want_coeffs)
 
 
 # ------------------------------------------------------- coefficient formulas

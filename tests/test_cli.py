@@ -429,6 +429,13 @@ def test_attack_ambiguity_invalid_count(capsys):
     assert "count" in err
 
 
+def test_attack_ambiguity_count_above_cap(capsys):
+    code, out, err = run_cli(capsys, "attack", "ambiguity", "--s", "2,3", "--window", "8", "--count", str(10**9))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: count must be <= {attacks.MAX_TWINS}, got {10**9}\n"
+
+
 def test_attack_kpa_report(tmp_path, keyfile, capsys):
     code, out, _ = run_cli(
         capsys, "attack", "kpa", "--key", str(keyfile), "--pairs", "6", "--window", "4", "--seed", "0"
