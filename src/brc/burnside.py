@@ -14,11 +14,10 @@ zero coefficients stored), so equality is structural equality.
 
 A basis class is a `Generator`, an immutable ``(family, index)`` tuple
 (index 0 for SO2 and O2), so hashing and ordering are plain tuple
-operations.  The product reads the O2 and SO2 coefficients of both
-factors once, accumulates the dihedral coefficients of the result in a
-dict keyed by the integer index (the terms 2*a*b at gcd(i, j) and the
-O2-identity terms), and builds each D(n) only once, for the nonzero
-sums.
+operations.  Generators label terms at the public interface only (the
+constructor, `coeff`, `support`, `terms`, `str`): an element stores its
+dihedral coefficients in a dict keyed by the int index and its SO2 and
+O2 coefficients as two ints, and all arithmetic works on those.
 
 Canonical text rendering, one term per line in ascending basis order
 D1 < D2 < ... < SO2 < O2, e.g. for O2 + 2*D1 - D3:
@@ -27,16 +26,18 @@ D1 < D2 < ... < SO2 < O2, e.g. for O2 + 2*D1 - D3:
     D3 -1
     O2 1
 
-The zero element renders as the single line ``0``.
+The zero element renders as the single line ``0``.  The `D<n> <c>`
+lines are written by `format_terms` and read by `read_terms`, in bulk;
+`render`, `parse` and the ciphertext files of `brc.cipher` share them.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import combinations, takewhile
+from itertools import chain, combinations, islice, takewhile
 from math import gcd, isqrt
-from operator import add, eq, itemgetter
+from operator import add, eq, itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "ZERO",
     "IDENTITY",
     "ElementFormatError",
+    "SupportWindowError",
     "KeySet",
     "as_key_set",
     "basic_degree",
@@ -60,6 +62,10 @@ __all__ = [
     "window_marks",
     "key_marks",
     "mark_product",
+    "ring_encode",
+    "ring_decode",
+    "format_terms",
+    "read_terms",
     "DEFAULT_SUBSET_CAP",
 ]
 
@@ -73,6 +79,16 @@ class ElementFormatError(ValueError):
     """Raised when canonical element text cannot be parsed."""
 
 
+class SupportWindowError(ValueError):
+    """Element support escapes the dihedral window {D(1), ..., D(L)}."""
+
+
+def _check_int(x: object, what: str) -> None:
+    # bool is an int subclass, but True would be stored and printed as True.
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} must be an int, got {x!r}")
+
+
 class Generator(tuple):
     """Basis class of the ring: a dihedral class D(k), SO2 or O2.
 
@@ -83,6 +99,7 @@ class Generator(tuple):
     __slots__ = ()
 
     def __new__(cls, family: int, index: int = 0) -> Generator:
+        _check_int(index, "generator index")
         if family == _DIHEDRAL:
             if index < 1:
                 raise ValueError(f"dihedral index must be >= 1, got {index}")
@@ -117,21 +134,56 @@ class Generator(tuple):
 SO2 = Generator(_ROTATION)
 O2 = Generator(_FULL)
 
-_D_CACHE: dict[int, Generator] = {}
-
 
 def D(k: int) -> Generator:
     """The dihedral basis class D(k), k >= 1."""
-    g = _D_CACHE.get(k)
-    if g is None:
-        g = _D_CACHE[k] = Generator(_DIHEDRAL, k)
-    return g
+    return Generator(_DIHEDRAL, k)
 
 
-# One canonical term line: an ASCII label and a coefficient without
-# leading zeros or a plus sign.  A zero coefficient matches so that it
-# can be reported as such.
-_TERM_LINE = re.compile(r"(D[1-9][0-9]*|SO2|O2) (0|-?[1-9][0-9]*)")
+# One canonical `D<n> <c>` line: an ASCII label and a nonzero coefficient
+# without leading zeros or a plus sign, and a run of whole lines.  The run
+# is matched chunk by chunk: a pattern repeating a group over the whole
+# text keeps state for every repetition.
+_TERM = re.compile(r"D[1-9][0-9]* -?[1-9][0-9]*")
+_TERM_LINES = re.compile(rf"(?:{_TERM.pattern}\n)+")
+# Characters checked by one fullmatch call, rounded up to a whole line.
+_TERM_CHUNK = 1 << 14
+# The SO2 and O2 lines that end an element's text, or nothing at a line end.
+_TAIL = re.compile(r"(?:^|(?<=\n))(?:SO2 (-?[1-9][0-9]*)\n)?(?:O2 (-?[1-9][0-9]*)\n)?\Z")
+
+
+def format_terms(indices: Iterable[int], coeffs: Iterable[int]) -> str:
+    """One `D<n> <c>` line, ending in a newline, per index n and coefficient c, in one `%` call."""
+    flat = tuple(chain.from_iterable(zip(indices, coeffs)))
+    return ("D%d %d\n" * (len(flat) // 2)) % flat
+
+
+def read_terms(text: str) -> Iterator[tuple[list[int], list[int]]]:
+    """Indices and coefficients of a run of `D<n> <c>` lines, one chunk at a time.
+
+    `text` is whole lines, each ending in a newline, read in chunks of
+    about _TERM_CHUNK characters: one fullmatch checks a chunk and one
+    int() map converts it, so only one chunk's strings and numbers are
+    alive at once.  Indices ascend strictly, also across chunks; any
+    violation is ElementFormatError, raised before the chunk is yielded.
+    """
+    last = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _TERM_CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        if _TERM_LINES.fullmatch(chunk) is None:
+            bad = next(ln for ln in chunk.split("\n") if not _TERM.fullmatch(ln))
+            raise ElementFormatError(f"term line {bad!r} is malformed")
+        try:
+            numbers = list(map(int, chunk.replace("D", "").split()))
+        except ValueError:  # more digits than int() converts
+            raise ElementFormatError("term number has more digits than int() converts") from None
+        labels = numbers[::2]
+        if labels[0] <= last or not all(map(lt, labels, islice(labels, 1, None))):
+            raise ElementFormatError("terms must be in strictly ascending order")
+        last = labels[-1]
+        yield labels, numbers[1::2]
+        start = end
 
 
 class BurnsideElement:
@@ -142,75 +194,71 @@ class BurnsideElement:
     arithmetic is exact at any size.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_dih", "_rot", "_full")
 
     def __init__(self, terms: Mapping[Generator, int] = ()):
-        clean: dict[Generator, int] = {}
-        for g, c in dict(terms).items():
+        terms = dict(terms)
+        for g, c in terms.items():
             if not isinstance(g, Generator):
                 raise TypeError(f"term key must be a Generator, got {g!r}")
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient must be an int, got {c!r}")
-            if c:
-                clean[g] = c
-        self._terms = clean
+            _check_int(c, "coefficient")
+        self._dih = {g[1]: c for g, c in terms.items() if c and g[0] == _DIHEDRAL}
+        self._rot = terms.get(SO2, 0)
+        self._full = terms.get(O2, 0)
 
     @classmethod
-    def _raw(cls, terms: dict[Generator, int]) -> BurnsideElement:
-        # Internal fast path: `terms` must already be canonical.
+    def _raw(cls, dih: dict[int, int], rot: int = 0, full: int = 0) -> BurnsideElement:
+        # Internal fast path: `dih` must hold no zero coefficient.
         elem = cls.__new__(cls)
-        elem._terms = terms
+        elem._dih, elem._rot, elem._full = dih, rot, full
         return elem
 
     def coeff(self, g: Generator) -> int:
         """Coefficient of the basis class `g`, 0 if absent."""
-        return self._terms.get(g, 0)
+        family, index = g
+        if family == _DIHEDRAL:
+            return self._dih.get(index, 0)
+        return self._rot if family == _ROTATION else self._full
 
     def support(self) -> tuple[Generator, ...]:
         """Basis classes with nonzero coefficient, in ascending order."""
-        return tuple(sorted(self._terms))
+        return tuple(g for g, _ in self.terms())
 
     def terms(self) -> tuple[tuple[Generator, int], ...]:
         """(generator, coefficient) pairs in ascending basis order."""
-        return tuple(sorted(self._terms.items()))
-
-    def items(self) -> Iterator[tuple[Generator, int]]:
-        """(generator, coefficient) pairs in storage order; `terms` sorts them."""
-        return iter(self._terms.items())
+        out = [(D(k), c) for k, c in sorted(self._dih.items())]
+        out += [(g, c) for g, c in ((SO2, self._rot), (O2, self._full)) if c]
+        return tuple(out)
 
     def dihedral_indices(self) -> tuple[int, ...]:
         """Indices k with a nonzero D(k) coefficient, ascending."""
-        return tuple(sorted(g.index for g in self._terms if g.family == _DIHEDRAL))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+        return tuple(sorted(self._dih))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._dih or self._rot or self._full)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        return self._terms == other._terms
+        return self._rot == other._rot and self._full == other._full and self._dih == other._dih
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._dih.items()), self._rot, self._full))
 
     def __add__(self, other: BurnsideElement) -> BurnsideElement:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        acc = dict(self._terms)
-        for g, c in other._terms.items():
-            s = acc.get(g, 0) + c
+        acc = dict(self._dih)
+        for k, c in other._dih.items():
+            s = acc.get(k, 0) + c
             if s:
-                acc[g] = s
-            elif g in acc:
-                del acc[g]
-        return BurnsideElement._raw(acc)
+                acc[k] = s
+            elif k in acc:
+                del acc[k]
+        return BurnsideElement._raw(acc, self._rot + other._rot, self._full + other._full)
 
     def __neg__(self) -> BurnsideElement:
-        return BurnsideElement._raw({g: -c for g, c in self._terms.items()})
+        return BurnsideElement._raw({k: -c for k, c in self._dih.items()}, -self._rot, -self._full)
 
     def __sub__(self, other: BurnsideElement) -> BurnsideElement:
         if not isinstance(other, BurnsideElement):
@@ -221,38 +269,26 @@ class BurnsideElement:
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            return BurnsideElement._raw({g: c * other for g, c in self._terms.items()})
+            dih = {k: c * other for k, c in self._dih.items()}
+            return BurnsideElement._raw(dih, self._rot * other, self._full * other)
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        lhs = self._terms
-        rhs = other._terms
-        a_full = lhs.get(O2, 0)
-        b_full = rhs.get(O2, 0)
-        a_rot = lhs.get(SO2, 0)
-        b_rot = rhs.get(SO2, 0)
-        a_dih = [(g[1], c) for g, c in lhs.items() if g[0] == _DIHEDRAL]
-        b_dih = [(h[1], c) for h, c in rhs.items() if h[0] == _DIHEDRAL]
-        # Dihedral coefficients of the product, keyed by index.
-        acc: dict[int, int] = {}
-        if b_full:
-            for i, a in a_dih:
-                acc[i] = a * b_full
+        lhs = self._dih
+        rhs = other._dih
+        a_full = self._full
+        b_full = other._full
+        # Dihedral coefficients of the product: the O2-identity terms, then 2*a*b at gcd(i, j).
+        acc = {i: a * b_full for i, a in lhs.items()} if b_full else {}
         if a_full:
-            for j, b in b_dih:
+            for j, b in rhs.items():
                 acc[j] = acc.get(j, 0) + a_full * b
-        for i, a in a_dih:
+        for i, a in lhs.items():
             a2 = 2 * a
-            for j, b in b_dih:
+            for j, b in rhs.items():
                 k = gcd(i, j)
                 acc[k] = acc.get(k, 0) + a2 * b
-        out = {D(k): c for k, c in acc.items() if c}
-        rot = a_full * b_rot + a_rot * b_full + 2 * a_rot * b_rot
-        if rot:
-            out[SO2] = rot
-        full = a_full * b_full
-        if full:
-            out[O2] = full
-        return BurnsideElement._raw(out)
+        rot = a_full * other._rot + self._rot * b_full + 2 * self._rot * other._rot
+        return BurnsideElement._raw({k: c for k, c in acc.items() if c}, rot, a_full * b_full)
 
     def __rmul__(self, other: int) -> BurnsideElement:
         if isinstance(other, int):
@@ -261,9 +297,12 @@ class BurnsideElement:
 
     def render(self) -> str:
         """Canonical multi-line text form (see module docstring)."""
-        if not self._terms:
+        if not self:
             return "0"
-        return "\n".join(f"{g.label} {c}" for g, c in self.terms())
+        indices = sorted(self._dih)
+        text = format_terms(indices, map(self._dih.__getitem__, indices))
+        text += "".join(f"{g.label} {c}\n" for g, c in ((SO2, self._rot), (O2, self._full)) if c)
+        return text[:-1]
 
     @classmethod
     def parse(cls, text: str) -> BurnsideElement:
@@ -276,32 +315,24 @@ class BurnsideElement:
         """
         if text == "0":
             return ZERO
-        terms: dict[Generator, int] = {}
-        prev: Generator | None = None
-        for ln in text.split("\n"):
-            m = _TERM_LINE.fullmatch(ln)
-            if m is None:
-                raise ElementFormatError(f"malformed term line {ln!r}")
-            label, digits = m.groups()
-            try:
-                g = O2 if label == "O2" else SO2 if label == "SO2" else D(int(label[1:]))
-                c = int(digits)
-            except ValueError:  # more digits than int() converts
-                raise ElementFormatError(f"number too long in line {ln!r}") from None
-            if c == 0:
-                raise ElementFormatError(f"zero coefficient stored for {g.label}")
-            if prev is not None and not prev < g:
-                raise ElementFormatError(f"terms out of order at {g.label}")
-            prev = g
-            terms[g] = c
-        return cls._raw(terms)
+        body = text + "\n"
+        # The SO2 and O2 lines, if any, are among the last two.
+        m = _TAIL.search(body, body.rfind("\n", 0, body.rfind("\n", 0, -1)) + 1)
+        try:
+            rot, full = (int(c or 0) for c in m.groups())
+        except ValueError:  # more digits than int() converts
+            raise ElementFormatError("number too long in the SO2 or O2 line") from None
+        dih: dict[int, int] = {}
+        for indices, coeffs in read_terms(body[: m.start()]):
+            dih.update(zip(indices, coeffs))
+        return cls._raw(dih, rot, full)
 
     def __str__(self) -> str:
         # Compact human form, highest class first: "O2 + 2*D1 - D2".
-        if not self._terms:
+        if not self:
             return "0"
         parts: list[str] = []
-        for g, c in sorted(self._terms.items(), reverse=True):
+        for g, c in reversed(self.terms()):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             body = g.label if mag == 1 else f"{mag}*{g.label}"
@@ -392,7 +423,7 @@ def basic_degree(m: int) -> BurnsideElement:
         raise ValueError(f"representation index must be >= 0, got {m}")
     if m == 0:
         return IDENTITY
-    return BurnsideElement._raw({O2: 1, D(m): -1})
+    return BurnsideElement._raw({m: -1}, full=1)
 
 
 def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
@@ -401,9 +432,8 @@ def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
     One fold over the sorted indices, on the dihedral coefficients keyed
     by int index: with O2 coefficient 1, k*(O2 - D(i)) is
     k - D(i) - sum_j 2*k_j*D(gcd(i, j)), so each factor costs one gcd per
-    term and the O2 coefficient stays 1.  The D(n) classes are built
-    once, at the end, for the nonzero terms.  Shares no code with the
-    ring product, which key_coeff_bruteforce chains instead.
+    term and the O2 coefficient stays 1.  Shares no code with the ring
+    product, which key_coeff_bruteforce chains instead.
     """
     acc: dict[int, int] = {}
     get = acc.get
@@ -413,9 +443,7 @@ def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
         for j, c in terms:
             k = gcd(i, j)
             acc[k] = get(k, 0) - 2 * c
-    out = {D(k): c for k, c in acc.items() if c}
-    out[O2] = 1
-    return BurnsideElement._raw(out)
+    return BurnsideElement._raw({k: c for k, c in acc.items() if c}, full=1)
 
 
 def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
@@ -512,11 +540,10 @@ def _divisors_upto(n: int, limit: int) -> Iterator[int]:
 
 def window_marks(k: BurnsideElement, length: int) -> list[int]:
     """Marks phi_x(k) = k_O2 + 2*sum_{x|n} k_n for x = 1..length (SO2 has mark 0)."""
-    marks = [k.coeff(O2)] * length
-    for g, c in k._terms.items():
-        if g.family == _DIHEDRAL:
-            for d in _divisors_upto(g.index, length):
-                marks[d - 1] += 2 * c
+    marks = [k._full] * length
+    for n, c in k._dih.items():
+        for d in _divisors_upto(n, length):
+            marks[d - 1] += 2 * c
     return marks
 
 
@@ -559,3 +586,28 @@ def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
     out += values[top:]
     return out
 
+
+def ring_encode(values: Sequence[int]) -> BurnsideElement:
+    """Element with coefficient values[i-1] at D(i); zeros are dropped."""
+    if not values:
+        raise ValueError("empty plaintext vector")
+    dih = {i: v for i, v in enumerate(values, start=1) if v}
+    for v in dih.values():
+        _check_int(v, "coefficient")
+    return BurnsideElement._raw(dih)
+
+
+def ring_decode(element: BurnsideElement, length: int) -> list[int]:
+    """Coefficient vector of `element` on D(1)..D(length); it must lie in that window."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if element._full or element._rot:
+        raise SupportWindowError("element has support outside the dihedral span")
+    dih = element._dih
+    if max(dih, default=0) > length:
+        k = min(k for k in dih if k > length)
+        raise SupportWindowError(f"element has support at D{k}, outside window L={length}")
+    values = [0] * length
+    for k, c in dih.items():
+        values[k - 1] = c
+    return values

@@ -24,10 +24,9 @@ and the reference the tests compare against.
 The dense window vector is the cipher's one representation: a
 `Ciphertext` stores it, and the file codec writes it and reads it back
 without building a sparse element (`Ciphertext.element` builds one).
-The codec works in bulk, one chunk at a time, with no Python loop over
-the terms: the writer formats each slice of the vector with one `%`
-call, and the reader checks each chunk of lines with one regular
-expression match and converts it with one `int()` map.
+The body lines go through `burnside.format_terms` and
+`burnside.read_terms`, the codec element text uses too, one slice or
+chunk at a time with no Python loop over the terms.
 
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
@@ -65,20 +64,23 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
-from operator import lt
+from itertools import compress, count
 from pathlib import Path
 from typing import Sequence
 
 from .burnside import (
     DEFAULT_SUBSET_CAP,
     O2,
-    SO2,
     BurnsideElement,
-    D,
+    ElementFormatError,
     KeySet,
+    SupportWindowError,
+    format_terms,
     key_marks,
     mark_product,
+    read_terms,
+    ring_decode,
+    ring_encode,
     window_marks,
 )
 
@@ -124,13 +126,6 @@ MAX_INDEX_DIGITS = 30
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
 _LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
-# One line of a nonzero ciphertext body, and a run of whole lines.  The
-# run is matched chunk by chunk: a pattern repeating a group over the
-# whole body keeps state for every repetition.
-_CT_TERM = re.compile(r"D[1-9][0-9]* -?[1-9][0-9]*")
-_CT_LINES = re.compile(rf"(?:{_CT_TERM.pattern}\n)+")
-# Body characters checked by one fullmatch call, rounded up to a whole line.
-_CT_CHUNK = 1 << 14
 # Window values formatted by one `%` call of the writer.
 _CT_SLICE = 1 << 12
 # Longest canonical key file: the header, then "S" and MAX_KEY_SIZE
@@ -140,10 +135,6 @@ _KEY_FILE_MAX = len(f"{KEY_MAGIC}\nS\n") + MAX_KEY_SIZE * (MAX_INDEX_DIGITS + 1)
 
 class MessageError(ValueError):
     """Message bytes cannot be encoded or decoded (empty, too long or non-ASCII)."""
-
-
-class SupportWindowError(ValueError):
-    """Element support escapes the dihedral window {D(1), ..., D(L)}."""
 
 
 class FileFormatError(ValueError):
@@ -217,28 +208,6 @@ def decode_text(values: Sequence[int]) -> bytes:
             return data
     pos, v = next((pos, v) for pos, v in enumerate(values) if not 0 <= v <= 127)
     raise MessageError(f"recovered value {v} at position {pos} is outside [0, 127]")
-
-
-def ring_encode(values: Sequence[int]) -> BurnsideElement:
-    """Element with coefficient values[i-1] at D(i); zeros are dropped."""
-    if not values:
-        raise ValueError("empty plaintext vector")
-    return BurnsideElement({D(i): v for i, v in enumerate(values, start=1) if v})
-
-
-def ring_decode(element: BurnsideElement, length: int) -> list[int]:
-    """Coefficient vector of `element` on D(1)..D(length); it must lie in that window."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if element.coeff(O2) or element.coeff(SO2):
-        raise SupportWindowError("element has support outside the dihedral span")
-    for k in element.dihedral_indices():
-        if k > length:
-            raise SupportWindowError(f"element has support at D{k}, outside window L={length}")
-    values = [0] * length
-    for g, c in element.items():
-        values[g.index - 1] = c
-    return values
 
 
 def encrypt(plaintext: BurnsideElement, length: int, key: BurnsideElement) -> Ciphertext:
@@ -318,8 +287,8 @@ def read_key_file(path: str | Path) -> KeySet:
 def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
     """Write the header, the declared length and the nonzero terms of the vector.
 
-    Each _CT_SLICE values become text in one `%` call, written at once, so
-    the writer holds one slice's text and no string per term.
+    Each _CT_SLICE values become text in one `format_terms` call, written
+    at once, so the writer holds one slice's text and no string per term.
     """
     values = ciphertext.values
     with open(path, "w", encoding="ascii", newline="") as f:
@@ -328,9 +297,7 @@ def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
             f.write("0\n")
         for start in range(0, len(values), _CT_SLICE):
             part = values[start : start + _CT_SLICE]
-            # n1, c1, n2, c2, ... for the nonzero coefficients c at D(n).
-            flat = tuple(chain.from_iterable(zip(compress(count(start + 1), part), filter(None, part))))
-            f.write(("D%d %d\n" * (len(flat) // 2)) % flat)
+            f.write(format_terms(compress(count(start + 1), part), filter(None, part)))
 
 
 def read_ciphertext_file(path: str | Path) -> Ciphertext:
@@ -349,40 +316,17 @@ def read_ciphertext_file(path: str | Path) -> Ciphertext:
     # Compare digit counts first: int() refuses very long digit strings.
     if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
         raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
+    window = int(m[1])
     # values[0] is a placeholder, so the term D(n) is stored at values[n].
-    values = [0] * (int(m[1]) + 1)
-    if body != "0\n":
-        _read_terms(body, values)
+    values = [0] * (window + 1)
+    try:
+        # The body of the zero vector, "0", holds no term lines.
+        for labels, coeffs in read_terms(body if body != "0\n" else ""):
+            # Ascending, so the last label bounds the chunk before any is used as an index.
+            if labels[-1] > window:
+                raise FileFormatError(f"ciphertext has support at D{labels[-1]}, outside window L={window}")
+            deque(map(values.__setitem__, labels, coeffs), maxlen=0)
+    except ElementFormatError as exc:
+        raise FileFormatError(f"ciphertext {exc}") from None
     del values[0]
     return Ciphertext(values)
-
-
-def _read_terms(body: str, values: list[int]) -> None:
-    """Store each term D(n) c of a nonzero body as values[n] = c.
-
-    The body goes in chunks of _CT_CHUNK characters of whole lines: one
-    fullmatch checks a chunk, one split and int() map convert it, and
-    slices and a map store it, with no Python loop over its terms.  Only
-    one chunk's strings and numbers are alive at once, so the reader holds
-    little beyond the text and the vector.
-    """
-    last = start = 0
-    while start < len(body):
-        end = body.find("\n", start + _CT_CHUNK) + 1 or len(body)
-        chunk = body[start:end]
-        if _CT_LINES.fullmatch(chunk) is None:
-            bad = next(ln for ln in chunk.split("\n") if not _CT_TERM.fullmatch(ln))
-            raise FileFormatError(f"bad ciphertext term line {bad!r}")
-        try:
-            numbers = list(map(int, chunk.replace("D", "").split()))
-        except ValueError:  # more digits than int() converts
-            raise FileFormatError("number too long in ciphertext body") from None
-        labels = numbers[::2]
-        if labels[0] <= last or not all(map(lt, labels, islice(labels, 1, None))):
-            raise FileFormatError("ciphertext terms must be in strictly ascending order")
-        # Ascending, so the last label bounds the chunk before any is used as an index.
-        last = labels[-1]
-        if last >= len(values):
-            raise FileFormatError(f"ciphertext has support at D{last}, outside window L={len(values) - 1}")
-        deque(map(values.__setitem__, labels, numbers[1::2]), maxlen=0)
-        start = end

@@ -125,10 +125,13 @@ def test_criterion_05_support_preservation():
         length = rng.randint(1, 64)
         values = [rng.randint(0, 127) for _ in range(length)]
         s = KeySet(rng.sample(range(1, 41), rng.randint(1, 6)))
-        ct = encrypt(ring_encode(values), length, key_element(s))
-        assert ct.element.coeff(O2) == 0
-        assert ct.element.coeff(SO2) == 0
-        assert all(k <= length for k in ct.element.dihedral_indices())
+        # The paper's claim is about the ring product p*k, so it is
+        # computed with the generic product, not the cipher's marks.
+        product = ring_encode(values) * key_element(s)
+        assert product.coeff(O2) == 0
+        assert product.coeff(SO2) == 0
+        assert all(k <= length for k in product.dihedral_indices())
+        assert encrypt(ring_encode(values), length, key_element(s)).element == product
         checked += 1
     _report(
         5,

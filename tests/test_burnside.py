@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import tracemalloc
 from functools import reduce
 from math import prod
 from operator import mul
@@ -27,6 +29,7 @@ from brc.burnside import (
     key_element,
     key_marks,
     mark_product,
+    ring_encode,
     window_marks,
 )
 from brc.degree import o2_lattice, recurrence_mul
@@ -105,6 +108,28 @@ def test_element_rejects_plain_tuple_key():
         BurnsideElement({(0, 3): 1})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Generator(0, 2.0),
+        lambda: Generator(0, True),
+        lambda: D(True),
+        lambda: Generator(2, False),
+        lambda: BurnsideElement({D(1): True, O2: 1}),
+        lambda: BurnsideElement({O2: True}),
+        lambda: BurnsideElement({SO2: 2.0}),
+        lambda: ring_encode([True, 2]),
+        lambda: ring_encode([1, 2.5]),
+    ],
+    ids=["index-float", "index-bool", "D-bool", "O2-index-bool", "coeff-bool", "O2-bool", "SO2-float",
+         "encode-bool", "encode-float"],
+)
+def test_bool_and_non_int_indices_and_coefficients_rejected(build):
+    # True would be stored as is and render as "D1 True", which parse rejects.
+    with pytest.raises(TypeError):
+        build()
+
+
 # ------------------------------------------------------------------ elements
 
 
@@ -173,9 +198,31 @@ def test_parse_roundtrip_examples():
         assert BurnsideElement.parse(e.render()) == e
 
 
-@given(elements())
+@given(elements(max_coeff=10**100))
 def test_parse_inverts_render(a):
-    assert BurnsideElement.parse(a.render()) == a
+    # The bulk rendering against one formatted line per term.
+    text = a.render()
+    assert text == ("\n".join(f"{g.label} {c}" for g, c in a.terms()) or "0")
+    assert BurnsideElement.parse(text) == a
+
+
+def test_freed_element_leaves_no_generators_behind():
+    # A 2**16-term key element (the first 16 odd primes' product over
+    # each one, a key no other test builds): once it is freed, nothing
+    # module-level may keep its classes, which take several MiB.
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    s = KeySet(prod(primes) // q for q in primes)
+    tracemalloc.start()
+    try:
+        k = key_element(s)
+        assert len(k.support()) == 2**16
+        assert BurnsideElement.parse(k.render()) == k
+        del k
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -435,12 +482,12 @@ _LATTICE_24 = o2_lattice(24)
 @example(elem(D2=1, D3=-1), elem(D2=1, D3=1))  # the D1 terms cancel
 def test_mul_equals_lattice_recurrence_expansion(a, b):
     expected = ZERO
-    for g, x in a.items():
-        for h, y in b.items():
+    for g, x in a.terms():
+        for h, y in b.terms():
             expected = expected + recurrence_mul(g, h, _LATTICE_24) * (x * y)
     product = a * b
     assert product == expected
-    assert all(c for _, c in product.items())
+    assert all(c for _, c in product.terms())
 
 
 # ------------------------------------------------------ window product

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from brc import cipher
-from brc.burnside import IDENTITY, SO2, O2, ZERO, BurnsideElement, D, KeySet, key_element
+from brc import burnside, cipher
+from brc.burnside import IDENTITY, SO2, O2, ZERO, BurnsideElement, D, ElementFormatError, KeySet, key_element
 from brc.cipher import (
     MAX_LENGTH,
     Ciphertext,
@@ -465,6 +465,22 @@ def test_ciphertext_file_accepts_max_length(tmp_path):
     assert read_ciphertext_file(path).length == MAX_LENGTH
 
 
+def _read_file(tmp_path, length, body):
+    path = tmp_path / "v.ct"
+    path.write_text(f"BRC-CT v1\nL {length}\n{body}")
+    return list(read_ciphertext_file(path).values)
+
+
+def _read_element(tmp_path, length, body):
+    return ring_decode(BurnsideElement.parse(body[:-1]), length)
+
+
+# Both readers of `D<n> <c>` lines, the ciphertext body and the element
+# text, which share burnside.read_terms and its chunk size; each chunk
+# test runs both.
+_READERS = [(_read_file, FileFormatError), (_read_element, (ElementFormatError, SupportWindowError))]
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -477,20 +493,21 @@ def test_ciphertext_file_accepts_max_length(tmp_path):
 )
 def test_ciphertext_reader_checks_every_chunk(tmp_path, monkeypatch, body):
     # With a 1-character chunk every line is a chunk of its own.
-    monkeypatch.setattr(cipher, "_CT_CHUNK", 1)
-    path = tmp_path / "bad.ct"
-    path.write_text(f"BRC-CT v1\nL 4\n{body}")
-    with pytest.raises(FileFormatError):
-        read_ciphertext_file(path)
+    monkeypatch.setattr(burnside, "_TERM_CHUNK", 1)
+    for reader, error in _READERS:
+        with pytest.raises(error):
+            reader(tmp_path, 4, body)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_ciphertext_reader_chunking_round_trips(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(cipher, "_CT_CHUNK", chunk)
+    monkeypatch.setattr(burnside, "_TERM_CHUNK", chunk)
     values = [(-1) ** n * n * 1000 if n % 3 else 0 for n in range(1, 3001)]
     path = tmp_path / "v.ct"
     write_ciphertext_file(path, Ciphertext(values=values))
-    assert read_ciphertext_file(path).values == tuple(values)
+    body = path.read_text().split("\n", 2)[2]
+    for reader, _ in _READERS:
+        assert reader(tmp_path, len(values), body) == values
 
 
 def test_ciphertext_reader_memory_is_linear_in_file(tmp_path):

@@ -22,7 +22,7 @@ def _negate_lowest_coefficient(s):
     # The real fold with the coefficient of its lowest dihedral class negated.
     k = key_element(s)
     g = D(k.dihedral_indices()[0])
-    return BurnsideElement({**dict(k.items()), g: -k.coeff(g)})
+    return BurnsideElement({**dict(k.terms()), g: -k.coeff(g)})
 
 
 @pytest.mark.parametrize("suite", [verify_involution, verify_prop_coeff])
