@@ -27,15 +27,21 @@ D1 < D2 < ... < SO2 < O2, e.g. for O2 + 2*D1 - D3:
     O2 1
 
 The zero element renders as the single line ``0``.  The `D<n> <c>`
-lines are written by `format_terms` and read by `read_terms`, in bulk;
+lines are written by `format_terms` and read by `read_terms`;
 `render`, `parse` and the ciphertext files of `brc.cipher` share them.
+Neither runs Python code per term: `format_terms` interleaves indices
+and coefficients by two slice assignments and formats them with one
+`%` call, and `read_terms` checks a chunk of lines with one regex
+fullmatch of the line grammar, then converts all its numbers with one
+`json.loads`, reading its range of the text in place.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from functools import partial
-from itertools import chain, combinations, islice, takewhile
+from itertools import combinations, islice, takewhile
 from math import gcd, isqrt
 from operator import add, eq, itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -148,34 +154,51 @@ _TERM = re.compile(r"D[1-9][0-9]* -?[1-9][0-9]*")
 _TERM_LINES = re.compile(rf"(?:{_TERM.pattern}\n)+")
 # Characters checked by one fullmatch call, rounded up to a whole line.
 _TERM_CHUNK = 1 << 14
+# Term lines as a JSON array body: `D` deleted, both separators made commas.
+_TO_JSON = str.maketrans({"D": None, " ": ",", "\n": ","})
 # The SO2 and O2 lines that end an element's text, or nothing at a line end.
 _TAIL = re.compile(r"(?:^|(?<=\n))(?:SO2 (-?[1-9][0-9]*)\n)?(?:O2 (-?[1-9][0-9]*)\n)?\Z")
 
 
-def format_terms(indices: Iterable[int], coeffs: Iterable[int]) -> str:
-    """One `D<n> <c>` line, ending in a newline, per index n and coefficient c, in one `%` call."""
-    flat = tuple(chain.from_iterable(zip(indices, coeffs)))
-    return ("D%d %d\n" * (len(flat) // 2)) % flat
+def format_terms(indices: Iterable[int], coeffs: Sequence[int]) -> str:
+    """One `D<n> <c>` line, ending in a newline, per index n and coefficient c, in one `%` call.
 
-
-def read_terms(text: str) -> Iterator[tuple[list[int], list[int]]]:
-    """Indices and coefficients of a run of `D<n> <c>` lines, one chunk at a time.
-
-    `text` is whole lines, each ending in a newline, read in chunks of
-    about _TERM_CHUNK characters: one fullmatch checks a chunk and one
-    int() map converts it, so only one chunk's strings and numbers are
-    alive at once.  Indices ascend strictly, also across chunks; any
-    violation is ElementFormatError, raised before the chunk is yielded.
+    The `%` arguments n1, c1, n2, c2, ... are interleaved by two
+    extended-slice assignments, so no Python code runs per term.
+    `indices` must yield exactly len(coeffs) values.
     """
-    last = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _TERM_CHUNK) + 1 or len(text)
-        chunk = text[start:end]
+    flat = [0] * (2 * len(coeffs))
+    flat[::2] = indices
+    flat[1::2] = coeffs
+    return ("D%d %d\n" * len(coeffs)) % tuple(flat)
+
+
+def read_terms(text: str, start: int = 0, end: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
+    """Indices and coefficients of the `D<n> <c>` lines in text[start:end], one chunk at a time.
+
+    The range is whole lines, each ending in a newline, read in chunks
+    of about _TERM_CHUNK characters without copying the rest of `text`.
+    One fullmatch of the line grammar checks a chunk; it is the only
+    gate, since `json.loads` also reads forms the grammar refuses
+    (``1.0``, ``-0``, ``NaN``).  After it every token is a canonical
+    decimal int, and one `json.loads` of the chunk, with `D` deleted and
+    the separators made commas, converts them all; json converts
+    through int(), so a number longer than int() converts is still an
+    error.  Only one chunk's strings and numbers are alive at once.
+    Indices ascend strictly, also across chunks; any violation is
+    ElementFormatError, raised before the chunk is yielded.
+    """
+    if end is None:
+        end = len(text)
+    last = 0
+    while start < end:
+        stop = text.find("\n", start + _TERM_CHUNK, end) + 1 or end
+        chunk = text[start:stop]
         if _TERM_LINES.fullmatch(chunk) is None:
             bad = next(ln for ln in chunk.split("\n") if not _TERM.fullmatch(ln))
             raise ElementFormatError(f"term line {bad!r} is malformed")
         try:
-            numbers = list(map(int, chunk.replace("D", "").split()))
+            numbers = json.loads("[" + chunk.translate(_TO_JSON)[:-1] + "]")
         except ValueError:  # more digits than int() converts
             raise ElementFormatError("term number has more digits than int() converts") from None
         labels = numbers[::2]
@@ -183,7 +206,7 @@ def read_terms(text: str) -> Iterator[tuple[list[int], list[int]]]:
             raise ElementFormatError("terms must be in strictly ascending order")
         last = labels[-1]
         yield labels, numbers[1::2]
-        start = end
+        start = stop
 
 
 class BurnsideElement:
@@ -300,7 +323,7 @@ class BurnsideElement:
         if not self:
             return "0"
         indices = sorted(self._dih)
-        text = format_terms(indices, map(self._dih.__getitem__, indices))
+        text = format_terms(indices, list(map(self._dih.__getitem__, indices)))
         text += "".join(f"{g.label} {c}\n" for g, c in ((SO2, self._rot), (O2, self._full)) if c)
         return text[:-1]
 
@@ -323,7 +346,7 @@ class BurnsideElement:
         except ValueError:  # more digits than int() converts
             raise ElementFormatError("number too long in the SO2 or O2 line") from None
         dih: dict[int, int] = {}
-        for indices, coeffs in read_terms(body[: m.start()]):
+        for indices, coeffs in read_terms(body, 0, m.start()):
             dih.update(zip(indices, coeffs))
         return cls._raw(dih, rot, full)
 

@@ -26,7 +26,11 @@ The dense window vector is the cipher's one representation: a
 without building a sparse element (`Ciphertext.element` builds one).
 The body lines go through `burnside.format_terms` and
 `burnside.read_terms`, the codec element text uses too, one slice or
-chunk at a time with no Python loop over the terms.
+chunk at a time with no Python loop over the terms.  The writer refuses
+a value that is not an int before it opens the file.  The reader parses
+the body in place in the decoded text, and stores a chunk of
+consecutive labels with one list extension, so the coefficients of a
+dense body become the vector as they are read.
 
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
@@ -52,11 +56,12 @@ linear in the digits of s, so a key file index has at most
 MAX_INDEX_DIGITS = 30 digits.  That admits the product of the first 20
 primes over each one of them: 20 indices of 25 to 27 digits whose key
 element has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
-digits that are multiples of lcm(1..60), the worst case found (27 745
-marks of -1, the last at x = 1 048 572), `brc encrypt` of a MAX_LENGTH
-message took 2.5-2.9 s at peak RSS 62 MB and `brc decrypt` 3.4-3.6 s
-at 69 MB (two runs each, 2-vCPU VM, Python 3.11.7); 4300-digit
-indices, the longest int() reads, took 131 s before the cap.
+digits that are multiples of lcm(1..60), lcm(1..60) * 73 * (146 + 7j)
+for j = 0..19 (25 848 marks of -1, the last at x = 1 048 476), `brc
+encrypt` of a MAX_LENGTH message took 2.7-3.8 s at peak RSS 63 MB and
+`brc decrypt` 3.2-4.1 s at 67 MB (five runs each, 2-vCPU VM, Python
+3.11.7; about 2 s of each is the key's marks); 4300-digit indices, the
+longest int() reads, took 131 s before the cap.
 """
 
 from __future__ import annotations
@@ -64,7 +69,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, count
+from functools import partial
+from itertools import compress, count, repeat
+from operator import add, countOf
 from pathlib import Path
 from typing import Sequence
 
@@ -126,6 +133,8 @@ MAX_INDEX_DIGITS = 30
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
 _LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
+# n -> n - 1, the vector slot of the label D(n).
+_PRED = partial(add, -1)
 # Window values formatted by one `%` call of the writer.
 _CT_SLICE = 1 << 12
 # Longest canonical key file: the header, then "S" and MAX_KEY_SIZE
@@ -287,27 +296,42 @@ def read_key_file(path: str | Path) -> KeySet:
 def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
     """Write the header, the declared length and the nonzero terms of the vector.
 
+    A value that is not an int (a float or a bool, which `%d` would
+    print as an int) is a TypeError, raised before the file is opened.
     Each _CT_SLICE values become text in one `format_terms` call, written
     at once, so the writer holds one slice's text and no string per term.
     """
     values = ciphertext.values
+    if countOf(map(type, values), int) != len(values):
+        n, v = next((n, v) for n, v in enumerate(values, start=1) if type(v) is not int)
+        raise TypeError(f"ciphertext value at D{n} must be an int, got {v!r}")
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(f"{CT_MAGIC}\nL {len(values)}\n")
         if not any(values):
             f.write("0\n")
         for start in range(0, len(values), _CT_SLICE):
             part = values[start : start + _CT_SLICE]
-            f.write(format_terms(compress(count(start + 1), part), filter(None, part)))
+            f.write(format_terms(compress(count(start + 1), part), list(filter(None, part))))
 
 
 def read_ciphertext_file(path: str | Path) -> Ciphertext:
-    """Read a canonical ciphertext file straight into its window vector."""
-    parts = _read_ascii(path, "ciphertext").split("\n", 2)
-    if len(parts) < 3 or not parts[2]:
+    """Read a canonical ciphertext file straight into its window vector.
+
+    The text is parsed in a helper, so it is freed before the vector is
+    copied into the Ciphertext's tuple.
+    """
+    return Ciphertext(_read_ciphertext_values(_read_ascii(path, "ciphertext")))
+
+
+def _read_ciphertext_values(text: str) -> list[int]:
+    """The window vector of a ciphertext file's text, parsed in place by offsets."""
+    first = text.find("\n")
+    body = text.find("\n", first + 1) + 1 if first >= 0 else 0
+    if not body or body == len(text):
         raise FileFormatError("truncated ciphertext file")
-    header, length_line, body = parts
-    if not body.endswith("\n"):
+    if not text.endswith("\n"):
         raise FileFormatError("ciphertext file must end with a newline")
+    header, length_line = text[:first], text[first + 1 : body - 1]
     if header != CT_MAGIC:
         raise FileFormatError(f"bad ciphertext header {header!r}")
     m = _LENGTH_LINE.fullmatch(length_line)
@@ -317,16 +341,25 @@ def read_ciphertext_file(path: str | Path) -> Ciphertext:
     if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
         raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
     window = int(m[1])
-    # values[0] is a placeholder, so the term D(n) is stored at values[n].
-    values = [0] * (window + 1)
+    # The body of the zero vector, "0", holds no term lines.
+    if text.startswith("0\n", body) and body + 2 == len(text):
+        body = len(text)
+    # values[n-1] holds D(n) for n up to the last label read so far.
+    values: list[int] = []
     try:
-        # The body of the zero vector, "0", holds no term lines.
-        for labels, coeffs in read_terms(body if body != "0\n" else ""):
+        for labels, coeffs in read_terms(text, body):
             # Ascending, so the last label bounds the chunk before any is used as an index.
-            if labels[-1] > window:
-                raise FileFormatError(f"ciphertext has support at D{labels[-1]}, outside window L={window}")
-            deque(map(values.__setitem__, labels, coeffs), maxlen=0)
+            top = labels[-1]
+            if top > window:
+                raise FileFormatError(f"ciphertext has support at D{top}, outside window L={window}")
+            if top - labels[0] + 1 == len(labels):
+                # Consecutive labels: zeros up to the chunk, then its coefficients.
+                values += repeat(0, labels[0] - 1 - len(values))
+                values += coeffs
+            else:
+                values += repeat(0, top - len(values))
+                deque(map(values.__setitem__, map(_PRED, labels), coeffs), maxlen=0)
     except ElementFormatError as exc:
         raise FileFormatError(f"ciphertext {exc}") from None
-    del values[0]
-    return Ciphertext(values)
+    values += repeat(0, window - len(values))
+    return values
