@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
-from math import isqrt
+from math import comb, isqrt
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -56,6 +56,7 @@ __all__ = [
     "identity_query_leak",
     "CpaSweepResult",
     "run_cpa_sweep",
+    "MAX_SWEEP_GAMES",
     "OracleMismatchError",
     "InconsistentPairsError",
     "KpaResult",
@@ -250,7 +251,7 @@ def cpa_distinguish(
     expected0 = 1 + 2 * key_coeff_fold(s0, probe)
     expected1 = 1 + 2 * key_coeff_fold(s1, probe)
     response = oracle(probe)
-    observed = response.coeff(D(probe))
+    observed = response.dihedral_coeff(probe)
     if observed == expected0:
         guess = 0
     elif observed == expected1:
@@ -312,20 +313,41 @@ class CpaSweepResult:
     probes: tuple[tuple[int, int], ...]  # (probe index, games), ascending
 
 
+# Games in one sweep, n*(n-1)*2 on n key sets.  Near the cap (--max-index 12
+# --max-size 3, 177 012 games; --max-index 8 --max-size 8, 129 540 games on
+# the largest sets) `brc attack cpa-sweep` takes 4-5 s; see README.
+MAX_SWEEP_GAMES = 200_000
+
+
+def _check_sweep_size(max_index: int, max_size: int) -> None:
+    # Counts the key sets size by size with math.comb and stops at the
+    # first count over the cap, so no input makes the check itself slow.
+    n = 0
+    for size in range(1, min(max_size, max_index) + 1):
+        n += comb(max_index, size)
+        if n * (n - 1) * 2 > MAX_SWEEP_GAMES:
+            raise ValueError(
+                f"indices <= {max_index}, |S| <= {max_size} need more than "
+                f"{MAX_SWEEP_GAMES} games, the cpa-sweep cap"
+            )
+    if n < 2:
+        raise ValueError(f"fewer than two key sets with indices <= {max_index}, |S| <= {max_size}")
+
+
 def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
     """Play the game for every ordered pair of distinct key sets.
 
     The key space holds every set of indices <= max_index with
     1 <= |S| <= max_size; each ordered pair is played with both hidden
-    bits, so the sweep plays n*(n-1)*2 games on n key sets.
+    bits, so the sweep plays n*(n-1)*2 games on n key sets, at most
+    MAX_SWEEP_GAMES.  Both limits are checked before any key set is built.
     """
+    _check_sweep_size(max_index, max_size)
     key_space = [
         KeySet(combo)
         for size in range(1, min(max_size, max_index) + 1)
         for combo in combinations(range(1, max_index + 1), size)
     ]
-    if len(key_space) < 2:
-        raise ValueError(f"fewer than two key sets with indices <= {max_index}, |S| <= {max_size}")
     games = correct = queries = 0
     probes: Counter[int] = Counter()
     for s0, s1 in permutations(key_space, 2):

@@ -41,10 +41,10 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import combinations, islice, takewhile
+from itertools import combinations, islice, starmap, takewhile
 from math import gcd, isqrt
-from operator import add, eq, itemgetter, lt
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, countOf, eq, itemgetter, lt
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Generator",
@@ -242,6 +242,17 @@ class BurnsideElement:
         if family == _DIHEDRAL:
             return self._dih.get(index, 0)
         return self._rot if family == _ROTATION else self._full
+
+    def dihedral_coeff(self, n: int) -> int:
+        """Coefficient of D(n), read by int index without building D(n).
+
+        Refuses n as D(n) does: TypeError for a bool or non-int,
+        ValueError below 1.
+        """
+        _check_int(n, "generator index")
+        if n < 1:
+            raise ValueError(f"dihedral index must be >= 1, got {n}")
+        return self._dih.get(n, 0)
 
     def support(self) -> tuple[Generator, ...]:
         """Basis classes with nonzero coefficient, in ascending order."""
@@ -469,24 +480,31 @@ def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
     return BurnsideElement._raw({k: c for k, c in acc.items() if c}, full=1)
 
 
+def _signed_subset_count(indices: tuple[int, ...], subset_gcd: Callable[..., int], target: int) -> int:
+    # sum over r >= 2 of (-2)**(r-2) * #{I of size r : subset_gcd(*I) == target},
+    # each size counted at C speed; every subset of size >= 2 is visited once.
+    total, weight = 0, 1
+    for r in range(2, len(indices) + 1):
+        total += weight * countOf(starmap(subset_gcd, combinations(indices, r)), target)
+        weight *= -2
+    return total
+
+
 def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
     """Coefficient of D(s0) in key_element(s), by subset enumeration.
 
     Evaluates -[s0 in s] + 2 * sum over subsets I of s, |I| >= 2, of
     (-2)**(|I|-2) * [gcd(I) == s0].  Singleton subsets other than {s0}
     never hit s0, and {s0} itself is accounted for by the membership
-    term, so only subsets of size >= 2 are enumerated.
+    term, so only subsets of size >= 2 are enumerated: one enumeration
+    per call, each size counted by `countOf` over `starmap(gcd, ...)`,
+    at a cost of 2**|s| gcds whatever s0 is.
     """
     if s0 < 1:
         raise ValueError(f"dihedral index must be >= 1, got {s0}")
     s = as_key_set(s)
     _check_cap(s)
-    total = 0
-    for r in range(2, len(s) + 1):
-        for sub in combinations(s.indices, r):
-            if gcd(*sub) == s0:
-                total += (-2) ** (r - 2)
-    return -(1 if s0 in s else 0) + 2 * total
+    return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s.indices, gcd, s0)
 
 
 def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
@@ -504,22 +522,31 @@ def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
     product = IDENTITY
     for i in s:
         product = product * basic_degree(i)
-    return product.coeff(D(s0))
+    return product.dihedral_coeff(s0)
 
 
 def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
-    """Sum of key_coeff(s, n) over the multiples n of x.
+    """Sum of key_coeff(s, n) over the multiples n of x, in one enumeration.
 
-    Coefficients vanish above max(s) (every subset gcd is bounded by
-    its smallest member), so the sum is finite.  The self-coefficient
-    of an encrypted probe D(x) equals 1 + 2*key_coeff_fold(s, x), which
-    is what the one-query distinguisher reads out.
+    Every subset gcd is at most max(s), so summing [gcd(I) == n] over
+    the multiples n of x gives [x | gcd(I)], which is
+    [gcd(x, *I) == x].  The fold is therefore
+    -#{i in s : x | i} + 2 * sum over subsets I of s, |I| >= 2, of
+    (-2)**(|I|-2) * [gcd(x, *I) == x]: one enumeration per call, at a
+    cost of 2**|s| gcds whatever x or max(s) is (none when x > max(s),
+    where the fold is 0).  The probe goes first, so `gcd` stops working
+    once the running value is 1.  The self-coefficient of an encrypted
+    probe D(x) equals 1 + 2*key_coeff_fold(s, x), which is what the
+    one-query distinguisher reads out.
     """
     if x < 1:
         raise ValueError(f"dihedral index must be >= 1, got {x}")
     s = as_key_set(s)
     _check_cap(s)
-    return sum(key_coeff(s, n) for n in range(x, s.max_index + 1, x))
+    if x > s.max_index:
+        return 0
+    members = countOf(map(x.__rmod__, s.indices), 0)  # #{i in s : i % x == 0}
+    return -members + 2 * _signed_subset_count(s.indices, partial(gcd, x), x)
 
 
 def divisor_sums(values: Sequence[int]) -> list[int]:

@@ -176,7 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cpa.set_defaults(func=_cmd_attack_cpa)
 
-    sweep = attack_sub.add_parser("cpa-sweep", help="distinguisher over every pair of a bounded key space")
+    sweep = attack_sub.add_parser(
+        "cpa-sweep",
+        help="distinguisher over every pair of a bounded key space",
+        description=f"Plays n*(n-1)*2 games on n key sets, at most {attacks.MAX_SWEEP_GAMES}.",
+    )
     sweep.add_argument("--max-index", type=int, default=8, help="largest key index (default 8)")
     sweep.add_argument("--max-size", type=int, default=3, help="largest key set size (default 3)")
     sweep.set_defaults(func=_cmd_attack_cpa_sweep)

@@ -193,7 +193,7 @@ def verify_prop_coeff(
                 s0 = rng.randint(1, max_index)
             closed = key_coeff(s, s0)
             brute = key_coeff_bruteforce(s, s0)
-            element = key_element(s).coeff(D(s0))
+            element = key_element(s).dihedral_coeff(s0)
             yield None if closed == brute == element else (
                 f"S={s}, s0={s0}: closed {closed}, brute {brute}, element {element}"
             )
@@ -217,7 +217,7 @@ def verify_basic_degree(max_irrep: int = 50) -> SuiteResult:
             yield None if got == want else f"m={m}: recurrence {got}, direct {want}"
             for k in range(1, m):
                 if m % k == 0:
-                    coeff = got.coeff(D(k))
+                    coeff = got.dihedral_coeff(k)
                     yield None if coeff == 0 else f"m={m}: nonzero coefficient {coeff} at proper divisor D{k}"
 
     return _run("rf1", cases())

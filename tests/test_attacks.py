@@ -566,6 +566,37 @@ def test_run_cpa_sweep_counts():
     assert [probe for probe, _ in result.probes] == sorted(probe for probe, _ in result.probes)
 
 
+@pytest.mark.parametrize(
+    "max_index, max_size",
+    [(25, 2), (13, 3), (9, 5), (40, 3), (10**12, 10**9)],
+)
+def test_run_cpa_sweep_refuses_above_the_game_cap(monkeypatch, max_index, max_size):
+    def refuse(*args):
+        raise AssertionError("sweep work started above the cap")
+
+    # Refused from the counts alone: no key set is built and no game played.
+    monkeypatch.setattr(attacks, "KeySet", refuse)
+    monkeypatch.setattr(attacks, "run_cpa_experiment", refuse)
+    with pytest.raises(ValueError, match=f"more than {attacks.MAX_SWEEP_GAMES} games"):
+        run_cpa_sweep(max_index, max_size)
+
+
+def test_run_cpa_sweep_cap_is_inclusive(monkeypatch):
+    games = 15 * 14 * 2  # max_index 5, max_size 2
+    monkeypatch.setattr(attacks, "MAX_SWEEP_GAMES", games)
+    assert run_cpa_sweep(5, 2).games == games
+    monkeypatch.setattr(attacks, "MAX_SWEEP_GAMES", games - 1)
+    monkeypatch.setattr(attacks, "run_cpa_experiment", None)
+    with pytest.raises(ValueError, match=f"more than {games - 1} games"):
+        run_cpa_sweep(5, 2)
+
+
+def test_cpa_sweep_cap_admits_the_defaults_and_criterion_8():
+    # --max-index 8 --max-size 3: 92 key sets, 16 744 games.
+    assert 92 * 91 * 2 <= attacks.MAX_SWEEP_GAMES
+    assert run_cpa_sweep(8, 3).games == 92 * 91 * 2
+
+
 def test_run_kpa_demo_one_pair_determines_window():
     # A single random pair pins every mark of W_8 when none of its
     # divisor sums vanishes.

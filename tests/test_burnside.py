@@ -1,15 +1,17 @@
 import copy
 import gc
+import itertools
 import pickle
 import tracemalloc
 from functools import reduce
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+from brc import burnside
 from brc.burnside import (
     IDENTITY,
     SO2,
@@ -145,6 +147,22 @@ def test_coeff_absent_generator_is_zero():
 
 def test_coeff_of_key_element():
     assert key_element([2, 3]).coeff(D(1)) == 2
+
+
+@given(elements())
+def test_dihedral_coeff_reads_coeff_by_int_index(a):
+    for n in range(1, 66):
+        assert a.dihedral_coeff(n) == a.coeff(D(n))
+
+
+@pytest.mark.parametrize(
+    "n, error", [(0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError), ("2", TypeError)]
+)
+def test_dihedral_coeff_refuses_what_d_refuses(n, error):
+    with pytest.raises(error):
+        D(n)
+    with pytest.raises(error):
+        key_element([2, 3]).dihedral_coeff(n)
 
 
 def test_zero_coefficients_dropped():
@@ -403,6 +421,8 @@ def test_key_coeff_bruteforce_examples():
 def test_key_coeff_rejects_bad_index():
     with pytest.raises(ValueError):
         key_coeff([2, 3], 0)
+    with pytest.raises(ValueError):
+        key_coeff_fold([2, 3], 0)
 
 
 def test_subset_cap_enforced():
@@ -411,6 +431,55 @@ def test_subset_cap_enforced():
         key_coeff(big, 1)
     with pytest.raises(ValueError):
         key_coeff_bruteforce(big, 1)
+    # The cap comes before the fold's x > max(s) shortcut.
+    for x in (1, 22, 10**12):
+        with pytest.raises(ValueError, match="cap"):
+            key_coeff_fold(big, x)
+
+
+def _key_coeff_per_subset(s, s0):
+    # The per-subset loop key_coeff used to run, kept as a reference.
+    total = 0
+    for r in range(2, len(s) + 1):
+        for sub in itertools.combinations(s.indices, r):
+            if gcd(*sub) == s0:
+                total += (-2) ** (r - 2)
+    return -(1 if s0 in s else 0) + 2 * total
+
+
+@given(key_sets(max_size=8, max_index=60), st.integers(1, 70))
+def test_key_coeff_and_fold_match_their_definitions(s, x):
+    assert key_coeff(s, x) == _key_coeff_per_subset(s, x)
+    fold = key_coeff_fold(s, x)
+    assert fold == sum(key_coeff(s, n) for n in range(x, s.max_index + 1, x))
+    # The probe's own mark, which the one-query distinguisher reads.
+    assert 1 + 2 * fold == (-1) ** sum(1 for i in s if i % x == 0)
+
+
+@pytest.mark.parametrize("fn", [key_coeff, key_coeff_fold])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_key_coeff_enumerates_each_subset_once(monkeypatch, fn, n):
+    s = KeySet([2, 3, 4, 6, 8, 12, 16])
+    seen = []
+
+    def counted(indices, r):
+        for sub in itertools.combinations(indices, r):
+            seen.append(sub)
+            yield sub
+
+    monkeypatch.setattr(burnside, "combinations", counted)
+    fn(s, n)
+    subsets = [sub for r in range(2, len(s) + 1) for sub in itertools.combinations(s.indices, r)]
+    assert sorted(seen) == sorted(subsets)
+
+
+def test_key_coeff_fold_above_max_enumerates_nothing(monkeypatch):
+    def refuse(indices, r):
+        raise AssertionError("subsets enumerated")
+
+    monkeypatch.setattr(burnside, "combinations", refuse)
+    assert key_coeff_fold([2, 3, 5], 6) == 0
+    assert key_coeff_fold([2, 3, 5], 10**12) == 0
 
 
 # ------------------------------------------------------------ ring properties

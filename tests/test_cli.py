@@ -336,6 +336,17 @@ def test_attack_cpa_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
     assert "subset enumeration cap" in err
 
 
+def test_attack_cpa_huge_index_candidates(capsys):
+    # The probe is 2, so the folds enumerate the subsets of each candidate
+    # once and never walk the multiples of 2 up to 10**12.
+    code, out, _ = run_cli(
+        capsys, "attack", "cpa", "--s0", "2,1000000000000", "--s1", "1000000000000", "--hidden-bit", "0"
+    )
+    assert code == 0
+    assert "chosen probe   : D2" in out
+    assert "outcome        : SUCCESS" in out
+
+
 def test_attack_cpa_random_prints_seed(capsys):
     code, out, _ = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--random", "--seed", "42")
     assert code == 0
@@ -386,6 +397,18 @@ def test_attack_cpa_sweep_transcript(capsys):
         "  D3   48\n"
         "  D4   96\n"
     )
+
+
+def test_attack_cpa_sweep_above_the_cap_exits_1(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("game played above the cap")
+
+    monkeypatch.setattr(attacks, "run_cpa_experiment", refuse)
+    code, out, err = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "40", "--max-size", "3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"more than {attacks.MAX_SWEEP_GAMES} games" in err
 
 
 def test_attack_cpa_sweep_rejects_tiny_key_space(capsys):
