@@ -313,14 +313,28 @@ class BurnsideElement:
         b_full = other._full
         # Dihedral coefficients of the product: the O2-identity terms, then 2*a*b at gcd(i, j).
         acc = {i: a * b_full for i, a in lhs.items()} if b_full else {}
+        get = acc.get
         if a_full:
             for j, b in rhs.items():
-                acc[j] = acc.get(j, 0) + a_full * b
-        for i, a in lhs.items():
-            a2 = 2 * a
-            for j, b in rhs.items():
-                k = gcd(i, j)
-                acc[k] = acc.get(k, 0) + a2 * b
+                acc[j] = get(j, 0) + a_full * b
+        if lhs is rhs:
+            # A square (k * k): (i, j) and (j, i) land on the same gcd, so
+            # take each unordered pair of distinct indices once with weight
+            # 4*a*b, and each (i, i) once with weight 2*a*a.
+            rest = list(lhs.items())
+            while rest:
+                i, a = rest.pop()
+                acc[i] = get(i, 0) + 2 * a * a
+                a4 = 4 * a
+                for j, b in rest:
+                    k = gcd(i, j)
+                    acc[k] = get(k, 0) + a4 * b
+        else:
+            for i, a in lhs.items():
+                a2 = 2 * a
+                for j, b in rhs.items():
+                    k = gcd(i, j)
+                    acc[k] = get(k, 0) + a2 * b
         rot = a_full * other._rot + self._rot * b_full + 2 * self._rot * other._rot
         return BurnsideElement._raw({k: c for k, c in acc.items() if c}, rot, a_full * b_full)
 

@@ -31,7 +31,7 @@ from .cipher import (
     write_ciphertext_file,
     write_key_file,
 )
-from .verify import run_suite
+from .verify import MAX_IRREP, MAX_TABLE_INDEX, MAX_TRIALS, run_suite
 
 
 def _parse_key_set(text: str) -> KeySet:
@@ -205,10 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=("table", "involution", "prop-coeff", "recurrence", "rf1", "all"),
     )
-    verify.add_argument("--max-index", type=int, help="basis index bound for table/recurrence")
-    verify.add_argument("--trials", type=int, help="random case count for involution/prop-coeff")
+    verify.add_argument(
+        "--max-index", type=int, help=f"basis index bound for table/recurrence, at most {MAX_TABLE_INDEX}"
+    )
+    verify.add_argument(
+        "--trials", type=int, help=f"random case count for involution/prop-coeff, at most {MAX_TRIALS}"
+    )
     verify.add_argument("--seed", type=int, default=0, help="RNG seed for randomized suites")
-    verify.add_argument("--max-irrep", type=int, help="representation bound for rf1")
+    verify.add_argument("--max-irrep", type=int, help=f"representation bound for rf1, at most {MAX_IRREP}")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -18,12 +18,26 @@ leading term is replaced by (-1)**dim(fixed space of L in V_m):
 Every division must be exact; a remainder means the lattice data is
 inconsistent.  The lattice fixture for O(2) is certified purely by
 these recurrences reproducing the direct rules in `burnside`.
+
+The recurrences run on int class positions (the index of a class in
+`LatticeData.classes`), not on `Generator` keys.  Once per lattice,
+`LatticeData` derives from its Weyl orders and containment counts a
+column n(L, H)|W(H)| over all positions L for each class H, and for
+each class L a row {position of M: n(L, M)|W(M)|} over the classes M
+before L in the descending order with a nonzero count.  A product's leading terms are then the elementwise
+product of two columns, and the descent reads one row per class.  It
+still visits every class and divides exactly at each, so a wrong count
+or Weyl order anywhere in the data still shows.  The lattice's `weyl`
+and `contains` are read-only views, so the derived tables cannot go
+stale; `dataclasses.replace` builds a new lattice with new tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from operator import mul
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .burnside import (
     IDENTITY,
@@ -57,13 +71,40 @@ class LatticeData:
 
     `classes` is stored in descending order (O2 first, then SO2, then
     D(max_index) down to D(1)), the order in which the recurrences
-    compute coefficients.
+    compute coefficients.  `weyl` and `contains` are stored as read-only
+    views of copies of the given mappings.
     """
 
     max_index: int
     classes: tuple[Generator, ...]
-    weyl: dict[Generator, int]
-    contains: dict[tuple[Generator, Generator], int]
+    weyl: Mapping[Generator, int]
+    contains: Mapping[tuple[Generator, Generator], int]
+    # Derived by __post_init__, indexed by class position.
+    _columns: dict[Generator, list[int]] = field(init=False, repr=False, compare=False)
+    _rows: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    _weyl_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        weyl = MappingProxyType(dict(self.weyl))
+        contains = MappingProxyType(dict(self.contains))
+        position = {cls: p for p, cls in enumerate(self.classes)}
+        columns = {cls: [0] * len(self.classes) for cls in self.classes}
+        rows: tuple[dict[int, int], ...] = tuple({} for _ in self.classes)
+        for (low, high), n in contains.items():
+            p = position.get(low)
+            q = position.get(high)
+            if p is None or q is None or not n:
+                continue
+            scaled = n * weyl[high]
+            columns[high][p] = scaled
+            if q < p:
+                rows[p][q] = scaled
+        setattr_ = object.__setattr__
+        setattr_(self, "weyl", weyl)
+        setattr_(self, "contains", contains)
+        setattr_(self, "_columns", columns)
+        setattr_(self, "_rows", rows)
+        setattr_(self, "_weyl_at", tuple(weyl[cls] for cls in self.classes))
 
     def weyl_order(self, h: Generator) -> int:
         return self.weyl[h]
@@ -115,43 +156,33 @@ def o2_lattice(max_index: int) -> LatticeData:
     return LatticeData(max_index=max_index, classes=classes, weyl=weyl, contains=contains)
 
 
-def _descend(
-    lattice: LatticeData, leading: Mapping[Generator, int]
-) -> BurnsideElement:
-    """Shared downward solve: peel coefficients off class by class."""
+def _descend(lattice: LatticeData, leading: Sequence[int]) -> BurnsideElement:
+    """Shared downward solve: peel coefficients off class by class.
+
+    `leading` holds each class's leading term by class position.
+    """
     # Only classes already solved with a nonzero coefficient contribute.
-    # The lattice tables are read by direct lookup, not a method call per pair.
-    count = lattice.contains.get
-    weyl = lattice.weyl
-    coeffs: dict[Generator, int] = {}
-    for cls in lattice.classes:
-        acc = 0
-        for above, c in coeffs.items():
-            acc += c * count((cls, above), 0) * weyl[above]
-        numerator = leading[cls] - acc
-        quotient, remainder = divmod(numerator, weyl[cls])
-        if remainder:
+    solved: list[tuple[int, int]] = []
+    for p, (numerator, row, weyl) in enumerate(zip(leading, lattice._rows, lattice._weyl_at)):
+        for q, c in solved:
+            numerator -= c * row.get(q, 0)
+        if numerator % weyl:
             raise LatticeConsistencyError(
-                f"non-integral coefficient at {cls.label}: "
-                f"{numerator} / {weyl[cls]}"
+                f"non-integral coefficient at {lattice.classes[p].label}: "
+                f"{numerator} / {weyl}"
             )
-        if quotient:
-            coeffs[cls] = quotient
-    return BurnsideElement(coeffs)
+        if numerator:
+            solved.append((p, numerator // weyl))
+    classes = lattice.classes
+    return BurnsideElement({classes[p]: c for p, c in solved})
 
 
 def recurrence_mul(h: Generator, k: Generator, lattice: LatticeData) -> BurnsideElement:
     """Product of two basis classes computed from the lattice alone."""
     lattice._check_member(h)
     lattice._check_member(k)
-    count = lattice.contains.get
-    wh = lattice.weyl[h]
-    wk = lattice.weyl[k]
-    leading = {
-        cls: count((cls, h), 0) * wh * count((cls, k), 0) * wk
-        for cls in lattice.classes
-    }
-    return _descend(lattice, leading)
+    columns = lattice._columns
+    return _descend(lattice, list(map(mul, columns[h], columns[k])))
 
 
 @dataclass(frozen=True)
@@ -181,14 +212,14 @@ def fixed_point_dims(max_irrep: int, max_index: int) -> FixedPointTable:
     if max_irrep < 1 or max_index < 1:
         raise ValueError("table bounds must be >= 1")
     dims: dict[tuple[int, Generator], int] = {}
-    groups = [O2, SO2, *(D(k) for k in range(1, max_index + 1))]
-    for h in groups:
+    dihedrals = [D(k) for k in range(1, max_index + 1)]
+    for h in (O2, SO2, *dihedrals):
         dims[(0, h)] = 1
     for m in range(1, max_irrep + 1):
         dims[(m, O2)] = 0
         dims[(m, SO2)] = 0
-        for k in range(1, max_index + 1):
-            dims[(m, D(k))] = 1 if m % k == 0 else 0
+        for k, h in enumerate(dihedrals, 1):
+            dims[(m, h)] = 1 if m % k == 0 else 0
     return FixedPointTable(max_irrep=max_irrep, max_index=max_index, dims=dims)
 
 
@@ -210,8 +241,9 @@ def basic_degree_recurrence(
         raise ValueError(f"irrep index {m} outside table range 0..{dims.max_irrep}")
     if m > lattice.max_index or lattice.max_index > dims.max_index:
         raise ValueError("lattice range must cover the irrep index and the dims table")
-    leading = {cls: (-1) ** dims.dim(m, cls) for cls in lattice.classes}
-    return _descend(lattice, leading)
+    # m and the lattice range are checked above, so every cell is in the table.
+    table = dims.dims
+    return _descend(lattice, [(-1) ** table[(m, cls)] for cls in lattice.classes])
 
 
 def _power(base: BurnsideElement, exponent: int) -> BurnsideElement:

@@ -32,6 +32,9 @@ from .burnside import (
 from .degree import basic_degree_recurrence, fixed_point_dims, o2_lattice, recurrence_mul
 
 __all__ = [
+    "MAX_TABLE_INDEX",
+    "MAX_TRIALS",
+    "MAX_IRREP",
     "SuiteResult",
     "verify_table",
     "verify_recurrence",
@@ -41,6 +44,24 @@ __all__ = [
     "SUITES",
     "run_suite",
 ]
+
+
+# Upper bounds on the ranges a caller may ask for, checked before any case
+# runs.  At each cap, `brc verify` takes (2-vCPU VM, wall time, max RSS):
+# recurrence 2.5 s and table 0.5 s at --max-index 200 (the cost grows as
+# N**3 and N**2); prop-coeff 4.9 s and involution 2.6 s at --trials 100000;
+# rf1 1.5 s and 81 MB at --max-irrep 800 (memory grows as N**2).
+MAX_TABLE_INDEX = 200
+MAX_TRIALS = 100_000
+MAX_IRREP = 800
+
+_CAPS = {"max_index": MAX_TABLE_INDEX, "trials": MAX_TRIALS, "max_irrep": MAX_IRREP}
+
+
+def _check_cap(option: str, value: int) -> None:
+    cap = _CAPS[option]
+    if value > cap:
+        raise ValueError(f"{option} must be <= {cap}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +128,7 @@ def verify_table(max_index: int = 24) -> SuiteResult:
     """Ring product against the literal table entry, all basis pairs."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
+    _check_cap("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
         units = _units(max_index)
@@ -121,6 +143,7 @@ def verify_table(max_index: int = 24) -> SuiteResult:
 
 def verify_recurrence(max_index: int = 24) -> SuiteResult:
     """Lattice-recurrence product against the direct product."""
+    _check_cap("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_index)
@@ -138,6 +161,7 @@ def _check_trials(trials: int) -> None:
     # 0 trials leaves only the exhaustive cases, if the suite has any.
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_cap("trials", trials)
 
 
 def _random_key_set(rng: random.Random, max_size: int, max_index: int) -> KeySet:
@@ -207,6 +231,7 @@ def verify_basic_degree(max_irrep: int = 50) -> SuiteResult:
     Checks full equality and, separately, that the recurrence leaves no
     residue at proper divisors of m.
     """
+    _check_cap("max_irrep", max_irrep)
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_irrep)
@@ -245,9 +270,13 @@ def run_suite(name: str, **options) -> list[SuiteResult]:
     """Run one named suite, or every suite for name == 'all'.
 
     An option set to None keeps the suite's default; every other value,
-    0 included, is passed to the suites that take it.
+    0 included, is passed to the suites that take it.  For 'all', every
+    option's cap is checked before the first suite runs.
     """
     if name == "all":
+        for option in _CAPS:
+            if options.get(option) is not None:
+                _check_cap(option, options[option])
         return [run_suite(single, **options)[0] for single in SUITES]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

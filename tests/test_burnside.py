@@ -500,6 +500,16 @@ def test_mul_distributes_over_addition(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(elements(max_terms=12, max_coeff=2**80))
+@example(BurnsideElement({O2: -(2**70), SO2: 3, D(4): 2**65 + 1, D(6): -5, D(9): 7}))
+def test_square_equals_product_of_equal_copies(a):
+    # a * a takes the square branch (both operands one object); the parsed
+    # copy is a distinct equal element, so the right side takes the general path.
+    copy = BurnsideElement.parse(a.render())
+    assert copy is not a
+    assert a * a == a * copy
+
+
 @given(elements(), elements(), st.integers(-100, 100))
 def test_mul_scalar_bilinearity(a, b, n):
     assert (n * a) * b == n * (a * b)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brc import attacks, cipher
+from brc import attacks, cipher, verify
 from brc.cli import build_parser, main
 from brc.cipher import read_key_file
 from brc.burnside import BurnsideElement, KeySet
@@ -672,6 +672,32 @@ def test_verify_rejects_empty_or_negative_ranges(capsys, args):
     assert code == 1
     assert "PASS" not in out
     assert "must be" in err
+
+
+@pytest.mark.parametrize(
+    "suite, option, cap",
+    [
+        ("table", "--max-index", verify.MAX_TABLE_INDEX),
+        ("recurrence", "--max-index", verify.MAX_TABLE_INDEX),
+        ("involution", "--trials", verify.MAX_TRIALS),
+        ("prop-coeff", "--trials", verify.MAX_TRIALS),
+        ("rf1", "--max-irrep", verify.MAX_IRREP),
+        ("all", "--max-index", verify.MAX_TABLE_INDEX),
+        ("all", "--trials", verify.MAX_TRIALS),
+        ("all", "--max-irrep", verify.MAX_IRREP),
+    ],
+)
+def test_verify_above_the_cap_exits_1_before_any_case(capsys, monkeypatch, suite, option, cap):
+    # Every suite runs its cases through verify._run, so a refusal that
+    # comes first never reaches it; for 'all', no suite runs at all.
+    def refuse(*args):
+        raise AssertionError("suite cases ran above the cap")
+
+    monkeypatch.setattr(verify, "_run", refuse)
+    code, out, err = run_cli(capsys, "verify", suite, option, str(cap + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {option[2:].replace('-', '_')} must be <= {cap}, got {cap + 1}\n"
 
 
 def test_main_reuses_its_parser_without_carrying_options_over(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -114,9 +116,27 @@ def test_corrupted_lattice_raises_consistency_error():
     lat = o2_lattice(4)
     # D(2)*D(3) puts numerator 4 at the class D(1); a Weyl order of 3
     # there cannot divide it.
-    lat.weyl[D(1)] = 3
+    bad = dataclasses.replace(lat, weyl={**lat.weyl, D(1): 3})
     with pytest.raises(LatticeConsistencyError):
-        recurrence_mul(D(2), D(3), lat)
+        recurrence_mul(D(2), D(3), bad)
+
+
+def test_lattice_tables_are_read_only():
+    lat = o2_lattice(4)
+    with pytest.raises(TypeError):
+        lat.weyl[D(1)] = 3
+    with pytest.raises(TypeError):
+        lat.contains[(D(1), D(2))] = 2
+
+
+def test_replaced_containment_count_changes_the_recurrence():
+    # n(D1, D2) = 2 puts 16 - 2*2*2 = 8 at D(1), a coefficient of 4 there.
+    lat = o2_lattice(4)
+    bad = dataclasses.replace(lat, contains={**lat.contains, (D(1), D(2)): 2})
+    direct = BurnsideElement({D(2): 1}) * BurnsideElement({D(2): 1})
+    assert recurrence_mul(D(2), D(2), lat) == direct
+    assert recurrence_mul(D(2), D(2), bad) != direct
+    assert recurrence_mul(D(2), D(2), bad) == BurnsideElement({D(2): 2, D(1): 4})
 
 
 # ------------------------------------------------------- fixed point spaces

@@ -32,3 +32,12 @@ def test_suites_catch_a_wrong_key_element(monkeypatch, suite):
     assert not result.ok
     assert result.failures > 0
     assert result.first_failure is not None and result.first_failure.startswith("S=")
+
+
+def test_each_cap_admits_its_own_value(monkeypatch):
+    # The caps are inclusive: at the cap every suite reaches its cases.
+    # _run is stubbed, so no case runs.
+    ran = []
+    monkeypatch.setattr(verify, "_run", lambda name, cases: ran.append(name))
+    run_suite("all", max_index=verify.MAX_TABLE_INDEX, trials=verify.MAX_TRIALS, max_irrep=verify.MAX_IRREP)
+    assert ran == ["table", "recurrence", "involution", "prop-coeff", "rf1"]
