@@ -32,6 +32,7 @@ from .burnside import (
     BurnsideElement,
     D,
     KeySet,
+    _check_cap,
     as_key_set,
     divisor_sums,
     from_divisor_sums,
@@ -288,8 +289,12 @@ def identity_query_leak(
     Encrypting the identity element returns the key element itself, so
     one unrestricted query reveals the hidden bit.  Kept separate from
     the headline attack, which works under the dihedral restriction.
+    A key element has up to 2**|S| terms, so candidates above the
+    dihedral game's subset cap are refused before any is built.
     """
     game = CpaExperiment(s0=s0, s1=s1, hidden_bit=hidden_bit)
+    _check_cap(game.s0)
+    _check_cap(game.s1)
     # The single query is the identity class itself; the oracle reply is
     # IDENTITY * k = k, the hidden key element in the clear.
     response = IDENTITY * key_element(game.hidden_set)

@@ -21,21 +21,22 @@ these recurrences reproducing the direct rules in `burnside`.
 
 The recurrences run on int class positions (the index of a class in
 `LatticeData.classes`), not on `Generator` keys.  Once per lattice,
-`LatticeData` derives from its Weyl orders and containment counts a
-column n(L, H)|W(H)| over all positions L for each class H, and for
-each class L a row {position of M: n(L, M)|W(M)|} over the classes M
-before L in the descending order with a nonzero count.  A product's leading terms are then the elementwise
-product of two columns, and the descent reads one row per class.  It
-still visits every class and divides exactly at each, so a wrong count
-or Weyl order anywhere in the data still shows.  The lattice's `weyl`
-and `contains` are read-only views, so the derived tables cannot go
-stale; `dataclasses.replace` builds a new lattice with new tables.
+`LatticeData` derives from its Weyl orders and containment counts one
+sparse column per class H: {position of L: n(L, H)|W(H)|}, holding only
+the nonzero counts, about N ln N entries over N dihedral classes.  A
+product's leading terms come from walking two columns against each
+other, and the descent reads each solved class's column at the class
+being solved.  It still visits every class and divides exactly at each,
+so a wrong count or Weyl order anywhere in the data still shows.  The
+lattice's `weyl` and `contains` are read-only views, so the derived
+columns cannot go stale; `dataclasses.replace` builds a new lattice
+with new columns.  The fixed-point dimensions are a rule, not a table:
+`FixedPointTable.dim` computes each one on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -79,31 +80,25 @@ class LatticeData:
     classes: tuple[Generator, ...]
     weyl: Mapping[Generator, int]
     contains: Mapping[tuple[Generator, Generator], int]
-    # Derived by __post_init__, indexed by class position.
-    _columns: dict[Generator, list[int]] = field(init=False, repr=False, compare=False)
-    _rows: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    # Derived by __post_init__: each class's sparse column, in class order,
+    # and the Weyl orders by class position.
+    _columns: dict[Generator, dict[int, int]] = field(init=False, repr=False, compare=False)
     _weyl_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weyl = MappingProxyType(dict(self.weyl))
         contains = MappingProxyType(dict(self.contains))
         position = {cls: p for p, cls in enumerate(self.classes)}
-        columns = {cls: [0] * len(self.classes) for cls in self.classes}
-        rows: tuple[dict[int, int], ...] = tuple({} for _ in self.classes)
+        columns: dict[Generator, dict[int, int]] = {cls: {} for cls in self.classes}
         for (low, high), n in contains.items():
             p = position.get(low)
-            q = position.get(high)
-            if p is None or q is None or not n:
+            if p is None or high not in position or not n:
                 continue
-            scaled = n * weyl[high]
-            columns[high][p] = scaled
-            if q < p:
-                rows[p][q] = scaled
+            columns[high][p] = n * weyl[high]
         setattr_ = object.__setattr__
         setattr_(self, "weyl", weyl)
         setattr_(self, "contains", contains)
         setattr_(self, "_columns", columns)
-        setattr_(self, "_rows", rows)
         setattr_(self, "_weyl_at", tuple(weyl[cls] for cls in self.classes))
 
     def weyl_order(self, h: Generator) -> int:
@@ -148,41 +143,46 @@ def o2_lattice(max_index: int) -> LatticeData:
         (SO2, SO2): 1,
         (SO2, O2): 1,
     }
-    for g in dihedrals:
+    for k, g in enumerate(dihedrals, 1):
         contains[(g, O2)] = 1
-        for h in dihedrals:
-            if h.index % g.index == 0:
-                contains[(g, h)] = 1
+        for multiple in range(k, max_index + 1, k):
+            contains[(g, dihedrals[multiple - 1])] = 1
     return LatticeData(max_index=max_index, classes=classes, weyl=weyl, contains=contains)
 
 
 def _descend(lattice: LatticeData, leading: Sequence[int]) -> BurnsideElement:
     """Shared downward solve: peel coefficients off class by class.
 
-    `leading` holds each class's leading term by class position.
+    `leading` holds each class's leading term by class position.  A class
+    solved with coefficient c takes c times its column entry off every
+    class below it.
     """
     # Only classes already solved with a nonzero coefficient contribute.
-    solved: list[tuple[int, int]] = []
-    for p, (numerator, row, weyl) in enumerate(zip(leading, lattice._rows, lattice._weyl_at)):
-        for q, c in solved:
-            numerator -= c * row.get(q, 0)
+    solved: list[tuple[int, int, dict[int, int]]] = []
+    columns = lattice._columns.values()
+    for p, (numerator, column, weyl) in enumerate(zip(leading, columns, lattice._weyl_at)):
+        for _, c, above in solved:
+            numerator -= c * above.get(p, 0)
         if numerator % weyl:
             raise LatticeConsistencyError(
                 f"non-integral coefficient at {lattice.classes[p].label}: "
                 f"{numerator} / {weyl}"
             )
         if numerator:
-            solved.append((p, numerator // weyl))
+            solved.append((p, numerator // weyl, column))
     classes = lattice.classes
-    return BurnsideElement({classes[p]: c for p, c in solved})
+    return BurnsideElement({classes[p]: c for p, c, _ in solved})
 
 
 def recurrence_mul(h: Generator, k: Generator, lattice: LatticeData) -> BurnsideElement:
     """Product of two basis classes computed from the lattice alone."""
     lattice._check_member(h)
     lattice._check_member(k)
-    columns = lattice._columns
-    return _descend(lattice, list(map(mul, columns[h], columns[k])))
+    column_k = lattice._columns[k]
+    leading = [0] * len(lattice.classes)
+    for p, a in lattice._columns[h].items():
+        leading[p] = a * column_k.get(p, 0)
+    return _descend(lattice, leading)
 
 
 @dataclass(frozen=True)
@@ -193,34 +193,25 @@ class FixedPointTable:
     action: a rotation by theta acts as rotation by m*theta and a
     reflection as conjugation.  D(k) fixes the real axis when k divides
     m and nothing otherwise; rotations fix nothing; everything fixes
-    the trivial representation (m = 0).
+    the trivial representation (m = 0).  The table stores only its
+    range: `dim` applies this rule to each in-range query.
     """
 
     max_irrep: int
     max_index: int
-    dims: dict[tuple[int, Generator], int]
 
     def dim(self, m: int, h: Generator) -> int:
         if not 0 <= m <= self.max_irrep:
             raise ValueError(f"irrep index {m} outside table range 0..{self.max_irrep}")
         if h.is_dihedral and h.index > self.max_index:
             raise ValueError(f"{h.label} outside table range (max {self.max_index})")
-        return self.dims[(m, h)]
+        return 1 if m == 0 or (h.is_dihedral and m % h.index == 0) else 0
 
 
 def fixed_point_dims(max_irrep: int, max_index: int) -> FixedPointTable:
     if max_irrep < 1 or max_index < 1:
         raise ValueError("table bounds must be >= 1")
-    dims: dict[tuple[int, Generator], int] = {}
-    dihedrals = [D(k) for k in range(1, max_index + 1)]
-    for h in (O2, SO2, *dihedrals):
-        dims[(0, h)] = 1
-    for m in range(1, max_irrep + 1):
-        dims[(m, O2)] = 0
-        dims[(m, SO2)] = 0
-        for k, h in enumerate(dihedrals, 1):
-            dims[(m, h)] = 1 if m % k == 0 else 0
-    return FixedPointTable(max_irrep=max_irrep, max_index=max_index, dims=dims)
+    return FixedPointTable(max_irrep=max_irrep, max_index=max_index)
 
 
 def basic_degree_recurrence(
@@ -237,13 +228,11 @@ def basic_degree_recurrence(
         raise ValueError(f"representation index must be >= 0, got {m}")
     if m == 0:
         return IDENTITY
-    if m > dims.max_irrep:
-        raise ValueError(f"irrep index {m} outside table range 0..{dims.max_irrep}")
     if m > lattice.max_index or lattice.max_index > dims.max_index:
         raise ValueError("lattice range must cover the irrep index and the dims table")
-    # m and the lattice range are checked above, so every cell is in the table.
-    table = dims.dims
-    return _descend(lattice, [(-1) ** table[(m, cls)] for cls in lattice.classes])
+    # dims.dim refuses an m above its table range.
+    dim = dims.dim
+    return _descend(lattice, [(-1) ** dim(m, cls) for cls in lattice.classes])
 
 
 def _power(base: BurnsideElement, exponent: int) -> BurnsideElement:

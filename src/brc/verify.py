@@ -50,18 +50,23 @@ __all__ = [
 # runs.  At each cap, `brc verify` takes (2-vCPU VM, wall time, max RSS):
 # recurrence 2.5 s and table 0.5 s at --max-index 200 (the cost grows as
 # N**3 and N**2); prop-coeff 4.9 s and involution 2.6 s at --trials 100000;
-# rf1 1.5 s and 81 MB at --max-irrep 800 (memory grows as N**2).
+# rf1 0.9 s and 18 MB at --max-irrep 800 (time grows as N**2; the lattice
+# holds about N ln N counts).
 MAX_TABLE_INDEX = 200
 MAX_TRIALS = 100_000
 MAX_IRREP = 800
 
-_CAPS = {"max_index": MAX_TABLE_INDEX, "trials": MAX_TRIALS, "max_irrep": MAX_IRREP}
+# Each option's inclusive range.  0 trials leaves only the exhaustive
+# cases, if the suite has any.
+_RANGES = {"max_index": (1, MAX_TABLE_INDEX), "trials": (0, MAX_TRIALS), "max_irrep": (1, MAX_IRREP)}
 
 
-def _check_cap(option: str, value: int) -> None:
-    cap = _CAPS[option]
-    if value > cap:
-        raise ValueError(f"{option} must be <= {cap}, got {value}")
+def _check_range(option: str, value: int) -> None:
+    low, high = _RANGES[option]
+    if value < low:
+        raise ValueError(f"{option} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{option} must be <= {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,7 @@ def _expected_product(g: Generator, h: Generator) -> BurnsideElement:
 
 def verify_table(max_index: int = 24) -> SuiteResult:
     """Ring product against the literal table entry, all basis pairs."""
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
-    _check_cap("max_index", max_index)
+    _check_range("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
         units = _units(max_index)
@@ -143,7 +146,7 @@ def verify_table(max_index: int = 24) -> SuiteResult:
 
 def verify_recurrence(max_index: int = 24) -> SuiteResult:
     """Lattice-recurrence product against the direct product."""
-    _check_cap("max_index", max_index)
+    _check_range("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_index)
@@ -155,13 +158,6 @@ def verify_recurrence(max_index: int = 24) -> SuiteResult:
                 yield None if direct == recur else f"{g.label}*{h.label}: direct {direct}, recurrence {recur}"
 
     return _run("recurrence", cases())
-
-
-def _check_trials(trials: int) -> None:
-    # 0 trials leaves only the exhaustive cases, if the suite has any.
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    _check_cap("trials", trials)
 
 
 def _random_key_set(rng: random.Random, max_size: int, max_index: int) -> KeySet:
@@ -178,7 +174,7 @@ def verify_involution(
     seed: int = 0,
 ) -> SuiteResult:
     """key * key == identity, exhaustively small plus random large."""
-    _check_trials(trials)
+    _check_range("trials", trials)
 
     def cases() -> Iterator[str | None]:
         for size in range(1, exhaustive_size + 1):
@@ -203,7 +199,7 @@ def verify_prop_coeff(
     ring product, and key_element folds the factors by int index; the
     case fails unless all three give the same coefficient.
     """
-    _check_trials(trials)
+    _check_range("trials", trials)
 
     def cases() -> Iterator[str | None]:
         rng = random.Random(seed)
@@ -231,7 +227,7 @@ def verify_basic_degree(max_irrep: int = 50) -> SuiteResult:
     Checks full equality and, separately, that the recurrence leaves no
     residue at proper divisors of m.
     """
-    _check_cap("max_irrep", max_irrep)
+    _check_range("max_irrep", max_irrep)
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_irrep)
@@ -270,15 +266,16 @@ def run_suite(name: str, **options) -> list[SuiteResult]:
     """Run one named suite, or every suite for name == 'all'.
 
     An option set to None keeps the suite's default; every other value,
-    0 included, is passed to the suites that take it.  For 'all', every
-    option's cap is checked before the first suite runs.
+    0 included, is passed to the suites that take it.  Every given
+    option's range is checked before the first suite runs.
     """
-    if name == "all":
-        for option in _CAPS:
-            if options.get(option) is not None:
-                _check_cap(option, options[option])
-        return [run_suite(single, **options)[0] for single in SUITES]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    kwargs = {k: options[k] for k in _SUITE_OPTIONS[name] if options.get(k) is not None}
-    return [SUITES[name](**kwargs)]
+    for option in _RANGES:
+        if options.get(option) is not None:
+            _check_range(option, options[option])
+    names = SUITES if name == "all" else [name]
+    return [
+        SUITES[single](**{k: options[k] for k in _SUITE_OPTIONS[single] if options.get(k) is not None})
+        for single in names
+    ]

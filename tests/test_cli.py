@@ -336,6 +336,23 @@ def test_attack_cpa_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
     assert "subset enumeration cap" in err
 
 
+def test_attack_cpa_identity_query_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
+    # The identity game builds whole key elements, 2**|S| terms each, so it
+    # refuses the same sets as the dihedral game, with the same line.
+    def refuse(*args):
+        raise AssertionError("key element built")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    s0 = ",".join(str(i) for i in range(1, 22))
+    s1 = ",".join(str(i) for i in [*range(1, 21), 22])
+    argv = ("attack", "cpa", "--s0", s0, "--s1", s1, "--hidden-bit", "0")
+    code, out, err = run_cli(capsys, *argv, "--identity-query")
+    assert code == 1
+    assert out == ""
+    assert err == "error: key set has 21 indices, above the subset enumeration cap 20\n"
+    assert run_cli(capsys, *argv)[2] == err
+
+
 def test_attack_cpa_huge_index_candidates(capsys):
     # The probe is 2, so the folds enumerate the subsets of each candidate
     # once and never walk the multiples of 2 up to 10**12.
@@ -685,19 +702,25 @@ def test_verify_rejects_empty_or_negative_ranges(capsys, args):
         ("all", "--max-index", verify.MAX_TABLE_INDEX),
         ("all", "--trials", verify.MAX_TRIALS),
         ("all", "--max-irrep", verify.MAX_IRREP),
+        # The lower ends of the ranges, refused the same way below them.
+        ("all", "--max-index", 1),
+        ("all", "--max-irrep", 1),
+        ("all", "--trials", 0),
     ],
 )
 def test_verify_above_the_cap_exits_1_before_any_case(capsys, monkeypatch, suite, option, cap):
     # Every suite runs its cases through verify._run, so a refusal that
     # comes first never reaches it; for 'all', no suite runs at all.
     def refuse(*args):
-        raise AssertionError("suite cases ran above the cap")
+        raise AssertionError("suite cases ran outside the range")
 
     monkeypatch.setattr(verify, "_run", refuse)
-    code, out, err = run_cli(capsys, "verify", suite, option, str(cap + 1))
+    # Every cap is far above 1, every lower end is 0 or 1.
+    value, relation = (cap - 1, ">=") if cap <= 1 else (cap + 1, "<=")
+    code, out, err = run_cli(capsys, "verify", suite, option, str(value))
     assert code == 1
     assert out == ""
-    assert err == f"error: {option[2:].replace('-', '_')} must be <= {cap}, got {cap + 1}\n"
+    assert err == f"error: {option[2:].replace('-', '_')} must be {relation} {cap}, got {value}\n"
 
 
 def test_main_reuses_its_parser_without_carrying_options_over(capsys):

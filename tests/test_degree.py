@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from brc.degree import (
     o2_lattice,
     recurrence_mul,
 )
+from brc.verify import MAX_IRREP
 
 
 # ------------------------------------------------------------ lattice fixture
@@ -161,6 +163,19 @@ def test_fixed_point_dims_rotations_fix_nothing():
     for m in range(1, 6):
         assert dims.dim(m, SO2) == 0
         assert dims.dim(m, O2) == 0
+
+
+def test_oracle_tables_at_the_rf1_cap_stay_small():
+    # The lattice holds about N ln N containment counts and the fixed-point
+    # table none; N**2 cells at N = 800 would take tens of MiB.
+    tracemalloc.start()
+    try:
+        tables = o2_lattice(MAX_IRREP), fixed_point_dims(MAX_IRREP, MAX_IRREP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables[1].dim(MAX_IRREP, D(MAX_IRREP)) == 1
+    assert peak < 4 * 2**20
 
 
 def test_fixed_point_dims_bounds_checked():
