@@ -44,10 +44,8 @@ from .cipher import (
     SupportWindowError,
     decode_text,
     decrypt,
-    decrypt_message,
     encode_text,
     encrypt,
-    encrypt_message,
     read_ciphertext_file,
     read_key_file,
     ring_decode,

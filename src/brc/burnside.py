@@ -406,14 +406,16 @@ class KeySet:
     __slots__ = ("indices",)
 
     def __init__(self, indices: Iterable[int]):
-        idx = tuple(sorted(indices))
+        idx = tuple(indices)
         if not idx:
             raise ValueError("key set must be non-empty")
+        # Before sorting, which would raise TypeError on mixed types.
         for i in idx:
             if isinstance(i, bool) or not isinstance(i, int):
                 raise ValueError(f"key index must be an int, got {i!r}")
             if i < 1:
                 raise ValueError(f"key index must be >= 1, got {i}")
+        idx = tuple(sorted(idx))
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate key indices in {idx}")
         self.indices: tuple[int, ...] = idx

@@ -1,36 +1,33 @@
 """Involutory-multiplier cipher on the dihedral span of the ring.
 
 A message of L bytes becomes the window vector p = sum_i p_i * D(i);
-the ciphertext is p * k for a key element k (a product of basic
-degrees, hence self-inverse, so decryption is the same multiplication).
+the ciphertext is p * k for the key element k of a key set S (the
+product of the basic degrees O2 - D(s), s in S, hence self-inverse, so
+decryption is the same multiplication).
 The product never raises a dihedral index, so ciphertext support stays
 inside the window {D(1), ..., D(L)}.
 
-Encryption and decryption compute that product in mark coordinates
-(`burnside.mark_product`).  The key's marks eps_x are all +-1, and +1 at
-every x that divides no key index, so the ciphertext is the message
-vector plus a Mobius inversion on D(1)..D(T) of (eps_x - 1) times the
-divisor sums, T the last x <= L with eps_x != 1.  That costs
-O(L + sum_{x<=T, eps_x!=1} L/x + T log T), at most O(L log L).
-`encrypt` and `decrypt` read the marks off a key element
-(`burnside.window_marks`) and refuse it unless its O2 coefficient is 1
-and every mark on the window is +-1: with that O2 coefficient, exactly
-when the product is an involution there.  `encrypt_message` and
-`decrypt_message` read the marks straight off the key set
-(`burnside.key_marks`) and never build the element, which can have
-2**|S| terms.  `BurnsideElement.__mul__` stays the general ring product
+The key is its index set S (a `KeySet`).  `encrypt` and `decrypt`
+compute the product in mark coordinates (`burnside.mark_product`), with
+the key's marks read straight off S (`burnside.key_marks`), so the key
+element, which can have 2**|S| terms, is never built.  Those marks are
+all +-1, and +1 at every x that divides no key index, so the ciphertext
+is the message vector plus a Mobius inversion on D(1)..D(T) of
+(eps_x - 1) times the divisor sums, T the last x <= L with eps_x != 1.
+That costs O(L + sum_{x<=T, eps_x!=1} L/x + T log T), at most
+O(L log L).  `BurnsideElement.__mul__` stays the general ring product
 and the reference the tests compare against.
 
 The dense window vector is the cipher's one representation: a
 `Ciphertext` stores it, and the file codec writes it and reads it back
-without building a sparse element (`Ciphertext.element` builds one).
-The body lines go through `burnside.format_terms` and
-`burnside.read_terms`, the codec element text uses too, one slice or
-chunk at a time with no Python loop over the terms.  The writer refuses
-a value that is not an int before it opens the file.  The reader parses
-the body in place in the decoded text, and stores a chunk of
-consecutive labels with one list extension, so the coefficients of a
-dense body become the vector as they are read.
+without building a sparse element.  The body lines go through
+`burnside.format_terms` and `burnside.read_terms`, the codec element
+text uses too, one slice or chunk at a time with no Python loop over
+the terms.  The writer refuses a value that is not an int before it
+opens the file.  The reader parses the body in place in the decoded
+text, and stores a chunk of consecutive labels with one list
+extension, so the coefficients of a dense body become the vector as
+they are read.
 
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
@@ -77,8 +74,6 @@ from typing import Sequence
 
 from .burnside import (
     DEFAULT_SUBSET_CAP,
-    O2,
-    BurnsideElement,
     ElementFormatError,
     KeySet,
     SupportWindowError,
@@ -88,7 +83,6 @@ from .burnside import (
     read_terms,
     ring_decode,
     ring_encode,
-    window_marks,
 )
 
 __all__ = [
@@ -102,8 +96,6 @@ __all__ = [
     "ring_decode",
     "encrypt",
     "decrypt",
-    "encrypt_message",
-    "decrypt_message",
     "check_key_limits",
     "write_key_file",
     "read_key_file",
@@ -150,41 +142,26 @@ class FileFormatError(ValueError):
     """Key or ciphertext file violates its strict text format."""
 
 
-def _key_window_marks(key: BurnsideElement, length: int) -> list[int]:
-    """window_marks(key, length); ValueError unless key is a key element there."""
-    if key.coeff(O2) != 1:
-        raise ValueError("not a key element: coefficient at O2 must be 1")
-    marks = window_marks(key, length)
-    if marks.count(1) + marks.count(-1) != len(marks):
-        x, m = next((x, m) for x, m in enumerate(marks, start=1) if m not in (1, -1))
-        raise ValueError(f"not a key element: mark {m} at D{x} is not +-1")
-    return marks
-
-
 @dataclass(frozen=True)
 class Ciphertext:
     """Encrypted window vector: coefficient values[n-1] at D(n), n = 1..length.
 
     The vector is the one stored form, and its size is the declared
     message length, at least 1.  A window element e becomes one through
-    `Ciphertext(ring_decode(e, L))`; `element` rebuilds the sparse
-    element on demand.
+    `Ciphertext(ring_decode(e, L))`, and `ring_encode(ct.values)` turns
+    it back.
     """
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("declared length must be >= 1, got 0")
-        object.__setattr__(self, "values", tuple(self.values))
 
     @property
     def length(self) -> int:
         return len(self.values)
-
-    @property
-    def element(self) -> BurnsideElement:
-        return ring_encode(self.values)
 
 
 def encode_text(data: bytes | str) -> list[int]:
@@ -219,26 +196,14 @@ def decode_text(values: Sequence[int]) -> bytes:
     raise MessageError(f"recovered value {v} at position {pos} is outside [0, 127]")
 
 
-def encrypt(plaintext: BurnsideElement, length: int, key: BurnsideElement) -> Ciphertext:
-    """Multiply the plaintext element by the key inside window `length`."""
-    values = ring_decode(plaintext, length)
-    return Ciphertext(mark_product(values, _key_window_marks(key, length)))
-
-
-def decrypt(ciphertext: Ciphertext, key: BurnsideElement) -> BurnsideElement:
-    """Apply the same multiplication; the key is its own inverse."""
-    marks = _key_window_marks(key, ciphertext.length)
-    return ring_encode(mark_product(ciphertext.values, marks))
-
-
-def encrypt_message(data: bytes | str, key_set: KeySet) -> Ciphertext:
-    """encode_text + encrypt in one step, on the coefficient vector and the key's marks."""
+def encrypt(data: bytes | str, key_set: KeySet) -> Ciphertext:
+    """encode_text(data) times the key element of key_set, computed from the key's marks."""
     values = encode_text(data)
     return Ciphertext(mark_product(values, key_marks(key_set, len(values))))
 
 
-def decrypt_message(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
-    """decrypt + decode_text in one step, on the coefficient vector and the key's marks."""
+def decrypt(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
+    """The same product on the ciphertext vector, then decode_text: the key is its own inverse."""
     marks = key_marks(key_set, ciphertext.length)
     return decode_text(mark_product(ciphertext.values, marks))
 

@@ -24,8 +24,8 @@ from .cipher import (
     MAX_LENGTH,
     MessageError,
     check_key_limits,
-    decrypt_message,
-    encrypt_message,
+    decrypt,
+    encrypt,
     read_ciphertext_file,
     read_key_file,
     write_ciphertext_file,
@@ -69,7 +69,7 @@ def _read_message(path: str) -> bytes:
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key_set = read_key_file(args.key)
     data = _read_message(args.in_path)
-    ciphertext = encrypt_message(data, key_set)
+    ciphertext = encrypt(data, key_set)
     write_ciphertext_file(args.out_path, ciphertext)
     print(f"encrypted {len(data)} bytes -> {args.out_path}", file=sys.stderr)
     return 0
@@ -78,7 +78,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     key_set = read_key_file(args.key)
     ciphertext = read_ciphertext_file(args.in_path)
-    data = decrypt_message(ciphertext, key_set)
+    data = decrypt(ciphertext, key_set)
     Path(args.out_path).write_bytes(data)
     print(f"decrypted {len(data)} bytes -> {args.out_path}", file=sys.stderr)
     return 0
@@ -147,17 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--out", help="key file to write (BRC-KEY v1)")
     keygen.set_defaults(func=_cmd_keygen)
 
-    encrypt = sub.add_parser("encrypt", help="encrypt a 7-bit text file")
-    encrypt.add_argument("--key", required=True, help="key file (BRC-KEY v1)")
-    encrypt.add_argument("--in", dest="in_path", required=True, help="plaintext file")
-    encrypt.add_argument("--out", dest="out_path", required=True, help="ciphertext file to write")
-    encrypt.set_defaults(func=_cmd_encrypt)
+    encrypt_cmd = sub.add_parser("encrypt", help="encrypt a 7-bit text file")
+    encrypt_cmd.add_argument("--key", required=True, help="key file (BRC-KEY v1)")
+    encrypt_cmd.add_argument("--in", dest="in_path", required=True, help="plaintext file")
+    encrypt_cmd.add_argument("--out", dest="out_path", required=True, help="ciphertext file to write")
+    encrypt_cmd.set_defaults(func=_cmd_encrypt)
 
-    decrypt = sub.add_parser("decrypt", help="decrypt a ciphertext file")
-    decrypt.add_argument("--key", required=True, help="key file (BRC-KEY v1)")
-    decrypt.add_argument("--in", dest="in_path", required=True, help="ciphertext file")
-    decrypt.add_argument("--out", dest="out_path", required=True, help="plaintext file to write")
-    decrypt.set_defaults(func=_cmd_decrypt)
+    decrypt_cmd = sub.add_parser("decrypt", help="decrypt a ciphertext file")
+    decrypt_cmd.add_argument("--key", required=True, help="key file (BRC-KEY v1)")
+    decrypt_cmd.add_argument("--in", dest="in_path", required=True, help="ciphertext file")
+    decrypt_cmd.add_argument("--out", dest="out_path", required=True, help="plaintext file to write")
+    decrypt_cmd.set_defaults(func=_cmd_decrypt)
 
     attack = sub.add_parser("attack", help="run an attack demonstration")
     attack_sub = attack.add_subparsers(dest="mode", required=True)

@@ -266,11 +266,15 @@ def run_suite(name: str, **options) -> list[SuiteResult]:
     """Run one named suite, or every suite for name == 'all'.
 
     An option set to None keeps the suite's default; every other value,
-    0 included, is passed to the suites that take it.  Every given
-    option's range is checked before the first suite runs.
+    0 included, is passed to the suites that take it.  An option that
+    no suite takes and every given option's range are checked before
+    the first suite runs.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    for option in options:
+        if not any(option in taken for taken in _SUITE_OPTIONS.values()):
+            raise ValueError(f"unknown option {option!r}")
     for option in _RANGES:
         if options.get(option) is not None:
             _check_range(option, options[option])

@@ -26,7 +26,7 @@ from brc.burnside import (
     key_coeff_fold,
     key_element,
 )
-from brc.cipher import decrypt_message, encrypt_message, encrypt, ring_encode
+from brc.cipher import decrypt, encrypt, ring_decode, ring_encode
 from brc.degree import linear_iso_degree
 from brc.verify import (
     verify_basic_degree,
@@ -131,7 +131,7 @@ def test_criterion_05_support_preservation():
         assert product.coeff(O2) == 0
         assert product.coeff(SO2) == 0
         assert all(k <= length for k in product.dihedral_indices())
-        assert encrypt(ring_encode(values), length, key_element(s)).element == product
+        assert list(encrypt(bytes(values), s).values) == ring_decode(product, length)
         checked += 1
     _report(
         5,
@@ -151,7 +151,7 @@ def test_criterion_06_roundtrip():
         length = rng.randint(1, 64)
         data = bytes(rng.randint(0, 127) for _ in range(length))
         s = KeySet(rng.sample(range(1, 41), rng.randint(1, 6)))
-        assert decrypt_message(encrypt_message(data, s), s) == data
+        assert decrypt(encrypt(data, s), s) == data
         checked += 1
     _report(
         6,

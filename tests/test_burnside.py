@@ -290,7 +290,8 @@ def test_key_set_normalizes_order():
     assert KeySet([3, 2]).indices == (2, 3)
 
 
-@pytest.mark.parametrize("bad", [[], [0], [-1], [2, 2], [1.5], [True, 2]])
+# [1, "a"] and ["a", 1] cannot be sorted: the type check comes first.
+@pytest.mark.parametrize("bad", [[], [0], [-1], [2, 2], [1.5], [True, 2], [1, "a"], ["a", 1]])
 def test_key_set_rejects_invalid(bad):
     with pytest.raises(ValueError):
         KeySet(bad)

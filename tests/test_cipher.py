@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from brc import burnside, cipher
-from brc.burnside import IDENTITY, SO2, O2, ZERO, BurnsideElement, D, ElementFormatError, KeySet, key_element
+from brc.burnside import SO2, O2, ZERO, BurnsideElement, D, ElementFormatError, KeySet, key_element
 from brc.cipher import (
     MAX_LENGTH,
     Ciphertext,
@@ -18,10 +18,8 @@ from brc.cipher import (
     SupportWindowError,
     decode_text,
     decrypt,
-    decrypt_message,
     encode_text,
     encrypt,
-    encrypt_message,
     read_ciphertext_file,
     read_key_file,
     ring_decode,
@@ -29,7 +27,7 @@ from brc.cipher import (
     write_ciphertext_file,
     write_key_file,
 )
-from strategies import key_sets, plaintext_vectors, unit_multipliers, window_elements
+from strategies import key_sets, plaintext_vectors
 
 
 # ------------------------------------------------------------- text encoding
@@ -148,94 +146,57 @@ def test_ring_decode_rejects_non_dihedral_support():
 # ----------------------------------------------------------- encrypt/decrypt
 
 
+def _ring_product(values, s):
+    """The paper's p * k by the generic ring product, as a window vector."""
+    return ring_decode(ring_encode(values) * key_element(s), len(values))
+
+
 def test_encrypt_example():
-    p = BurnsideElement({D(1): 3, D(2): 1})
-    c = encrypt(p, 2, key_element([2]))
-    assert c.element == BurnsideElement({D(1): -3, D(2): -1})
+    c = encrypt(bytes([3, 1]), KeySet([2]))
+    assert c.values == (-3, -1)
     assert c.length == 2
-
-
-def test_encrypt_identity_key():
-    c = encrypt(BurnsideElement({D(1): 1}), 1, IDENTITY)
-    assert c.element == BurnsideElement({D(1): 1})
 
 
 def test_encrypt_single_term():
     # 5*D3 * (O2 - D3) = 5*D3 - 10*D3 = -5*D3
-    c = encrypt(BurnsideElement({D(3): 5}), 3, key_element([3]))
-    assert c.element == BurnsideElement({D(3): -5})
+    c = encrypt(bytes([0, 0, 5]), KeySet([3]))
+    assert c.values == (0, 0, -5)
 
 
 def test_encrypt_rejects_plaintext_outside_window():
-    with pytest.raises(SupportWindowError):
-        encrypt(BurnsideElement({D(3): 1}), 2, key_element([2]))
-
-
-def test_encrypt_rejects_malformed_key():
-    with pytest.raises(ValueError, match="O2"):
-        encrypt(BurnsideElement({D(1): 1}), 1, BurnsideElement({D(2): -1}))
-
-
-def test_encrypt_and_decrypt_reject_multiplier_that_is_no_involution():
-    # O2 + D3 has mark 3 at D1 and D3, so its product on W_6 has no inverse
-    # of the same form: decrypt would not undo encrypt.
-    multiplier = BurnsideElement({O2: 1, D(3): 1})
-    with pytest.raises(ValueError, match="mark 3 at D1"):
-        encrypt(ring_encode([1, 2, 3, 4, 5, 6]), 6, multiplier)
-    with pytest.raises(ValueError, match="mark 3 at D1"):
-        decrypt(Ciphertext([1, 2, 3, 4, 5, 6]), multiplier)
-
-
-def test_multiplier_with_unit_window_marks_roundtrips():
-    # SO2 annihilates the window, so O2 + 5*SO2 - D2 acts there as the key of {2}.
-    multiplier = BurnsideElement({O2: 1, SO2: 5, D(2): -1})
-    p = ring_encode([1, 2, 3, 4, 5, 6])
-    ct = encrypt(p, 6, multiplier)
-    assert ct == encrypt(p, 6, key_element([2]))
-    assert decrypt(ct, multiplier) == p
-
-
-@given(window_elements(max_length=30), st.one_of(key_sets(max_size=4, max_index=60).map(key_element), unit_multipliers(60)))
-def test_encrypt_accepts_exactly_the_involutions_on_the_window(window, k):
-    # Reference: the generic ring product, applied twice to each D(i) of W_L.
-    length, p = window
-    if all(BurnsideElement({D(i): 1}) * k * k == BurnsideElement({D(i): 1}) for i in range(1, length + 1)):
-        assert decrypt(encrypt(p, length, k), k) == p
-    else:
-        with pytest.raises(ValueError, match="not a key element"):
-            encrypt(p, length, k)
-        with pytest.raises(ValueError, match="not a key element"):
-            decrypt(Ciphertext(ring_decode(p, length)), k)
+    # The window W_L has 1 <= L <= MAX_LENGTH, checked before any key marks.
+    with pytest.raises(MessageError, match="empty"):
+        encrypt(b"", KeySet([2]))
+    with pytest.raises(MessageError, match="longer"):
+        encrypt(b"a" * (MAX_LENGTH + 1), KeySet([2]))
 
 
 def test_decrypt_roundtrips_example():
-    c = Ciphertext(ring_decode(BurnsideElement({D(1): -3, D(2): -1}), 2))
-    assert decrypt(c, key_element([2])) == BurnsideElement({D(1): 3, D(2): 1})
+    assert decrypt(Ciphertext([-3, -1]), KeySet([2])) == bytes([3, 1])
 
 
 def test_decrypt_zero_element():
     c = Ciphertext(ring_decode(ZERO, 4))
-    assert decrypt(c, key_element([2, 3])) == ZERO
+    assert decrypt(c, KeySet([2, 3])) == bytes(4)
 
 
 def test_message_roundtrip_hi():
-    ct = encrypt_message("Hi", KeySet([2, 3]))
-    assert decrypt_message(ct, KeySet([2, 3])) == b"Hi"
+    ct = encrypt("Hi", KeySet([2, 3]))
+    assert decrypt(ct, KeySet([2, 3])) == b"Hi"
 
 
-def test_encrypt_message_frozen_value():
+def test_encrypt_frozen_value():
     # (72*D1 + 105*D2) * (O2 - D2): D1*D2 and D2*D2 both fall on the
     # plaintext support, giving -72*D1 - 105*D2.
-    ct = encrypt_message("Hi", KeySet([2]))
+    ct = encrypt("Hi", KeySet([2]))
     assert ct.length == 2
-    assert ct.element == BurnsideElement({D(1): -72, D(2): -105})
+    assert ring_encode(ct.values) == BurnsideElement({D(1): -72, D(2): -105})
 
 
 def test_nul_byte_roundtrip():
-    ct = encrypt_message(b"\x00", KeySet([2]))
-    assert ct.element == ZERO
-    assert ct.length == 1
-    assert decrypt_message(ct, KeySet([2])) == b"\x00"
+    ct = encrypt(b"\x00", KeySet([2]))
+    assert ct.values == (0,)
+    assert decrypt(ct, KeySet([2])) == b"\x00"
 
 
 # ---------------------------------------------------------------- properties
@@ -243,62 +204,62 @@ def test_nul_byte_roundtrip():
 
 @given(plaintext_vectors(), key_sets(max_size=6, max_index=40))
 def test_roundtrip_exact(values, s):
-    key = key_element(s)
-    ct = encrypt(ring_encode(values), len(values), key)
-    assert ring_decode(decrypt(ct, key), ct.length) == values
+    ct = encrypt(bytes(values), s)
+    assert ct.length == len(values)
+    assert decrypt(ct, s) == bytes(values)
 
 
 @given(plaintext_vectors(), key_sets(max_size=6, max_index=40))
 def test_support_preservation(values, s):
-    ct = encrypt(ring_encode(values), len(values), key_element(s))
-    assert ct.element.coeff(O2) == 0
-    assert ct.element.coeff(SO2) == 0
-    assert all(k <= len(values) for k in ct.element.dihedral_indices())
+    product = ring_encode(values) * key_element(s)
+    assert product.coeff(O2) == 0
+    assert product.coeff(SO2) == 0
+    assert all(k <= len(values) for k in product.dihedral_indices())
+    assert list(encrypt(bytes(values), s).values) == ring_decode(product, len(values))
 
 
-@given(plaintext_vectors(max_length=16), plaintext_vectors(max_length=16), key_sets(max_size=4, max_index=20))
-def test_encryption_is_linear(v1, v2, s):
-    length = max(len(v1), len(v2))
-    v1 = v1 + [0] * (length - len(v1))
-    v2 = v2 + [0] * (length - len(v2))
-    key = key_element(s)
-    p1, p2 = ring_encode(v1), ring_encode(v2)
-    lhs = encrypt(p1 + p2, length, key).element
-    rhs = encrypt(p1, length, key).element + encrypt(p2, length, key).element
+@given(
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 64)), min_size=1, max_size=16),
+    key_sets(max_size=4, max_index=20),
+)
+def test_encryption_is_linear(pairs, s):
+    # Sums stay 7-bit, so the sum of two messages is a message too.
+    v1, v2 = zip(*pairs)
+    lhs = encrypt(bytes(map(sum, pairs)), s).values
+    rhs = tuple(map(sum, zip(encrypt(bytes(v1), s).values, encrypt(bytes(v2), s).values)))
     assert lhs == rhs
 
 
-@given(window_elements(), key_sets(max_size=6, max_index=1000))
-def test_encrypt_and_decrypt_equal_ring_product(window, s):
+@given(plaintext_vectors(max_length=300), key_sets(max_size=6, max_index=1000))
+def test_encrypt_and_decrypt_equal_ring_product(values, s):
     # Key indices mostly lie above L.
-    length, p = window
-    key = key_element(s)
-    assert encrypt(p, length, key).element == p * key
-    assert decrypt(Ciphertext(ring_decode(p, length)), key) == p * key
+    product = _ring_product(values, s)
+    assert list(encrypt(bytes(values), s).values) == product
+    assert decrypt(Ciphertext(product), s) == bytes(values)
 
 
 def test_huge_key_index_encrypts_1kb_quickly():
     s = KeySet([3, 10**12])
     data = bytes(32 + i % 95 for i in range(1000))
     start = time.perf_counter()
-    ct = encrypt_message(data, s)
+    ct = encrypt(data, s)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    assert ct.element == ring_encode(list(data)) * key_element(s)
-    assert decrypt_message(ct, s) == data
+    assert list(ct.values) == _ring_product(list(data), s)
+    assert decrypt(ct, s) == data
 
 
-def test_encrypt_message_ciphertext_file_is_fixed(tmp_path):
+def test_encrypt_ciphertext_file_is_fixed(tmp_path):
     # A seeded 10 KB message under a 16-index key; the digest pins the
     # whole ciphertext file, so any change to the product shows here.
     key = KeySet([3, 5, 8, 11, 14, 18, 21, 26, 30, 33, 37, 42, 47, 52, 58, 63])
     data = bytes(b & 0x7F for b in random.Random(20261018).randbytes(10_000))
     path = tmp_path / "msg.ct"
-    write_ciphertext_file(path, encrypt_message(data, key))
+    write_ciphertext_file(path, encrypt(data, key))
     text = path.read_bytes()
     assert len(text) == 89856
     assert hashlib.sha256(text).hexdigest() == "4d6e1a7846a20ddc5be1553d3ace42641408ed0a50830bc742771e254465c533"
-    assert decrypt_message(read_ciphertext_file(path), key) == data
+    assert decrypt(read_ciphertext_file(path), key) == data
 
 
 # -------------------------------------------------------------- file formats
@@ -383,12 +344,23 @@ def test_key_file_strict_parsing(tmp_path, content):
 
 def test_ciphertext_file_roundtrip(tmp_path):
     path = tmp_path / "msg.ct"
-    ct = encrypt_message("A\x00\x00", KeySet([2, 3]))
+    ct = encrypt("A\x00\x00", KeySet([2, 3]))
     assert ct.length == 3
     write_ciphertext_file(path, ct)
     back = read_ciphertext_file(path)
     assert back == ct
     assert back.length == 3  # declared length survives trailing zeros
+
+
+def test_ciphertext_of_an_empty_generator_is_refused(tmp_path):
+    # Checked after the values become a tuple, so no length-0 ciphertext
+    # reaches the writer, whose "L 0" file the reader would refuse.
+    with pytest.raises(ValueError, match="declared length must be >= 1"):
+        Ciphertext(v for v in [])
+    ct = Ciphertext(v for v in [0, 5])
+    path = tmp_path / "gen.ct"
+    write_ciphertext_file(path, ct)
+    assert read_ciphertext_file(path) == ct
 
 
 def test_ciphertext_file_zero_element(tmp_path):
@@ -457,7 +429,6 @@ def test_ciphertext_codec_matches_element_rendering(tmp_path_factory, values):
     back = read_ciphertext_file(path)
     assert back.values == tuple(values)
     assert back.length == len(values)
-    assert back.element == ring_encode(values)
 
 
 def test_ciphertext_file_accepts_max_length(tmp_path):
@@ -582,14 +553,14 @@ def test_ciphertext_reader_memory_is_linear_in_file(tmp_path):
     # and parses the body in place, without a copy of it.
     data = bytes(32 + (13 * i) % 95 for i in range(100_000))
     path = tmp_path / "dense.ct"
-    write_ciphertext_file(path, encrypt_message(data, KeySet([2, 3, 5, 7, 11, 13])))
+    write_ciphertext_file(path, encrypt(data, KeySet([2, 3, 5, 7, 11, 13])))
     tracemalloc.start()
     try:
         ciphertext = read_ciphertext_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert decrypt_message(ciphertext, KeySet([2, 3, 5, 7, 11, 13])) == data
+    assert decrypt(ciphertext, KeySet([2, 3, 5, 7, 11, 13])) == data
     # The decoded text and the bytes it came from are alive together once.
     assert peak < 3 * path.stat().st_size
 
@@ -612,7 +583,7 @@ def test_ciphertext_writer_memory_is_one_slice(tmp_path):
     # one slice (its tuples, label ints and text, under 128 bytes a value),
     # not of the 1 MB file.
     data = bytes(32 + (13 * i) % 95 for i in range(100_000))
-    ciphertext = encrypt_message(data, KeySet([2, 3, 5, 7, 11, 13]))
+    ciphertext = encrypt(data, KeySet([2, 3, 5, 7, 11, 13]))
     assert all(ciphertext.values)
     path = tmp_path / "dense.ct"
     tracemalloc.start()
@@ -633,8 +604,8 @@ _CT_ALPHABET = "BRC-T v1LDSO0123456789+_\n\r\t\u00b2\u0662"
 def ciphertext_texts(draw):
     """A written ciphertext file with up to three small random edits."""
     values = draw(plaintext_vectors(max_length=12))
-    ct = encrypt_message(bytes(values), draw(key_sets(max_size=3, max_index=12)))
-    text = f"BRC-CT v1\nL {ct.length}\n{ct.element.render()}\n"
+    ct = encrypt(bytes(values), draw(key_sets(max_size=3, max_index=12)))
+    text = f"BRC-CT v1\nL {ct.length}\n{ring_encode(ct.values).render()}\n"
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 2)))

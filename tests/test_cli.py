@@ -755,6 +755,15 @@ def test_readme_cli_lines_parse():
         build_parser().parse_args(argv[1:])
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    # Each print line's comment is its output.
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "brc", "keygen", "--indices", "2"],

@@ -41,3 +41,13 @@ def test_each_cap_admits_its_own_value(monkeypatch):
     monkeypatch.setattr(verify, "_run", lambda name, cases: ran.append(name))
     run_suite("all", max_index=verify.MAX_TABLE_INDEX, trials=verify.MAX_TRIALS, max_irrep=verify.MAX_IRREP)
     assert ran == ["table", "recurrence", "involution", "prop-coeff", "rf1"]
+
+
+@pytest.mark.parametrize("name", ["rf1", "all"])
+def test_run_suite_refuses_an_option_no_suite_takes(monkeypatch, name):
+    # A misspelt option would otherwise run the default range and pass.
+    ran = []
+    monkeypatch.setattr(verify, "_run", lambda name, cases: ran.append(name))
+    with pytest.raises(ValueError, match="unknown option 'max_irep'"):
+        run_suite(name, max_irep=10**6)
+    assert ran == []
