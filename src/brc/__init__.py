@@ -35,6 +35,7 @@ from .burnside import (
     key_coeff,
     key_coeff_bruteforce,
     key_coeff_fold,
+    key_coeff_mobius,
     key_element,
 )
 from .cipher import (

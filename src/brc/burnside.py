@@ -63,6 +63,8 @@ __all__ = [
     "key_coeff",
     "key_coeff_bruteforce",
     "key_coeff_fold",
+    "key_coeff_mobius",
+    "MAX_MOBIUS_QUOTIENT",
     "divisor_sums",
     "from_divisor_sums",
     "window_marks",
@@ -93,6 +95,13 @@ def _check_int(x: object, what: str) -> None:
     # bool is an int subclass, but True would be stored and printed as True.
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"{what} must be an int, got {x!r}")
+
+
+def _check_dihedral_index(n: object) -> None:
+    # As D(n) refuses it: TypeError for a bool or non-int, ValueError below 1.
+    _check_int(n, "generator index")
+    if n < 1:
+        raise ValueError(f"dihedral index must be >= 1, got {n}")
 
 
 class Generator(tuple):
@@ -249,9 +258,7 @@ class BurnsideElement:
         Refuses n as D(n) does: TypeError for a bool or non-int,
         ValueError below 1.
         """
-        _check_int(n, "generator index")
-        if n < 1:
-            raise ValueError(f"dihedral index must be >= 1, got {n}")
+        _check_dihedral_index(n)
         return self._dih.get(n, 0)
 
     def support(self) -> tuple[Generator, ...]:
@@ -516,11 +523,63 @@ def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
     per call, each size counted by `countOf` over `starmap(gcd, ...)`,
     at a cost of 2**|s| gcds whatever s0 is.
     """
-    if s0 < 1:
-        raise ValueError(f"dihedral index must be >= 1, got {s0}")
+    _check_dihedral_index(s0)
     s = as_key_set(s)
     _check_cap(s)
     return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s.indices, gcd, s0)
+
+
+# key_coeff_mobius takes |T| remainders for each q <= max(s) // n, T the
+# multiples of n in s, so its cost grows as the square of that quotient.  At
+# the bound a key of 20 indices takes 6 ms and the densest key set,
+# {n, 2n, ..., 4096n}, 1.0 s (2-vCPU VM, Python 3.11.7).
+MAX_MOBIUS_QUOTIENT = 1 << 12
+
+
+def _mobius(q: int) -> int:
+    # mu(q) by trial division: 0 if a square divides q, else -1 to the
+    # number of prime factors.
+    mu = 1
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if q > 1 else mu
+
+
+def key_coeff_mobius(s: KeySet | Iterable[int], n: int) -> int:
+    """Same coefficient, by Mobius inversion of the key's marks.
+
+    The mark of O2 + sum_m a_m*D(m) at D(x) is 1 + 2*sum_{x|m} a_m, and
+    the key's is eps_x = (-1)**#{i in s : x | i}, one sign per basic
+    degree O2 - D(i) with x | i.  So (eps_x - 1)/2 sums a over the
+    multiples of x, and Mobius inversion on the divisor lattice (Rota
+    1964) gives a_n = sum_{n|m<=max(s)} mu(m/n) * (eps_m - 1)/2; above
+    max(s) every eps_m is 1.  A multiple m = n*q divides only multiples
+    of n, so with T = {i // n : i in s, n | i}, eps_m is -1 exactly when
+    #{t in T : q | t}, counted by |T| remainders, is odd; only there is
+    mu(q) needed, by trial division.  It is 0 for n > max(s).  Shares
+    no code with the ring product, key_element's fold or key_coeff's
+    subset enumeration, and its cost does not grow as 2**|s|; it refuses
+    max(s) // n above MAX_MOBIUS_QUOTIENT before any work.
+    """
+    _check_dihedral_index(n)
+    s = as_key_set(s)
+    if s.max_index // n > MAX_MOBIUS_QUOTIENT:
+        raise ValueError(
+            f"max(s) // n is {s.max_index // n}, above the Mobius oracle's bound {MAX_MOBIUS_QUOTIENT}"
+        )
+    quotients = [i // n for i in s.indices if i % n == 0]
+    top = quotients[-1] if quotients else 0
+    total = 0
+    for q in range(1, top + 1):
+        if countOf(map(q.__rmod__, quotients), 0) & 1:
+            total -= _mobius(q)
+    return total
 
 
 def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
@@ -529,10 +588,10 @@ def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
     Chains the generic ring product, BurnsideElement.__mul__, over the
     basic-degree factors left to right from IDENTITY and looks up D(s0).
     Neither key_coeff's subset enumeration nor key_element's fold shares
-    this code, so the three are independent checks of one another.
+    this code.  Only the tests call it; `brc verify prop-coeff` takes
+    key_coeff_mobius as its third side.
     """
-    if s0 < 1:
-        raise ValueError(f"dihedral index must be >= 1, got {s0}")
+    _check_dihedral_index(s0)
     s = as_key_set(s)
     _check_cap(s)
     product = IDENTITY
@@ -555,8 +614,7 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
     probe D(x) equals 1 + 2*key_coeff_fold(s, x), which is what the
     one-query distinguisher reads out.
     """
-    if x < 1:
-        raise ValueError(f"dihedral index must be >= 1, got {x}")
+    _check_dihedral_index(x)
     s = as_key_set(s)
     _check_cap(s)
     if x > s.max_index:

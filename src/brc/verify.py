@@ -26,7 +26,7 @@ from .burnside import (
     KeySet,
     basic_degree,
     key_coeff,
-    key_coeff_bruteforce,
+    key_coeff_mobius,
     key_element,
 )
 from .degree import basic_degree_recurrence, fixed_point_dims, o2_lattice, recurrence_mul
@@ -49,7 +49,7 @@ __all__ = [
 # Upper bounds on the ranges a caller may ask for, checked before any case
 # runs.  At each cap, `brc verify` takes (2-vCPU VM, wall time, max RSS):
 # recurrence 2.5 s and table 0.5 s at --max-index 200 (the cost grows as
-# N**3 and N**2); prop-coeff 4.9 s and involution 2.6 s at --trials 100000;
+# N**3 and N**2); prop-coeff 2.5 s and involution 2.1 s at --trials 100000;
 # rf1 0.9 s and 18 MB at --max-irrep 800 (time grows as N**2; the lattice
 # holds about N ln N counts).
 MAX_TABLE_INDEX = 200
@@ -195,9 +195,9 @@ def verify_prop_coeff(
 ) -> SuiteResult:
     """Three independent algorithms for one key coefficient agree.
 
-    key_coeff enumerates subsets, key_coeff_bruteforce chains the generic
-    ring product, and key_element folds the factors by int index; the
-    case fails unless all three give the same coefficient.
+    key_coeff enumerates subsets, key_coeff_mobius inverts the key's
+    marks over the divisor lattice, and key_element folds the factors by
+    int index; the case fails unless all three give the same coefficient.
     """
     _check_range("trials", trials)
 
@@ -212,10 +212,10 @@ def verify_prop_coeff(
             else:
                 s0 = rng.randint(1, max_index)
             closed = key_coeff(s, s0)
-            brute = key_coeff_bruteforce(s, s0)
+            mobius = key_coeff_mobius(s, s0)
             element = key_element(s).dihedral_coeff(s0)
-            yield None if closed == brute == element else (
-                f"S={s}, s0={s0}: closed {closed}, brute {brute}, element {element}"
+            yield None if closed == mobius == element else (
+                f"S={s}, s0={s0}: closed {closed}, mobius {mobius}, element {element}"
             )
 
     return _run("prop-coeff", cases())

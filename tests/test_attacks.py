@@ -43,7 +43,7 @@ from brc import attacks, cipher
 from brc.cipher import ring_decode, ring_encode
 from strategies import elements, key_sets, unit_multipliers
 
-from math import gcd
+from math import gcd, lcm, prod
 
 
 # ------------------------------------------------------------ operator matrix
@@ -253,6 +253,39 @@ def test_identity_query_leak():
     guess, response = identity_query_leak(KeySet([2]), KeySet([3]), hidden_bit=1)
     assert guess == 1
     assert response == key_element([3])
+
+
+# ----------------------------------------------------------- ciphertext only
+
+
+# 10 KB of 7-bit text with zero bytes and a zero tail, so some divisor sums are 0.
+_MESSAGE = bytes(random.Random(13).randrange(128) for _ in range(10_000)) + bytes(240)
+_PRIMES_16 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [2, 3],
+        [1],
+        [prod(_PRIMES_16) // q for q in _PRIMES_16],
+        # 20 30-digit multiples of lcm(1..60): many marks of -1.
+        [lcm(*range(1, 61)) * 73 * (146 + 7 * j) for j in range(20)],
+        [random.Random(5 + j).randrange(10**29, 10**30) for j in range(20)],
+    ],
+    ids=["2,3", "1", "prime-products", "lcm-multiples", "random-30-digit"],
+)
+def test_one_ciphertext_gives_up_its_plaintext_without_the_key(indices):
+    # The text codec's values are >= 0, so every plaintext divisor sum
+    # F_x is >= 0, and the ciphertext's are G_x = eps_x * F_x.  So
+    # sign(G_x) is the key's mark wherever G_x != 0, and where G_x = 0 so
+    # is F_x, whatever the mark: the mark product by the signs of G is
+    # the plaintext.
+    ct = cipher.encrypt(_MESSAGE, KeySet(indices))
+    assert list(ct.values) != list(_MESSAGE)
+    signs = [(g > 0) - (g < 0) for g in divisor_sums(ct.values)]
+    assert 0 in signs
+    assert cipher.decode_text(mark_product(ct.values, signs)) == _MESSAGE
 
 
 # --------------------------------------------------------- known plaintexts

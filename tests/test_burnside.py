@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import re
 import tracemalloc
 from functools import reduce
 from math import gcd, prod
@@ -28,6 +29,7 @@ from brc.burnside import (
     key_coeff,
     key_coeff_bruteforce,
     key_coeff_fold,
+    key_coeff_mobius,
     key_element,
     key_marks,
     mark_product,
@@ -374,8 +376,8 @@ def test_key_element_sixteen_index_prime_product():
 
 
 def test_key_element_never_calls_ring_product(monkeypatch):
-    # key_element is the third, independent algorithm of the prop-coeff
-    # check: it must not reach BurnsideElement.__mul__, which
+    # key_element is one of the prop-coeff check's three independent
+    # algorithms: it must not reach BurnsideElement.__mul__, which
     # key_coeff_bruteforce chains once per index.
     s = KeySet([4, 6, 9, 10, 15, 35])
     want = _chained_key_element(s)
@@ -424,6 +426,32 @@ def test_key_coeff_rejects_bad_index():
         key_coeff([2, 3], 0)
     with pytest.raises(ValueError):
         key_coeff_fold([2, 3], 0)
+    with pytest.raises(ValueError):
+        key_coeff_bruteforce([2, 3], -1)
+    with pytest.raises(ValueError):
+        key_coeff_mobius([2, 3], 0)
+
+
+_COEFF_FUNCTIONS = [key_coeff, key_coeff_fold, key_coeff_bruteforce, key_coeff_mobius]
+
+
+@pytest.mark.parametrize("fn", _COEFF_FUNCTIONS)
+@pytest.mark.parametrize("index", [True, False, 2.0, "2", None])
+def test_coefficient_functions_refuse_a_non_int_index(monkeypatch, fn, index):
+    # dihedral_coeff's TypeError, raised before anything else: the key set
+    # is above the subset cap and, at n = 1, above the Mobius bound, and
+    # any enumeration fails the test.
+    with pytest.raises(TypeError) as dihedral:
+        key_element([2, 3]).dihedral_coeff(index)
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(burnside, "combinations", refuse)
+    monkeypatch.setattr(burnside, "countOf", refuse)
+    monkeypatch.setattr(burnside, "basic_degree", refuse)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(dihedral.value))}$"):
+        fn([*range(1, 22), 10**6], index)
 
 
 def test_subset_cap_enforced():
@@ -481,6 +509,65 @@ def test_key_coeff_fold_above_max_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(burnside, "combinations", refuse)
     assert key_coeff_fold([2, 3, 5], 6) == 0
     assert key_coeff_fold([2, 3, 5], 10**12) == 0
+
+
+def test_key_coeff_mobius_examples():
+    # S = {2, 3}, n = 1: eps is -1 at D2 and D3 and +1 at D1 and D6, so
+    # a_1 = -(mu(2) + mu(3)) = 2.
+    assert key_coeff_mobius([2, 3], 1) == 2
+    assert key_coeff_mobius([2, 3], 2) == -1
+    assert key_coeff_mobius([2, 3], 6) == 0
+    assert key_coeff_mobius([4], 4) == -1
+    assert key_coeff_mobius([4], 2) == 0
+    assert key_coeff_mobius([2, 4, 6], 2) == 1
+    # key_element([6, 10, 15]) = O2 - D6 - D10 - D15 + 2*D2 + 2*D3 + 2*D5 - 4*D1.
+    assert [key_coeff_mobius([6, 10, 15], n) for n in range(1, 16)] == [
+        key_element([6, 10, 15]).dihedral_coeff(n) for n in range(1, 16)
+    ]
+    assert key_coeff_mobius([6, 10, 15], 1) == -4
+    # n above max(s): no multiple of n reaches a key index.
+    assert key_coeff_mobius([2, 3], 4) == 0
+    assert key_coeff_mobius([2, 3], 10**40) == 0
+
+
+@given(key_sets(max_size=7, max_index=59), st.integers(1, 70))
+@example(KeySet([1]), 1)
+@example(KeySet([30, 42, 59]), 70)
+def test_key_coeff_mobius_equals_key_coeff(s, n):
+    assert key_coeff_mobius(s, n) == key_coeff(s, n)
+
+
+def test_key_coeff_mobius_refuses_above_its_bound_before_any_work(monkeypatch):
+    bound = burnside.MAX_MOBIUS_QUOTIENT
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(burnside, "countOf", refuse)
+        patched.setattr(burnside, "_mobius", refuse)
+        for s, n in [([bound + 1], 1), ([2, 2 * bound + 2], 2), ([10**29, 10**29 + 1], 7)]:
+            with pytest.raises(ValueError, match="bound"):
+                key_coeff_mobius(s, n)
+    # The bound is inclusive.
+    assert key_coeff_mobius([bound], 1) == key_element([bound]).dihedral_coeff(1) == 0
+    assert key_coeff_mobius([2, 2 * bound + 1], 2) == -1
+
+
+def test_key_coeff_mobius_shares_no_code_with_the_other_sides(monkeypatch):
+    # The Mobius side must not reach the ring product, the fold, the
+    # subset enumeration or the cipher's mark code.
+    sets = [KeySet([4, 6, 9, 10, 15, 35]), KeySet([2, 3, 5, 7, 11, 13, 30, 60])]
+    want = {s: [key_element(s).dihedral_coeff(n) for n in range(1, s.max_index + 3)] for s in sets}
+
+    def refuse(*args):
+        raise AssertionError("shared code called")
+
+    monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
+    for name in ("key_element", "_signed_subset_count", "key_marks", "_divisors_upto"):
+        monkeypatch.setattr(burnside, name, refuse)
+    for s, coeffs in want.items():
+        assert [key_coeff_mobius(s, n) for n in range(1, s.max_index + 3)] == coeffs
 
 
 # ------------------------------------------------------------ ring properties

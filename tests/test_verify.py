@@ -3,7 +3,7 @@
 import pytest
 
 from brc import verify
-from brc.burnside import BurnsideElement, D, key_element
+from brc.burnside import BurnsideElement, D, key_coeff, key_coeff_mobius, key_element
 from brc.verify import run_suite, verify_involution, verify_prop_coeff
 
 
@@ -25,9 +25,25 @@ def _negate_lowest_coefficient(s):
     return BurnsideElement({**dict(k.terms()), g: -k.coeff(g)})
 
 
-@pytest.mark.parametrize("suite", [verify_involution, verify_prop_coeff])
-def test_suites_catch_a_wrong_key_element(monkeypatch, suite):
-    monkeypatch.setattr(verify, "key_element", _negate_lowest_coefficient)
+def _negated(coeff):
+    # A coefficient side that returns the negated coefficient.
+    return lambda s, n: -coeff(s, n)
+
+
+@pytest.mark.parametrize(
+    "suite, side, wrong",
+    [
+        pytest.param(verify_involution, "key_element", _negate_lowest_coefficient, id="verify_involution"),
+        pytest.param(verify_prop_coeff, "key_element", _negate_lowest_coefficient, id="verify_prop_coeff"),
+        pytest.param(verify_prop_coeff, "key_coeff", _negated(key_coeff), id="verify_prop_coeff-key_coeff"),
+        pytest.param(
+            verify_prop_coeff, "key_coeff_mobius", _negated(key_coeff_mobius), id="verify_prop_coeff-key_coeff_mobius"
+        ),
+    ],
+)
+def test_suites_catch_a_wrong_key_element(monkeypatch, suite, side, wrong):
+    # prop-coeff fails whichever of its three sides is wrong.
+    monkeypatch.setattr(verify, side, wrong)
     result = suite()
     assert not result.ok
     assert result.failures > 0
