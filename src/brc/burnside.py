@@ -27,13 +27,17 @@ D1 < D2 < ... < SO2 < O2, e.g. for O2 + 2*D1 - D3:
     O2 1
 
 The zero element renders as the single line ``0``.  The `D<n> <c>`
-lines are written by `format_terms` and read by `read_terms`;
-`render`, `parse` and the ciphertext files of `brc.cipher` share them.
-Neither runs Python code per term: `format_terms` interleaves indices
-and coefficients by two slice assignments and formats them with one
-`%` call, and `read_terms` checks a chunk of lines with one regex
-fullmatch of the line grammar, then converts all its numbers with one
-`json.loads`, reading its range of the text in place.
+lines are written by `format_terms` and read by `read_terms`, both on
+ASCII bytes; `render`, `parse` and the ciphertext files of `brc.cipher`
+share them.  Neither runs Python code per term: `format_terms`
+interleaves indices and coefficients by two slice assignments and
+formats them with one bytes `%` call, and `read_terms` checks a chunk
+of lines with one regex fullmatch of the line grammar, then converts
+all its numbers with one `json.loads`, reading its range of the bytes
+in place.  A ciphertext file is parsed in its own bytes, with no
+decoded copy; `render` decodes the bytes it formats, and `parse`
+encodes its text as UTF-8, so a non-ASCII character fails the ASCII
+grammar like any other.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import combinations, islice, starmap, takewhile
+from itertools import combinations, compress, count, islice, repeat, starmap
 from math import gcd, isqrt
-from operator import add, countOf, eq, itemgetter, lt
+from operator import add, countOf, itemgetter, lt, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -159,61 +163,69 @@ def D(k: int) -> Generator:
 # without leading zeros or a plus sign, and a run of whole lines.  The run
 # is matched chunk by chunk: a pattern repeating a group over the whole
 # text keeps state for every repetition.
-_TERM = re.compile(r"D[1-9][0-9]* -?[1-9][0-9]*")
-_TERM_LINES = re.compile(rf"(?:{_TERM.pattern}\n)+")
-# Characters checked by one fullmatch call, rounded up to a whole line.
+_TERM = re.compile(rb"D[1-9][0-9]* -?[1-9][0-9]*")
+_TERM_LINES = re.compile(rb"(?:%s\n)+" % _TERM.pattern)
+# Bytes checked by one fullmatch call, rounded up to a whole line.
 _TERM_CHUNK = 1 << 14
-# Term lines as a JSON array body: `D` deleted, both separators made commas.
-_TO_JSON = str.maketrans({"D": None, " ": ",", "\n": ","})
+# Term lines as a JSON array body: both separators made commas, and `D`
+# deleted by translate's second argument.
+_TO_JSON = bytes.maketrans(b" \n", b",,")
 # The SO2 and O2 lines that end an element's text, or nothing at a line end.
-_TAIL = re.compile(r"(?:^|(?<=\n))(?:SO2 (-?[1-9][0-9]*)\n)?(?:O2 (-?[1-9][0-9]*)\n)?\Z")
+_TAIL = re.compile(rb"(?:^|(?<=\n))(?:SO2 (-?[1-9][0-9]*)\n)?(?:O2 (-?[1-9][0-9]*)\n)?\Z")
 
 
-def format_terms(indices: Iterable[int], coeffs: Sequence[int]) -> str:
+def format_terms(indices: Iterable[int], coeffs: Sequence[int]) -> bytes:
     """One `D<n> <c>` line, ending in a newline, per index n and coefficient c, in one `%` call.
 
     The `%` arguments n1, c1, n2, c2, ... are interleaved by two
     extended-slice assignments, so no Python code runs per term.
-    `indices` must yield exactly len(coeffs) values.
+    `indices` must yield exactly len(coeffs) values.  Returns ASCII bytes.
     """
     flat = [0] * (2 * len(coeffs))
     flat[::2] = indices
     flat[1::2] = coeffs
-    return ("D%d %d\n" * len(coeffs)) % tuple(flat)
+    return (b"D%d %d\n" * len(coeffs)) % tuple(flat)
 
 
-def read_terms(text: str, start: int = 0, end: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
-    """Indices and coefficients of the `D<n> <c>` lines in text[start:end], one chunk at a time.
+def read_terms(data: bytes, start: int = 0, end: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
+    """Indices and coefficients of the `D<n> <c>` lines in data[start:end], one chunk at a time.
 
     The range is whole lines, each ending in a newline, read in chunks
-    of about _TERM_CHUNK characters without copying the rest of `text`.
+    of about _TERM_CHUNK bytes without copying the rest of `data`.
     One fullmatch of the line grammar checks a chunk; it is the only
     gate, since `json.loads` also reads forms the grammar refuses
     (``1.0``, ``-0``, ``NaN``).  After it every token is a canonical
-    decimal int, and one `json.loads` of the chunk, with `D` deleted and
-    the separators made commas, converts them all; json converts
-    through int(), so a number longer than int() converts is still an
-    error.  Only one chunk's strings and numbers are alive at once.
-    Indices ascend strictly, also across chunks; any violation is
-    ElementFormatError, raised before the chunk is yielded.
+    ASCII decimal int, and one `json.loads` of the chunk, with `D`
+    deleted and the separators made commas, converts them all; json
+    converts through int(), so a number longer than int() converts is
+    still an error.  Only one chunk's bytes and numbers are alive at
+    once.  Indices ascend strictly, also across chunks; any violation is
+    ElementFormatError, raised before the chunk is yielded.  A malformed
+    line is quoted as its UTF-8 text.
     """
     if end is None:
-        end = len(text)
+        end = len(data)
     last = 0
     while start < end:
-        stop = text.find("\n", start + _TERM_CHUNK, end) + 1 or end
-        chunk = text[start:stop]
+        stop = data.find(b"\n", start + _TERM_CHUNK, end) + 1 or end
+        chunk = data[start:stop]
         if _TERM_LINES.fullmatch(chunk) is None:
-            bad = next(ln for ln in chunk.split("\n") if not _TERM.fullmatch(ln))
-            raise ElementFormatError(f"term line {bad!r} is malformed")
+            bad = next(ln for ln in chunk.split(b"\n") if not _TERM.fullmatch(ln))
+            raise ElementFormatError(f"term line {bad.decode('utf-8', 'surrogatepass')!r} is malformed")
         try:
-            numbers = json.loads("[" + chunk.translate(_TO_JSON)[:-1] + "]")
+            numbers = json.loads(b"[" + chunk.translate(_TO_JSON, b"D")[:-1] + b"]")
         except ValueError:  # more digits than int() converts
             raise ElementFormatError("term number has more digits than int() converts") from None
         labels = numbers[::2]
-        if labels[0] <= last or not all(map(lt, labels, islice(labels, 1, None))):
+        first, top = labels[0], labels[-1]
+        if top - first + 1 == len(labels):
+            # Labels spanning their own count ascend strictly only as first..top.
+            ascending = labels == list(range(first, top + 1))
+        else:
+            ascending = all(map(lt, labels, islice(labels, 1, None)))
+        if first <= last or not ascending:
             raise ElementFormatError("terms must be in strictly ascending order")
-        last = labels[-1]
+        last = top
         yield labels, numbers[1::2]
         start = stop
 
@@ -355,7 +367,7 @@ class BurnsideElement:
         if not self:
             return "0"
         indices = sorted(self._dih)
-        text = format_terms(indices, list(map(self._dih.__getitem__, indices)))
+        text = format_terms(indices, list(map(self._dih.__getitem__, indices))).decode("ascii")
         text += "".join(f"{g.label} {c}\n" for g, c in ((SO2, self._rot), (O2, self._full)) if c)
         return text[:-1]
 
@@ -370,9 +382,10 @@ class BurnsideElement:
         """
         if text == "0":
             return ZERO
-        body = text + "\n"
+        # Lone surrogates encode too, so any str reaches the grammar.
+        body = (text + "\n").encode("utf-8", "surrogatepass")
         # The SO2 and O2 lines, if any, are among the last two.
-        m = _TAIL.search(body, body.rfind("\n", 0, body.rfind("\n", 0, -1)) + 1)
+        m = _TAIL.search(body, body.rfind(b"\n", 0, body.rfind(b"\n", 0, -1)) + 1)
         try:
             rot, full = (int(c or 0) for c in m.groups())
         except ValueError:  # more digits than int() converts
@@ -694,18 +707,21 @@ def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
     vanishes above T, the last x with marks[x-1] != 1, and so does
     Z^-1 h (every multiple of an x > T lies above T): it is
     from_divisor_sums of h on D(1)..D(T), added to p there, and c equals
-    p above T.  F_x is summed only where m_x != 1, so the cost is
-    O(L + sum_{x<=T, m_x!=1} L/x + T log T); a key's marks are +1 at
-    every x that divides no key index.  Returns a new list.
+    p above T.  One C-level count of the 1 marks and one C-level scan
+    that stops at T find the x with m_x != 1; F_x is summed and h filled
+    only at those, so the cost is O(L + sum_{x<=T, m_x!=1} L/x + T log T);
+    a key's marks are +1 at every x that divides no key index.  Returns a
+    new list.
     """
     if len(marks) != len(values):
         raise ValueError(f"{len(marks)} marks for a window of {len(values)}")
-    # The trailing marks are all 1, so their sum is their count.
-    top = len(marks) - sum(takewhile(partial(eq, 1), reversed(marks)))
-    half = min(top, len(values) // 2)
-    h = [(m - 1) * sum(values[x - 1 :: x]) if m != 1 else 0 for x, m in zip(range(1, half + 1), marks)]
-    # Above L/2 the only multiple of x in the window is x itself.
-    h += [(m - 1) * p for m, p in zip(marks[half:top], values[half:top])]
+    nonunit = list(islice(compress(count(1), map(ne, marks, repeat(1))), len(marks) - marks.count(1)))
+    # Summed before h exists: the slice at x = 1 copies the whole window.
+    corrections = [(marks[x - 1] - 1) * sum(values[x - 1 :: x]) for x in nonunit]
+    top = nonunit[-1] if nonunit else 0
+    h = [0] * top
+    for x, c in zip(nonunit, corrections):
+        h[x - 1] = c
     out = list(map(add, values, from_divisor_sums(h)))
     out += values[top:]
     return out

@@ -21,13 +21,14 @@ and the reference the tests compare against.
 The dense window vector is the cipher's one representation: a
 `Ciphertext` stores it, and the file codec writes it and reads it back
 without building a sparse element.  The body lines go through
-`burnside.format_terms` and `burnside.read_terms`, the codec element
-text uses too, one slice or chunk at a time with no Python loop over
-the terms.  The writer refuses a value that is not an int before it
-opens the file.  The reader parses the body in place in the decoded
-text, and stores a chunk of consecutive labels with one list
-extension, so the coefficients of a dense body become the vector as
-they are read.
+`burnside.format_terms` and `burnside.read_terms`, the bytes codec
+element text uses too, one slice or chunk at a time with no Python loop
+over the terms.  The writer refuses a value that is not an int before
+it opens the file, and writes bytes.  The reader refuses a file with a
+non-ASCII byte, then parses the body in place in the file's bytes,
+with no decoded copy, and stores a chunk of consecutive labels with one
+list extension, so the coefficients of a dense body become the vector
+as they are read.
 
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
@@ -55,10 +56,10 @@ primes over each one of them: 20 indices of 25 to 27 digits whose key
 element has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
 digits that are multiples of lcm(1..60), lcm(1..60) * 73 * (146 + 7j)
 for j = 0..19 (25 848 marks of -1, the last at x = 1 048 476), `brc
-encrypt` of a MAX_LENGTH message took 2.7-3.8 s at peak RSS 63 MB and
-`brc decrypt` 3.2-4.1 s at 67 MB (five runs each, 2-vCPU VM, Python
-3.11.7; about 2 s of each is the key's marks); 4300-digit indices, the
-longest int() reads, took 131 s before the cap.
+encrypt` of a MAX_LENGTH message took 2.8-3.6 s at peak RSS 61 MB and
+`brc decrypt` of its 11.3 MiB ciphertext 3.5-3.9 s at 67 MB (five runs
+each, 2-vCPU VM, Python 3.11.7; about 2 s of each is the key's marks);
+4300-digit indices, the longest int() reads, took 131 s before the cap.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ MAX_KEY_SIZE = DEFAULT_SUBSET_CAP
 MAX_INDEX_DIGITS = 30
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
-_LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
+_LENGTH_LINE = re.compile(rb"L ([1-9][0-9]*)")
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 # n -> n - 1, the vector slot of the label D(n).
 _PRED = partial(add, -1)
 # Window values formatted by one `%` call of the writer.
@@ -223,21 +225,20 @@ def write_key_file(path: str | Path, key_set: KeySet) -> None:
     Path(path).write_text(f"{KEY_MAGIC}\nS {indices}\n")
 
 
-def _read_ascii(path: str | Path, what: str, size: int = -1) -> str:
-    """At most `size` bytes of the file (all with -1), as ASCII text."""
+def _read_ascii(path: str | Path, what: str, size: int = -1) -> bytes:
+    """At most `size` bytes of the file (all with -1), refused unless all are ASCII."""
     # Bytes, not text mode: newline translation would accept "\r\n".
     with open(path, "rb") as f:
         data = f.read(size)
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"non-ASCII byte at offset {exc.start} of {what} file") from None
+    if not data.isascii():
+        raise FileFormatError(f"non-ASCII byte at offset {_NON_ASCII.search(data).start()} of {what} file")
+    return data
 
 
 def read_key_file(path: str | Path) -> KeySet:
     # One byte past the longest canonical file tells a longer file apart
     # without reading it all.
-    text = _read_ascii(path, "key", _KEY_FILE_MAX + 1)
+    text = _read_ascii(path, "key", _KEY_FILE_MAX + 1).decode("ascii")
     if len(text) > _KEY_FILE_MAX:
         raise FileFormatError(f"key file is longer than {_KEY_FILE_MAX} bytes")
     lines = text.split("\n")
@@ -270,10 +271,10 @@ def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
     if countOf(map(type, values), int) != len(values):
         n, v = next((n, v) for n, v in enumerate(values, start=1) if type(v) is not int)
         raise TypeError(f"ciphertext value at D{n} must be an int, got {v!r}")
-    with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(f"{CT_MAGIC}\nL {len(values)}\n")
+    with open(path, "wb") as f:
+        f.write(f"{CT_MAGIC}\nL {len(values)}\n".encode("ascii"))
         if not any(values):
-            f.write("0\n")
+            f.write(b"0\n")
         for start in range(0, len(values), _CT_SLICE):
             part = values[start : start + _CT_SLICE]
             f.write(format_terms(compress(count(start + 1), part), list(filter(None, part))))
@@ -282,37 +283,37 @@ def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
 def read_ciphertext_file(path: str | Path) -> Ciphertext:
     """Read a canonical ciphertext file straight into its window vector.
 
-    The text is parsed in a helper, so it is freed before the vector is
-    copied into the Ciphertext's tuple.
+    The file's bytes are parsed in a helper, so they are freed before the
+    vector is copied into the Ciphertext's tuple.
     """
     return Ciphertext(_read_ciphertext_values(_read_ascii(path, "ciphertext")))
 
 
-def _read_ciphertext_values(text: str) -> list[int]:
-    """The window vector of a ciphertext file's text, parsed in place by offsets."""
-    first = text.find("\n")
-    body = text.find("\n", first + 1) + 1 if first >= 0 else 0
-    if not body or body == len(text):
+def _read_ciphertext_values(data: bytes) -> list[int]:
+    """The window vector of a ciphertext file's ASCII bytes, parsed in place by offsets."""
+    first = data.find(b"\n")
+    body = data.find(b"\n", first + 1) + 1 if first >= 0 else 0
+    if not body or body == len(data):
         raise FileFormatError("truncated ciphertext file")
-    if not text.endswith("\n"):
+    if not data.endswith(b"\n"):
         raise FileFormatError("ciphertext file must end with a newline")
-    header, length_line = text[:first], text[first + 1 : body - 1]
+    header, length_line = data[:first].decode("ascii"), data[first + 1 : body - 1]
     if header != CT_MAGIC:
         raise FileFormatError(f"bad ciphertext header {header!r}")
     m = _LENGTH_LINE.fullmatch(length_line)
     if m is None:
-        raise FileFormatError(f"bad length line {length_line!r}")
+        raise FileFormatError(f"bad length line {length_line.decode('ascii')!r}")
     # Compare digit counts first: int() refuses very long digit strings.
     if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
-        raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
+        raise FileFormatError(f"declared length {m[1].decode('ascii')} is above the limit {MAX_LENGTH}")
     window = int(m[1])
     # The body of the zero vector, "0", holds no term lines.
-    if text.startswith("0\n", body) and body + 2 == len(text):
-        body = len(text)
+    if data.startswith(b"0\n", body) and body + 2 == len(data):
+        body = len(data)
     # values[n-1] holds D(n) for n up to the last label read so far.
     values: list[int] = []
     try:
-        for labels, coeffs in read_terms(text, body):
+        for labels, coeffs in read_terms(data, body):
             # Ascending, so the last label bounds the chunk before any is used as an index.
             top = labels[-1]
             if top > window:

@@ -254,6 +254,8 @@ def test_freed_element_leaves_no_generators_behind():
         "D2 0",
         "D2 one",
         "D2 1\nD1 1",  # out of order
+        "D1 1\nD3 1\nD2 1\nD4 1",  # out of order, labels spanning their count
+        "D1 1\nD3 1\nD3 1\nD4 1",  # repeated, labels spanning their count
         "D2 1 extra",
         "O2 1\nO2 2",  # duplicate
         # non-canonical tokens and spacing
@@ -278,6 +280,49 @@ def test_freed_element_leaves_no_generators_behind():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ElementFormatError):
         BurnsideElement.parse(text)
+
+
+# The exact messages, with non-ASCII lines quoted as the text they came from.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("D\u00b2 5", "term line 'D\u00b2 5' is malformed"),
+        ("D1 \u0662", "term line 'D1 \u0662' is malformed"),
+        ("O2 \u0663", "term line 'O2 \u0663' is malformed"),
+        ("D1 5\nD\u00b2 5", "term line 'D\u00b2 5' is malformed"),
+        ("SO2 \u0663\nO2 1", "term line 'SO2 \u0663' is malformed"),
+        ("D1 1\r\nD2 1", "term line 'D1 1\\r' is malformed"),
+        ("D1 5\nSO2 1\nD3 1", "term line 'SO2 1' is malformed"),
+    ],
+)
+def test_parse_error_texts(text, message):
+    with pytest.raises(ElementFormatError) as exc:
+        BurnsideElement.parse(text)
+    assert str(exc.value) == message
+
+
+# Characters of the element grammar plus near misses, a lone surrogate among them.
+_ELEMENT_ALPHABET = "DSO0123456789- +_\n\r\t\u00b2\u0662\udcff"
+
+
+@st.composite
+def element_texts(draw):
+    """A rendered element with up to three small random edits."""
+    text = draw(elements(max_index=30)).render()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 2)))
+        text = text[:i] + draw(st.text(alphabet=_ELEMENT_ALPHABET, max_size=2)) + text[j:]
+    return text
+
+
+@given(st.one_of(st.text(), element_texts()))
+def test_parse_accepts_only_canonical_text(text):
+    try:
+        a = BurnsideElement.parse(text)
+    except ElementFormatError:
+        return
+    assert a.render() == text
 
 
 def test_str_compact_form():
@@ -740,6 +785,9 @@ def mark_product_cases(draw):
         marks = [1] * length
     else:
         marks = draw(st.lists(st.integers(-(10**6), 10**6), min_size=length, max_size=length))
+    if draw(st.booleans()):
+        # As AmbiguityResult.base_marks passes them.
+        marks = tuple(marks)
     return values, marks
 
 
@@ -747,6 +795,9 @@ def mark_product_cases(draw):
 @example(([7], [-1]))  # L = 1
 @example(((3, -4, 5), [1, 1, 1]))  # T = 0: the product is p itself
 @example(([1, -2, 3, -4, 5, -6], [1, -1, 1, 1, 1, -1]))  # T = L
+@example(([3, -4, 5], (1, 1, 1)))  # tuple marks, all 1: a new list equal to p
+@example(([5, -3, 2, 9], (1, 1, 1, -1)))  # the only non-unit mark at x = L
+@example(([4, 0, -7, 2, 6, -1, 3], [1, 1, 1, 1, -1, 1, -1]))  # non-unit marks only above L/2
 def test_mark_product_equals_dense_reference(case):
     values, marks = case
     before = (list(values), list(marks))
@@ -755,6 +806,20 @@ def test_mark_product_equals_dense_reference(case):
     assert out == dense
     assert type(out) is list and out is not values
     assert (list(values), list(marks)) == before
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        elem(O2=1, D6=1),  # marks 3 at x = 1, 2, 3, 6 (above L/2), 1 elsewhere
+        elem(O2=2, D4=-1),  # marks 0 at x = 1, 2, 4, 2 elsewhere: T = L
+        elem(O2=1, D7=1, D9=-1),  # marks 3 at x = 7 and -1 at x = 3, 9: T < L
+    ],
+)
+def test_mark_product_takes_marks_of_a_general_element(k):
+    values = [(-1) ** n * n for n in range(1, 11)]
+    p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
+    assert mark_product(values, tuple(window_marks(k, 10))) == _window_vector(p * k, 10)
 
 
 def test_mark_product_rejects_length_mismatch():

@@ -406,6 +406,7 @@ def test_ciphertext_file_zero_element(tmp_path):
         "BRC-CT v1\nL 2\nD" + "1" * 5000 + " 1\n",
         "BRC-CT v1\nL 2\nD1 " + "1" * 5000 + "\n",
         "BRC-CT v1\nL 2\nD1 1\nD1 1\n",
+        "BRC-CT v1\nL 4\nD1 1\nD3 1\nD2 1\nD4 1\n",  # labels spanning their count, out of order
         "BRC-CT v1\nL 2\nD1 1\nSO2 1\n",
         "BRC-CT v1\nL 2\n0\nD1 5\n",
     ],
@@ -415,6 +416,35 @@ def test_ciphertext_file_strict_parsing(tmp_path, content):
     path.write_text(content)
     with pytest.raises(FileFormatError):
         read_ciphertext_file(path)
+
+
+# The exact messages: a non-ASCII byte is refused by its offset before any
+# line is parsed; ASCII lines are quoted as text.
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("BRC-CT v1\nL 2\nD\u00b2 5\n", "non-ASCII byte at offset 15 of ciphertext file"),
+        ("BRC-CT v1\nL 2\nD1 \u0662\n", "non-ASCII byte at offset 17 of ciphertext file"),
+        ("BRC-CT v1\nL 2\nO2 \u0663\n", "non-ASCII byte at offset 17 of ciphertext file"),
+        ("BRC-CT v1\nL 2\nD1 5\nD\u00b2 5\n", "non-ASCII byte at offset 20 of ciphertext file"),
+        ("BRC-CT v\u00b9\nL 2\nD1 5\n", "non-ASCII byte at offset 8 of ciphertext file"),
+        ("BRC-CT v1\nL \u0662\nD1 5\n", "non-ASCII byte at offset 12 of ciphertext file"),
+        ("BRC-CT v2\nL 2\nD1 5\n", "bad ciphertext header 'BRC-CT v2'"),
+        ("BRC-CT v1\r\nL 2\r\nD1 5\r\n", "bad ciphertext header 'BRC-CT v1\\r'"),
+        ("BRC-CT v1\nL +2\nD1 5\n", "bad length line 'L +2'"),
+        ("BRC-CT v1\nL 2 \nD1 5\n", "bad length line 'L 2 '"),
+        ("BRC-CT v1\nL 2000000\nD1 1\n", "declared length 2000000 is above the limit 1048576"),
+        ("BRC-CT v1\nL 2\nD1 5\nD2 x\n", "ciphertext term line 'D2 x' is malformed"),
+        ("BRC-KEY v1\nS 2 \u0663\n", "non-ASCII byte at offset 15 of key file"),
+    ],
+)
+def test_file_error_texts(tmp_path, content, message):
+    path = tmp_path / "bad"
+    path.write_bytes(content.encode())
+    reader = read_key_file if content.startswith("BRC-KEY") else read_ciphertext_file
+    with pytest.raises(FileFormatError) as exc:
+        reader(path)
+    assert str(exc.value) == message
 
 
 # Window vectors with many zero entries, so that gaps between terms show.
@@ -515,9 +545,9 @@ def test_readers_refuse_json_forms_outside_the_grammar(tmp_path, monkeypatch, li
 
 
 def test_read_terms_reads_only_its_range():
-    text = "xx\nD1 5\nD2 -3\nD4 7\nO2 1\n"
-    start = text.index("D")
-    terms = list(burnside.read_terms(text, start, text.index("O2")))
+    data = b"xx\nD1 5\nD2 -3\nD4 7\nO2 1\n"
+    start = data.index(b"D")
+    terms = list(burnside.read_terms(data, start, data.index(b"O2")))
     assert terms == [([1, 2, 4], [5, -3, 7])]
 
 
@@ -550,7 +580,7 @@ def test_ciphertext_writer_refuses_non_int_values(tmp_path, values):
 def test_ciphertext_reader_memory_is_linear_in_file(tmp_path):
     # A dense 100 KB ciphertext: the reader's peak stays a small multiple
     # of the file, since it keeps no per-line strings for the whole body
-    # and parses the body in place, without a copy of it.
+    # and parses the body in place in the file's bytes, with no decoded copy.
     data = bytes(32 + (13 * i) % 95 for i in range(100_000))
     path = tmp_path / "dense.ct"
     write_ciphertext_file(path, encrypt(data, KeySet([2, 3, 5, 7, 11, 13])))
@@ -561,8 +591,9 @@ def test_ciphertext_reader_memory_is_linear_in_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert decrypt(ciphertext, KeySet([2, 3, 5, 7, 11, 13])) == data
-    # The decoded text and the bytes it came from are alive together once.
-    assert peak < 3 * path.stat().st_size
+    # The file's bytes and the growing vector are alive together: 2.36
+    # times the file on Python 3.11.
+    assert peak < 2.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("slice_size", [1, 7, cipher._CT_SLICE])
