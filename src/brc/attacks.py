@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
-from math import comb, isqrt
+from math import isqrt
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -32,7 +32,6 @@ from .burnside import (
     BurnsideElement,
     D,
     KeySet,
-    _check_cap,
     as_key_set,
     divisor_sums,
     from_divisor_sums,
@@ -42,7 +41,7 @@ from .burnside import (
     mark_product,
     window_marks,
 )
-from .cipher import MAX_LENGTH
+from .limits import check_drawn_values, check_range, check_subset_cap, check_sweep_size
 
 __all__ = [
     "OperatorMatrix",
@@ -57,16 +56,12 @@ __all__ = [
     "identity_query_leak",
     "CpaSweepResult",
     "run_cpa_sweep",
-    "MAX_SWEEP_GAMES",
     "OracleMismatchError",
     "InconsistentPairsError",
     "KpaResult",
     "known_plaintext_solver",
     "generic_plaintext_solver",
-    "MAX_TWINS",
     "MAX_PRINTED_WINDOW",
-    "MAX_DRAWN_VALUES",
-    "MIN_PAIR_COST",
     "AmbiguityResult",
     "run_ambiguity_demo",
     "KpaDemoResult",
@@ -156,18 +151,9 @@ def ambiguous_key(s: KeySet | Iterable[int], window: int, q: int) -> KeySet:
     return KeySet(q * i for i in s)
 
 
-# Most twins ambiguous_family builds.  Each twin costs a prime search and,
-# in run_ambiguity_demo, its marks on the window and one report line: about
-# 3 s for the full cap at the window MAX_LENGTH.
-MAX_TWINS = 100
-
-
 def ambiguous_family(s: KeySet | Iterable[int], window: int, count: int) -> list[KeySet]:
-    """The first `count` prime-scaled twins of `s` above the window, count <= MAX_TWINS."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > MAX_TWINS:
-        raise ValueError(f"count must be <= {MAX_TWINS}, got {count}")
+    """The first `count` prime-scaled twins of `s` above the window, count <= limits.MAX_TWINS."""
+    check_range("count", count)
     primes = (q for q in count_from(window + 1) if _is_prime(q))
     return [ambiguous_key(s, window, q) for q in islice(primes, count)]
 
@@ -293,8 +279,8 @@ def identity_query_leak(
     dihedral game's subset cap are refused before any is built.
     """
     game = CpaExperiment(s0=s0, s1=s1, hidden_bit=hidden_bit)
-    _check_cap(game.s0)
-    _check_cap(game.s1)
+    check_subset_cap(game.s0)
+    check_subset_cap(game.s1)
     # The single query is the identity class itself; the oracle reply is
     # IDENTITY * k = k, the hidden key element in the clear.
     response = IDENTITY * key_element(game.hidden_set)
@@ -318,36 +304,15 @@ class CpaSweepResult:
     probes: tuple[tuple[int, int], ...]  # (probe index, games), ascending
 
 
-# Games in one sweep, n*(n-1)*2 on n key sets.  Near the cap (--max-index 12
-# --max-size 3, 177 012 games; --max-index 8 --max-size 8, 129 540 games on
-# the largest sets) `brc attack cpa-sweep` takes 4-5 s; see README.
-MAX_SWEEP_GAMES = 200_000
-
-
-def _check_sweep_size(max_index: int, max_size: int) -> None:
-    # Counts the key sets size by size with math.comb and stops at the
-    # first count over the cap, so no input makes the check itself slow.
-    n = 0
-    for size in range(1, min(max_size, max_index) + 1):
-        n += comb(max_index, size)
-        if n * (n - 1) * 2 > MAX_SWEEP_GAMES:
-            raise ValueError(
-                f"indices <= {max_index}, |S| <= {max_size} need more than "
-                f"{MAX_SWEEP_GAMES} games, the cpa-sweep cap"
-            )
-    if n < 2:
-        raise ValueError(f"fewer than two key sets with indices <= {max_index}, |S| <= {max_size}")
-
-
 def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
     """Play the game for every ordered pair of distinct key sets.
 
     The key space holds every set of indices <= max_index with
     1 <= |S| <= max_size; each ordered pair is played with both hidden
     bits, so the sweep plays n*(n-1)*2 games on n key sets, at most
-    MAX_SWEEP_GAMES.  Both limits are checked before any key set is built.
+    limits.MAX_SWEEP_GAMES.  Both limits are checked before any key set is built.
     """
-    _check_sweep_size(max_index, max_size)
+    check_sweep_size(max_index, max_size)
     key_space = [
         KeySet(combo)
         for size in range(1, min(max_size, max_index) + 1)
@@ -554,25 +519,11 @@ def generic_plaintext_solver(
 
 
 # The ambiguity and known-plaintext demonstrations work on marks and
-# window vectors, O(L) memory, and accept any window up to MAX_LENGTH.
+# window vectors, O(L) memory, and accept any window up to limits.MAX_LENGTH.
 # Their reports print the dense window x window operator matrix up to
 # this window; above it they list the x with eps_x = -1 instead, and no
 # matrix is built.
 MAX_PRINTED_WINDOW = 1000
-
-# Most plaintext values (pairs x window) the known-plaintext demonstration
-# draws: four pairs at the full window, a few seconds.  A pair on a small
-# window counts as MIN_PAIR_COST values, about what its own lists and
-# solver pass cost, so a million pairs on W_1 are refused as well.
-MAX_DRAWN_VALUES = 4 * MAX_LENGTH
-MIN_PAIR_COST = 64
-
-
-def _check_demo_window(window: int) -> None:
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if window > MAX_LENGTH:
-        raise ValueError(f"window must be <= {MAX_LENGTH}, got {window}")
 
 
 @dataclass(frozen=True)
@@ -609,7 +560,8 @@ def run_ambiguity_demo(
 ) -> AmbiguityResult:
     """Exhibit `count` distinct key sets acting identically on the window.
 
-    The window must lie in 1..MAX_LENGTH and the count in 1..MAX_TWINS.
+    The window and the count must lie in their ranges of limits.RANGES,
+    both checked before any mark is computed.
 
     Uses key sets and their marks only, never a key element, so the cost
     does not grow as 2**|S|.  Z is invertible, so twins are compared by their
@@ -618,9 +570,9 @@ def run_ambiguity_demo(
     at D(x) have opposite signs; hence `elements_differ` is t != s.
     """
     s = as_key_set(s)
-    _check_demo_window(window)
-    base_marks = tuple(key_marks(s, window))
+    check_range("window", window)
     twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
+    base_marks = tuple(key_marks(s, window))
     return AmbiguityResult(
         base=s,
         window=window,
@@ -690,21 +642,15 @@ def run_kpa_demo(
     the mark product of its plaintext vector with the key's window marks;
     no key element is built.  The recovered marks are compared with the
     key's, which is exact because Z is invertible, and no operator matrix
-    is built here.  The window must lie in 1..MAX_LENGTH, and
-    n_pairs * max(window, MIN_PAIR_COST) at most MAX_DRAWN_VALUES.
+    is built here.  The window and the pairs are checked against
+    limits.RANGES and limits.check_drawn_values before any work.
     Memory stays O(n_pairs * window): `brc attack kpa --window 1048576
     --pairs 4` takes about 4.4 s and 206 MB peak RSS (Python 3.11,
     2 vCPU).
     """
     key_set = as_key_set(key_set)
-    _check_demo_window(window)
-    if n_pairs < 1:
-        raise ValueError(f"need at least one pair, got {n_pairs}")
-    if n_pairs * max(window, MIN_PAIR_COST) > MAX_DRAWN_VALUES:
-        raise ValueError(
-            f"{n_pairs} pairs on W_{window} cost more than {MAX_DRAWN_VALUES} plaintext "
-            f"values (a pair counts as at least {MIN_PAIR_COST})"
-        )
+    check_range("window", window)
+    check_drawn_values(n_pairs, window)
     ambiguity = run_ambiguity_demo(key_set, window, 3)
     drawn = _draw_plaintext_values(random.Random(seed), n_pairs * window)
     pairs = []

@@ -50,6 +50,8 @@ from math import gcd, isqrt
 from operator import add, countOf, itemgetter, lt, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .limits import check_mobius_quotient, check_subset_cap
+
 __all__ = [
     "Generator",
     "D",
@@ -68,7 +70,6 @@ __all__ = [
     "key_coeff_bruteforce",
     "key_coeff_fold",
     "key_coeff_mobius",
-    "MAX_MOBIUS_QUOTIENT",
     "divisor_sums",
     "from_divisor_sums",
     "window_marks",
@@ -78,7 +79,6 @@ __all__ = [
     "ring_decode",
     "format_terms",
     "read_terms",
-    "DEFAULT_SUBSET_CAP",
 ]
 
 # Family tags; their numeric order gives the basis order D(k) < SO2 < O2.
@@ -472,17 +472,6 @@ def as_key_set(s: KeySet | Iterable[int]) -> KeySet:
     return s if isinstance(s, KeySet) else KeySet(s)
 
 
-# Subset-enumerating operations cost 2**|S|; reject larger sets.
-DEFAULT_SUBSET_CAP = 20
-
-
-def _check_cap(s: KeySet) -> None:
-    if len(s) > DEFAULT_SUBSET_CAP:
-        raise ValueError(
-            f"key set has {len(s)} indices, above the subset enumeration cap {DEFAULT_SUBSET_CAP}"
-        )
-
-
 def basic_degree(m: int) -> BurnsideElement:
     """Degree element of the m-th irreducible O(2)-representation.
 
@@ -538,15 +527,8 @@ def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
     """
     _check_dihedral_index(s0)
     s = as_key_set(s)
-    _check_cap(s)
+    check_subset_cap(s)
     return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s.indices, gcd, s0)
-
-
-# key_coeff_mobius takes |T| remainders for each q <= max(s) // n, T the
-# multiples of n in s, so its cost grows as the square of that quotient.  At
-# the bound a key of 20 indices takes 6 ms and the densest key set,
-# {n, 2n, ..., 4096n}, 1.0 s (2-vCPU VM, Python 3.11.7).
-MAX_MOBIUS_QUOTIENT = 1 << 12
 
 
 def _mobius(q: int) -> int:
@@ -578,14 +560,11 @@ def key_coeff_mobius(s: KeySet | Iterable[int], n: int) -> int:
     mu(q) needed, by trial division.  It is 0 for n > max(s).  Shares
     no code with the ring product, key_element's fold or key_coeff's
     subset enumeration, and its cost does not grow as 2**|s|; it refuses
-    max(s) // n above MAX_MOBIUS_QUOTIENT before any work.
+    max(s) // n above limits.MAX_MOBIUS_QUOTIENT before any work.
     """
     _check_dihedral_index(n)
     s = as_key_set(s)
-    if s.max_index // n > MAX_MOBIUS_QUOTIENT:
-        raise ValueError(
-            f"max(s) // n is {s.max_index // n}, above the Mobius oracle's bound {MAX_MOBIUS_QUOTIENT}"
-        )
+    check_mobius_quotient(s.max_index // n)
     quotients = [i // n for i in s.indices if i % n == 0]
     top = quotients[-1] if quotients else 0
     total = 0
@@ -606,7 +585,7 @@ def key_coeff_bruteforce(s: KeySet | Iterable[int], s0: int) -> int:
     """
     _check_dihedral_index(s0)
     s = as_key_set(s)
-    _check_cap(s)
+    check_subset_cap(s)
     product = IDENTITY
     for i in s:
         product = product * basic_degree(i)
@@ -629,7 +608,7 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
     """
     _check_dihedral_index(x)
     s = as_key_set(s)
-    _check_cap(s)
+    check_subset_cap(s)
     if x > s.max_index:
         return 0
     members = countOf(map(x.__rmod__, s.indices), 0)  # #{i in s : i % x == 0}

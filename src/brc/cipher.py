@@ -46,20 +46,9 @@ The body is the canonical rendering of the window element: one
 `D<n> <c>` line per nonzero coefficient, n ascending, or `0`.  Numbers
 are ASCII digits with no leading zeros, `+` or `_`.  The declared
 length L travels with the ciphertext, since only nonzero coefficients
-are stored and trailing zeros would otherwise be lost; it is at most
-MAX_LENGTH.  A key file holds at most MAX_KEY_SIZE = 20 indices, the
-subset-enumeration cap, so any key file also works with key_coeff.
-Marking a message costs min(L, sqrt(s)) divisor tests per index s, each
-linear in the digits of s, so a key file index has at most
-MAX_INDEX_DIGITS = 30 digits.  That admits the product of the first 20
-primes over each one of them: 20 indices of 25 to 27 digits whose key
-element has 2**20 terms, the most at MAX_KEY_SIZE.  Under 20 indices of 30
-digits that are multiples of lcm(1..60), lcm(1..60) * 73 * (146 + 7j)
-for j = 0..19 (25 848 marks of -1, the last at x = 1 048 476), `brc
-encrypt` of a MAX_LENGTH message took 2.8-3.6 s at peak RSS 61 MB and
-`brc decrypt` of its 11.3 MiB ciphertext 3.5-3.9 s at 67 MB (five runs
-each, 2-vCPU VM, Python 3.11.7; about 2 s of each is the key's marks);
-4300-digit indices, the longest int() reads, took 131 s before the cap.
+are stored and trailing zeros would otherwise be lost.  The length, the
+indices of a key file and the digits of each index have caps in
+`brc.limits`, where their costs are recorded.
 """
 
 from __future__ import annotations
@@ -74,7 +63,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .burnside import (
-    DEFAULT_SUBSET_CAP,
     ElementFormatError,
     KeySet,
     SupportWindowError,
@@ -85,6 +73,7 @@ from .burnside import (
     ring_decode,
     ring_encode,
 )
+from .limits import MAX_INDEX_DIGITS, MAX_KEY_SIZE, MAX_LENGTH, check_key_limits
 
 __all__ = [
     "MessageError",
@@ -97,32 +86,16 @@ __all__ = [
     "ring_decode",
     "encrypt",
     "decrypt",
-    "check_key_limits",
     "write_key_file",
     "read_key_file",
     "write_ciphertext_file",
     "read_ciphertext_file",
     "KEY_MAGIC",
     "CT_MAGIC",
-    "MAX_LENGTH",
-    "MAX_KEY_SIZE",
-    "MAX_INDEX_DIGITS",
 ]
 
 KEY_MAGIC = "BRC-KEY v1"
 CT_MAGIC = "BRC-CT v1"
-
-# Longest message, in bytes, and largest declared ciphertext length.  A
-# ciphertext file of a few bytes can declare any L, and decryption works
-# on a dense vector of L coefficients.
-MAX_LENGTH = 1 << 20
-
-# Most indices in a key file and in `brc keygen` (module docstring).
-MAX_KEY_SIZE = DEFAULT_SUBSET_CAP
-
-# Most decimal digits of one index in a key file and in `brc keygen`
-# (module docstring).  KeySet itself takes indices of any size.
-MAX_INDEX_DIGITS = 30
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
 _LENGTH_LINE = re.compile(rb"L ([1-9][0-9]*)")
@@ -208,14 +181,6 @@ def decrypt(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
     """The same product on the ciphertext vector, then decode_text: the key is its own inverse."""
     marks = key_marks(key_set, ciphertext.length)
     return decode_text(mark_product(ciphertext.values, marks))
-
-
-def check_key_limits(key_set: KeySet) -> None:
-    """ValueError above MAX_KEY_SIZE indices or MAX_INDEX_DIGITS digits per index."""
-    if len(key_set) > MAX_KEY_SIZE:
-        raise ValueError(f"key set has {len(key_set)} indices, above the limit {MAX_KEY_SIZE}")
-    if key_set.max_index >= 10**MAX_INDEX_DIGITS:
-        raise ValueError(f"key index has more than {MAX_INDEX_DIGITS} digits")
 
 
 def write_key_file(path: str | Path, key_set: KeySet) -> None:

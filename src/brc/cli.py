@@ -18,12 +18,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import attacks
+from . import attacks, limits
 from .burnside import KeySet, key_element
 from .cipher import (
-    MAX_LENGTH,
     MessageError,
-    check_key_limits,
     decrypt,
     encrypt,
     read_ciphertext_file,
@@ -31,21 +29,25 @@ from .cipher import (
     write_ciphertext_file,
     write_key_file,
 )
-from .verify import MAX_IRREP, MAX_TABLE_INDEX, MAX_TRIALS, run_suite
+from .verify import run_suite
 
 
 def _parse_key_set(text: str) -> KeySet:
+    # Canonical tokens only: int() alone also takes "+3", " 3", "1_0", "02" and non-ASCII digits.
+    tokens = text.split(",")
     try:
-        indices = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        indices = [int(tok) for tok in tokens]
     except ValueError:
-        raise ValueError(f"indices must be comma-separated integers, got {text!r}") from None
+        indices = []
+    if list(map(str, indices)) != tokens:
+        raise ValueError(f"indices must be comma-separated integers, got {text!r}")
     return KeySet(indices)
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
     key_set = _parse_key_set(args.indices)
     # Before key_element, whose size grows as 2**|S|.
-    check_key_limits(key_set)
+    limits.check_key_limits(key_set)
     if args.out:
         write_key_file(args.out, key_set)
         print(f"wrote key file {args.out}", file=sys.stderr)
@@ -54,16 +56,16 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _read_message(path: str) -> bytes:
-    """The bytes of a message file; MessageError above MAX_LENGTH, read no further."""
+    """The bytes of a message file; MessageError above limits.MAX_LENGTH, read no further."""
     with open(path, "rb") as f:
-        data = f.read(MAX_LENGTH + 1)
-        if len(data) <= MAX_LENGTH:
+        data = f.read(limits.MAX_LENGTH + 1)
+        if len(data) <= limits.MAX_LENGTH:
             return data
         info = os.fstat(f.fileno())
     # A pipe or device has no size to report without reading it all.
     if not stat.S_ISREG(info.st_mode):
-        raise MessageError(f"message is longer than {MAX_LENGTH} bytes")
-    raise MessageError(f"message of {info.st_size} bytes is longer than {MAX_LENGTH} bytes")
+        raise MessageError(f"message is longer than {limits.MAX_LENGTH} bytes")
+    raise MessageError(f"message of {info.st_size} bytes is longer than {limits.MAX_LENGTH} bytes")
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = attack_sub.add_parser(
         "cpa-sweep",
         help="distinguisher over every pair of a bounded key space",
-        description=f"Plays n*(n-1)*2 games on n key sets, at most {attacks.MAX_SWEEP_GAMES}.",
+        description=f"Plays n*(n-1)*2 games on n key sets, at most {limits.MAX_SWEEP_GAMES}.",
     )
     sweep.add_argument("--max-index", type=int, default=8, help="largest key index (default 8)")
     sweep.add_argument("--max-size", type=int, default=3, help="largest key set size (default 3)")
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     ambiguity.add_argument("--s", required=True, help="base key set, e.g. 2,3")
     ambiguity.add_argument("--window", type=int, required=True, help="observation window size L")
     ambiguity.add_argument(
-        "--count", type=int, required=True, help=f"number of scaled twins, at most {attacks.MAX_TWINS}"
+        "--count", type=int, required=True, help=f"number of scaled twins, at most {limits.MAX_TWINS}"
     )
     ambiguity.set_defaults(func=_cmd_attack_ambiguity)
 
@@ -206,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("table", "involution", "prop-coeff", "recurrence", "rf1", "all"),
     )
     verify.add_argument(
-        "--max-index", type=int, help=f"basis index bound for table/recurrence, at most {MAX_TABLE_INDEX}"
+        "--max-index", type=int, help=f"basis index bound for table/recurrence, at most {limits.MAX_TABLE_INDEX}"
     )
     verify.add_argument(
-        "--trials", type=int, help=f"random case count for involution/prop-coeff, at most {MAX_TRIALS}"
+        "--trials", type=int, help=f"random case count for involution/prop-coeff, at most {limits.MAX_TRIALS}"
     )
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed for randomized suites")
-    verify.add_argument("--max-irrep", type=int, help=f"representation bound for rf1, at most {MAX_IRREP}")
+    verify.add_argument("--seed", type=int, help="RNG seed for randomized suites")
+    verify.add_argument("--max-irrep", type=int, help=f"representation bound for rf1, at most {limits.MAX_IRREP}")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -30,11 +30,9 @@ from .burnside import (
     key_element,
 )
 from .degree import basic_degree_recurrence, fixed_point_dims, o2_lattice, recurrence_mul
+from .limits import RANGES, check_range
 
 __all__ = [
-    "MAX_TABLE_INDEX",
-    "MAX_TRIALS",
-    "MAX_IRREP",
     "SuiteResult",
     "verify_table",
     "verify_recurrence",
@@ -44,29 +42,6 @@ __all__ = [
     "SUITES",
     "run_suite",
 ]
-
-
-# Upper bounds on the ranges a caller may ask for, checked before any case
-# runs.  At each cap, `brc verify` takes (2-vCPU VM, wall time, max RSS):
-# recurrence 2.5 s and table 0.5 s at --max-index 200 (the cost grows as
-# N**3 and N**2); prop-coeff 2.5 s and involution 2.1 s at --trials 100000;
-# rf1 0.9 s and 18 MB at --max-irrep 800 (time grows as N**2; the lattice
-# holds about N ln N counts).
-MAX_TABLE_INDEX = 200
-MAX_TRIALS = 100_000
-MAX_IRREP = 800
-
-# Each option's inclusive range.  0 trials leaves only the exhaustive
-# cases, if the suite has any.
-_RANGES = {"max_index": (1, MAX_TABLE_INDEX), "trials": (0, MAX_TRIALS), "max_irrep": (1, MAX_IRREP)}
-
-
-def _check_range(option: str, value: int) -> None:
-    low, high = _RANGES[option]
-    if value < low:
-        raise ValueError(f"{option} must be >= {low}, got {value}")
-    if value > high:
-        raise ValueError(f"{option} must be <= {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +106,7 @@ def _expected_product(g: Generator, h: Generator) -> BurnsideElement:
 
 def verify_table(max_index: int = 24) -> SuiteResult:
     """Ring product against the literal table entry, all basis pairs."""
-    _check_range("max_index", max_index)
+    check_range("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
         units = _units(max_index)
@@ -146,7 +121,7 @@ def verify_table(max_index: int = 24) -> SuiteResult:
 
 def verify_recurrence(max_index: int = 24) -> SuiteResult:
     """Lattice-recurrence product against the direct product."""
-    _check_range("max_index", max_index)
+    check_range("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_index)
@@ -174,7 +149,7 @@ def verify_involution(
     seed: int = 0,
 ) -> SuiteResult:
     """key * key == identity, exhaustively small plus random large."""
-    _check_range("trials", trials)
+    check_range("trials", trials)
 
     def cases() -> Iterator[str | None]:
         for size in range(1, exhaustive_size + 1):
@@ -199,7 +174,7 @@ def verify_prop_coeff(
     marks over the divisor lattice, and key_element folds the factors by
     int index; the case fails unless all three give the same coefficient.
     """
-    _check_range("trials", trials)
+    check_range("trials", trials)
 
     def cases() -> Iterator[str | None]:
         rng = random.Random(seed)
@@ -227,7 +202,7 @@ def verify_basic_degree(max_irrep: int = 50) -> SuiteResult:
     Checks full equality and, separately, that the recurrence leaves no
     residue at proper divisors of m.
     """
-    _check_range("max_irrep", max_irrep)
+    check_range("max_irrep", max_irrep)
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_irrep)
@@ -267,17 +242,20 @@ def run_suite(name: str, **options) -> list[SuiteResult]:
 
     An option set to None keeps the suite's default; every other value,
     0 included, is passed to the suites that take it.  An option that
-    no suite takes and every given option's range are checked before
-    the first suite runs.
+    no suite takes, one given to a named suite that does not take it,
+    and every given option's range are checked before the first suite
+    runs.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    for option in options:
+    for option, value in options.items():
         if not any(option in taken for taken in _SUITE_OPTIONS.values()):
             raise ValueError(f"unknown option {option!r}")
-    for option in _RANGES:
+        if name != "all" and value is not None and option not in _SUITE_OPTIONS[name]:
+            raise ValueError(f"suite {name!r} does not take option {option!r}")
+    for option in RANGES:
         if options.get(option) is not None:
-            _check_range(option, options[option])
+            check_range(option, options[option])
     names = SUITES if name == "all" else [name]
     return [
         SUITES[single](**{k: options[k] for k in _SUITE_OPTIONS[single] if options.get(k) is not None})

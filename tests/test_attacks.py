@@ -39,7 +39,7 @@ from brc.burnside import (
     key_marks,
     mark_product,
 )
-from brc import attacks, cipher
+from brc import attacks, cipher, limits
 from brc.cipher import ring_decode, ring_encode
 from strategies import elements, key_sets, unit_multipliers
 
@@ -132,15 +132,15 @@ def test_ambiguous_family_first_primes():
 
 
 def test_ambiguous_family_count_cap(monkeypatch):
-    assert len(ambiguous_family(KeySet([2]), 3, attacks.MAX_TWINS)) == attacks.MAX_TWINS
+    assert len(ambiguous_family(KeySet([2]), 3, limits.MAX_TWINS)) == limits.MAX_TWINS
 
     def refuse(q):
         raise AssertionError("prime search ran for a count above the cap")
 
     # Refused before any prime search, so a huge count costs nothing.
     monkeypatch.setattr(attacks, "_is_prime", refuse)
-    for count in (attacks.MAX_TWINS + 1, 10**9):
-        with pytest.raises(ValueError, match=f"count must be <= {attacks.MAX_TWINS}"):
+    for count in (limits.MAX_TWINS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"count must be <= {limits.MAX_TWINS}"):
             ambiguous_family(KeySet([2]), 3, count)
 
 
@@ -610,15 +610,15 @@ def test_run_cpa_sweep_refuses_above_the_game_cap(monkeypatch, max_index, max_si
     # Refused from the counts alone: no key set is built and no game played.
     monkeypatch.setattr(attacks, "KeySet", refuse)
     monkeypatch.setattr(attacks, "run_cpa_experiment", refuse)
-    with pytest.raises(ValueError, match=f"more than {attacks.MAX_SWEEP_GAMES} games"):
+    with pytest.raises(ValueError, match=f"more than {limits.MAX_SWEEP_GAMES} games"):
         run_cpa_sweep(max_index, max_size)
 
 
 def test_run_cpa_sweep_cap_is_inclusive(monkeypatch):
     games = 15 * 14 * 2  # max_index 5, max_size 2
-    monkeypatch.setattr(attacks, "MAX_SWEEP_GAMES", games)
+    monkeypatch.setattr(limits, "MAX_SWEEP_GAMES", games)
     assert run_cpa_sweep(5, 2).games == games
-    monkeypatch.setattr(attacks, "MAX_SWEEP_GAMES", games - 1)
+    monkeypatch.setattr(limits, "MAX_SWEEP_GAMES", games - 1)
     monkeypatch.setattr(attacks, "run_cpa_experiment", None)
     with pytest.raises(ValueError, match=f"more than {games - 1} games"):
         run_cpa_sweep(5, 2)
@@ -626,7 +626,7 @@ def test_run_cpa_sweep_cap_is_inclusive(monkeypatch):
 
 def test_cpa_sweep_cap_admits_the_defaults_and_criterion_8():
     # --max-index 8 --max-size 3: 92 key sets, 16 744 games.
-    assert 92 * 91 * 2 <= attacks.MAX_SWEEP_GAMES
+    assert 92 * 91 * 2 <= limits.MAX_SWEEP_GAMES
     assert run_cpa_sweep(8, 3).games == 92 * 91 * 2
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from brc import burnside
+from brc import burnside, limits
 from brc.burnside import (
     IDENTITY,
     SO2,
@@ -583,7 +583,7 @@ def test_key_coeff_mobius_equals_key_coeff(s, n):
 
 
 def test_key_coeff_mobius_refuses_above_its_bound_before_any_work(monkeypatch):
-    bound = burnside.MAX_MOBIUS_QUOTIENT
+    bound = limits.MAX_MOBIUS_QUOTIENT
 
     def refuse(*args):
         raise AssertionError("work started")

@@ -8,10 +8,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from brc import burnside, cipher
+from brc import burnside, cipher, limits
 from brc.burnside import SO2, O2, ZERO, BurnsideElement, D, ElementFormatError, KeySet, key_element
 from brc.cipher import (
-    MAX_LENGTH,
     Ciphertext,
     FileFormatError,
     MessageError,
@@ -27,6 +26,7 @@ from brc.cipher import (
     write_ciphertext_file,
     write_key_file,
 )
+from brc.limits import MAX_LENGTH
 from strategies import key_sets, plaintext_vectors
 
 
@@ -274,7 +274,7 @@ def test_key_file_roundtrip(tmp_path):
 
 def test_key_file_index_digit_cap(tmp_path):
     path = tmp_path / "key.brc"
-    longest = 10**cipher.MAX_INDEX_DIGITS - 1
+    longest = 10**limits.MAX_INDEX_DIGITS - 1
     write_key_file(path, KeySet([3, longest]))
     assert read_key_file(path) == KeySet([3, longest])
     path.write_text(f"BRC-KEY v1\nS 3 {longest + 1}\n")
@@ -287,8 +287,8 @@ def test_key_file_index_digit_cap(tmp_path):
 
 def test_key_file_of_the_longest_canonical_size_reads(tmp_path):
     path = tmp_path / "key.brc"
-    longest = 10**cipher.MAX_INDEX_DIGITS - 1
-    key = KeySet(range(longest - cipher.MAX_KEY_SIZE + 1, longest + 1))
+    longest = 10**limits.MAX_INDEX_DIGITS - 1
+    key = KeySet(range(longest - limits.MAX_KEY_SIZE + 1, longest + 1))
     write_key_file(path, key)
     assert path.stat().st_size == cipher._KEY_FILE_MAX
     assert read_key_file(path) == key

@@ -23,7 +23,7 @@ from brc.degree import (
     o2_lattice,
     recurrence_mul,
 )
-from brc.verify import MAX_IRREP
+from brc.limits import MAX_IRREP
 
 
 # ------------------------------------------------------------ lattice fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from brc import verify
+from brc import limits, verify
 from brc.burnside import BurnsideElement, D, key_coeff, key_coeff_mobius, key_element
 from brc.verify import run_suite, verify_involution, verify_prop_coeff
 
@@ -55,7 +55,7 @@ def test_each_cap_admits_its_own_value(monkeypatch):
     # _run is stubbed, so no case runs.
     ran = []
     monkeypatch.setattr(verify, "_run", lambda name, cases: ran.append(name))
-    run_suite("all", max_index=verify.MAX_TABLE_INDEX, trials=verify.MAX_TRIALS, max_irrep=verify.MAX_IRREP)
+    run_suite("all", max_index=limits.MAX_TABLE_INDEX, trials=limits.MAX_TRIALS, max_irrep=limits.MAX_IRREP)
     assert ran == ["table", "recurrence", "involution", "prop-coeff", "rf1"]
 
 
@@ -67,3 +67,18 @@ def test_run_suite_refuses_an_option_no_suite_takes(monkeypatch, name):
     with pytest.raises(ValueError, match="unknown option 'max_irep'"):
         run_suite(name, max_irep=10**6)
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "name, option", [("rf1", "max_index"), ("table", "trials"), ("table", "seed"), ("recurrence", "max_irrep")]
+)
+def test_run_suite_refuses_an_option_the_named_suite_does_not_take(monkeypatch, name, option):
+    # The suite would otherwise run its default range and pass; None is not given.
+    ran = []
+    monkeypatch.setattr(verify, "_run", lambda name, cases: ran.append(name))
+    with pytest.raises(ValueError) as exc:
+        run_suite(name, **{option: 5})
+    assert str(exc.value) == f"suite {name!r} does not take option {option!r}"
+    assert ran == []
+    run_suite(name, **{option: None})
+    assert ran == [name]
