@@ -24,9 +24,10 @@ without building a sparse element.  The body lines go through
 `burnside.format_terms` and `burnside.read_terms`, the bytes codec
 element text uses too, one slice or chunk at a time with no Python loop
 over the terms.  The writer refuses a value that is not an int before
-it opens the file, and writes bytes.  The reader refuses a file with a
-non-ASCII byte, then parses the body in place in the file's bytes,
-with no decoded copy, and stores a chunk of consecutive labels with one
+it opens the file, and writes bytes.  The reader checks the header and
+the length line first, a bounded number of bytes each, then refuses a
+body with a non-ASCII byte and parses it in place in the file's bytes,
+with no decoded copy, storing a chunk of consecutive labels with one
 list extension, so the coefficients of a dense body become the vector
 as they are read.
 
@@ -57,6 +58,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from io import FileIO
 from itertools import compress, count, repeat
 from operator import add, countOf
 from pathlib import Path
@@ -98,12 +100,15 @@ KEY_MAGIC = "BRC-KEY v1"
 CT_MAGIC = "BRC-CT v1"
 
 _KEY_LINE = re.compile(r"S(?: [1-9][0-9]*)+")
-_LENGTH_LINE = re.compile(rb"L ([1-9][0-9]*)")
+_LENGTH_LINE = re.compile(r"L ([1-9][0-9]*)")
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 # n -> n - 1, the vector slot of the label D(n).
 _PRED = partial(add, -1)
 # Window values formatted by one `%` call of the writer.
 _CT_SLICE = 1 << 12
+# Most bytes read of the header line and of the length line each; no
+# valid one is that long, and an error quotes a longer one cut there.
+_CT_HEAD_LINE = 80
 # Longest canonical key file: the header, then "S" and MAX_KEY_SIZE
 # indices of MAX_INDEX_DIGITS digits, each after a space.
 _KEY_FILE_MAX = len(f"{KEY_MAGIC}\nS\n") + MAX_KEY_SIZE * (MAX_INDEX_DIGITS + 1)
@@ -190,20 +195,18 @@ def write_key_file(path: str | Path, key_set: KeySet) -> None:
     Path(path).write_text(f"{KEY_MAGIC}\nS {indices}\n")
 
 
-def _read_ascii(path: str | Path, what: str, size: int = -1) -> bytes:
-    """At most `size` bytes of the file (all with -1), refused unless all are ASCII."""
-    # Bytes, not text mode: newline translation would accept "\r\n".
-    with open(path, "rb") as f:
-        data = f.read(size)
+def _ascii(data: bytes, what: str, offset: int = 0) -> bytes:
+    """`data`, refused at its first non-ASCII byte; `offset` is where it starts in the file."""
     if not data.isascii():
-        raise FileFormatError(f"non-ASCII byte at offset {_NON_ASCII.search(data).start()} of {what} file")
+        raise FileFormatError(f"non-ASCII byte at offset {offset + _NON_ASCII.search(data).start()} of {what} file")
     return data
 
 
 def read_key_file(path: str | Path) -> KeySet:
-    # One byte past the longest canonical file tells a longer file apart
-    # without reading it all.
-    text = _read_ascii(path, "key", _KEY_FILE_MAX + 1).decode("ascii")
+    # Bytes, not text mode: newline translation would accept "\r\n".  One byte past
+    # the longest canonical file tells a longer file apart without reading it all.
+    with open(path, "rb") as f:
+        text = _ascii(f.read(_KEY_FILE_MAX + 1), "key").decode("ascii")
     if len(text) > _KEY_FILE_MAX:
         raise FileFormatError(f"key file is longer than {_KEY_FILE_MAX} bytes")
     lines = text.split("\n")
@@ -248,37 +251,48 @@ def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
 def read_ciphertext_file(path: str | Path) -> Ciphertext:
     """Read a canonical ciphertext file straight into its window vector.
 
-    The file's bytes are parsed in a helper, so they are freed before the
-    vector is copied into the Ciphertext's tuple.
+    The header and the length line, at most _CT_HEAD_LINE bytes each, are
+    checked before the body is read.  The body's bytes are parsed in a helper,
+    so they are freed before the vector is copied into the Ciphertext's tuple.
     """
-    return Ciphertext(_read_ciphertext_values(_read_ascii(path, "ciphertext")))
+    # Bytes, not text mode: newline translation would accept "\r\n".  Unbuffered:
+    # the head is read a byte at a time and the body in one allocation.
+    with open(path, "rb", buffering=0) as f:
+        header = _read_head_line(f, 0)
+        if header != CT_MAGIC:
+            raise FileFormatError(f"bad ciphertext header {header!r}")
+        length_line = _read_head_line(f, len(header) + 1)
+        m = _LENGTH_LINE.fullmatch(length_line)
+        if m is None:
+            raise FileFormatError(f"bad length line {length_line!r}")
+        # Compare digit counts first: int() refuses very long digit strings.
+        if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
+            raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
+        values = _read_ciphertext_values(f.readall(), int(m[1]), len(header) + len(length_line) + 2)
+    return Ciphertext(values)
 
 
-def _read_ciphertext_values(data: bytes) -> list[int]:
-    """The window vector of a ciphertext file's ASCII bytes, parsed in place by offsets."""
-    first = data.find(b"\n")
-    body = data.find(b"\n", first + 1) + 1 if first >= 0 else 0
-    if not body or body == len(data):
+def _read_head_line(f: FileIO, offset: int) -> str:
+    """The ciphertext file's line at `offset` without its newline, cut at _CT_HEAD_LINE bytes."""
+    line = _ascii(f.readline(_CT_HEAD_LINE), "ciphertext", offset)
+    if not line.endswith(b"\n") and len(line) < _CT_HEAD_LINE:
         raise FileFormatError("truncated ciphertext file")
-    if not data.endswith(b"\n"):
+    return line.decode("ascii").removesuffix("\n")
+
+
+def _read_ciphertext_values(body: bytes, window: int, offset: int) -> list[int]:
+    """The window vector of a ciphertext body found at `offset` of its file, parsed in place."""
+    _ascii(body, "ciphertext", offset)
+    if not body:
+        raise FileFormatError("truncated ciphertext file")
+    if not body.endswith(b"\n"):
         raise FileFormatError("ciphertext file must end with a newline")
-    header, length_line = data[:first].decode("ascii"), data[first + 1 : body - 1]
-    if header != CT_MAGIC:
-        raise FileFormatError(f"bad ciphertext header {header!r}")
-    m = _LENGTH_LINE.fullmatch(length_line)
-    if m is None:
-        raise FileFormatError(f"bad length line {length_line.decode('ascii')!r}")
-    # Compare digit counts first: int() refuses very long digit strings.
-    if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
-        raise FileFormatError(f"declared length {m[1].decode('ascii')} is above the limit {MAX_LENGTH}")
-    window = int(m[1])
     # The body of the zero vector, "0", holds no term lines.
-    if data.startswith(b"0\n", body) and body + 2 == len(data):
-        body = len(data)
+    start = 2 if body == b"0\n" else 0
     # values[n-1] holds D(n) for n up to the last label read so far.
     values: list[int] = []
     try:
-        for labels, coeffs in read_terms(data, body):
+        for labels, coeffs in read_terms(body, start):
             # Ascending, so the last label bounds the chunk before any is used as an index.
             top = labels[-1]
             if top > window:

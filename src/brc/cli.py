@@ -33,6 +33,7 @@ from .verify import run_suite
 
 
 def _parse_key_set(text: str) -> KeySet:
+    """The key set of an option, refused above the key file's limits before any work."""
     # Canonical tokens only: int() alone also takes "+3", " 3", "1_0", "02" and non-ASCII digits.
     tokens = text.split(",")
     try:
@@ -41,13 +42,13 @@ def _parse_key_set(text: str) -> KeySet:
         indices = []
     if list(map(str, indices)) != tokens:
         raise ValueError(f"indices must be comma-separated integers, got {text!r}")
-    return KeySet(indices)
+    key_set = KeySet(indices)
+    limits.check_key_limits(key_set)
+    return key_set
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
     key_set = _parse_key_set(args.indices)
-    # Before key_element, whose size grows as 2**|S|.
-    limits.check_key_limits(key_set)
     if args.out:
         write_key_file(args.out, key_set)
         print(f"wrote key file {args.out}", file=sys.stderr)
@@ -126,11 +127,7 @@ def _cmd_attack_kpa(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(
-        args.suite,
-        max_index=args.max_index,
-        trials=args.trials,
-        seed=args.seed,
-        max_irrep=args.max_irrep,
+        args.suite, max_index=args.max_index, trials=args.trials, seed=args.seed, max_irrep=args.max_irrep
     )
     for result in results:
         print(result.summary())

@@ -193,25 +193,24 @@ class FixedPointTable:
     action: a rotation by theta acts as rotation by m*theta and a
     reflection as conjugation.  D(k) fixes the real axis when k divides
     m and nothing otherwise; rotations fix nothing; everything fixes
-    the trivial representation (m = 0).  The table stores only its
-    range: `dim` applies this rule to each in-range query.
+    the trivial representation (m = 0).  The table stores one bound, on
+    m and on dihedral indices: `dim` applies this rule within it.
     """
 
-    max_irrep: int
-    max_index: int
+    bound: int
 
     def dim(self, m: int, h: Generator) -> int:
-        if not 0 <= m <= self.max_irrep:
-            raise ValueError(f"irrep index {m} outside table range 0..{self.max_irrep}")
-        if h.is_dihedral and h.index > self.max_index:
-            raise ValueError(f"{h.label} outside table range (max {self.max_index})")
+        if not 0 <= m <= self.bound:
+            raise ValueError(f"irrep index {m} outside table range 0..{self.bound}")
+        if h.is_dihedral and h.index > self.bound:
+            raise ValueError(f"{h.label} outside table range (max {self.bound})")
         return 1 if m == 0 or (h.is_dihedral and m % h.index == 0) else 0
 
 
-def fixed_point_dims(max_irrep: int, max_index: int) -> FixedPointTable:
-    if max_irrep < 1 or max_index < 1:
-        raise ValueError("table bounds must be >= 1")
-    return FixedPointTable(max_irrep=max_irrep, max_index=max_index)
+def fixed_point_dims(bound: int) -> FixedPointTable:
+    if bound < 1:
+        raise ValueError("table bound must be >= 1")
+    return FixedPointTable(bound=bound)
 
 
 def basic_degree_recurrence(
@@ -228,9 +227,8 @@ def basic_degree_recurrence(
         raise ValueError(f"representation index must be >= 0, got {m}")
     if m == 0:
         return IDENTITY
-    if m > lattice.max_index or lattice.max_index > dims.max_index:
+    if m > lattice.max_index or lattice.max_index > dims.bound:
         raise ValueError("lattice range must cover the irrep index and the dims table")
-    # dims.dim refuses an m above its table range.
     dim = dims.dim
     return _descend(lattice, [(-1) ** dim(m, cls) for cls in lattice.classes])
 

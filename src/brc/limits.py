@@ -21,12 +21,12 @@ if TYPE_CHECKING:
 MAX_LENGTH = 1 << 20
 
 # Most indices of a key set wherever the cost grows as 2**|S|: subset
-# enumeration, the identity-query reply, a key file and `brc keygen`.  The
-# key of the first 20 primes' product over each prime has 2**20 terms;
-# `brc keygen` prints it in 4.1 s at 234 MB.
+# enumeration, the identity-query reply, a key file and every key set the
+# CLI parses.  The key of the first 20 primes' product over each prime has
+# 2**20 terms; `brc keygen` prints it in 4.1 s at 234 MB.
 MAX_KEY_SIZE = 20
 
-# Most decimal digits of one index of a key file or `brc keygen` (KeySet
+# Most decimal digits of one index of a key file or a CLI key set (KeySet
 # takes any).  Marking costs min(L, sqrt(s)) divisor tests per index s, each
 # linear in its digits.  Under the 20 indices lcm(1..60) * 73 * (146 + 7j),
 # j = 0..19, of 30 digits (25 848 marks of -1), `brc encrypt` of a MAX_LENGTH
@@ -40,9 +40,9 @@ MAX_INDEX_DIGITS = 30
 # {n, 2n, ..., 4096n}, 1.0 s.
 MAX_MOBIUS_QUOTIENT = 1 << 12
 
-# Most twins ambiguous_family builds.  Each twin costs a prime search and,
-# in run_ambiguity_demo, its marks on the window and one report line: the
-# full cap at the window MAX_LENGTH takes 2.8-3.0 s at 40 MB.
+# Most twins ambiguous_family builds; each costs a prime search, its marks on
+# the window and a report line.  At the window MAX_LENGTH the cap takes 1.9-3.0 s
+# at 40 MB for the key {2, 3}, and 134 s at 41 MB for the 30-digit key above.
 MAX_TWINS = 100
 
 # Games in one sweep, n*(n-1)*2 on n key sets.  Near the cap (--max-index 12
@@ -83,13 +83,12 @@ def check_range(option: str, value: int) -> None:
 
 def check_subset_cap(s: KeySet) -> None:
     if len(s) > MAX_KEY_SIZE:
-        raise ValueError(f"key set has {len(s)} indices, above the subset enumeration cap {MAX_KEY_SIZE}")
+        raise ValueError(f"key set has {len(s)} indices, above the limit {MAX_KEY_SIZE}")
 
 
 def check_key_limits(key_set: KeySet) -> None:
     """ValueError above MAX_KEY_SIZE indices or MAX_INDEX_DIGITS digits per index."""
-    if len(key_set) > MAX_KEY_SIZE:
-        raise ValueError(f"key set has {len(key_set)} indices, above the limit {MAX_KEY_SIZE}")
+    check_subset_cap(key_set)
     if key_set.max_index >= 10**MAX_INDEX_DIGITS:
         raise ValueError(f"key index has more than {MAX_INDEX_DIGITS} digits")
 

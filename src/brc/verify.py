@@ -4,7 +4,8 @@ Each suite replays one family of ring identities over a bounded range
 and reports case/failure counts plus the first counterexample, so a
 failure pinpoints which piece of machinery (multiplication rules,
 lattice fixture, closed-form coefficients, fixed-point recurrence)
-has drifted.
+has drifted.  A suite's parameters are exactly the `brc verify`
+options it takes, so `SUITES` is the one table `run_suite` reads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from inspect import signature
 from itertools import combinations
 from math import gcd
 from typing import Callable, Iterator
@@ -85,10 +87,13 @@ def _run(name: str, cases: Iterator[str | None]) -> SuiteResult:
     )
 
 
-def _units(max_index: int) -> dict[Generator, BurnsideElement]:
-    # Each basis class as a one-term element, built once per generator.
+def _unit_pairs(max_index: int) -> Iterator[tuple[Generator, Generator, BurnsideElement]]:
+    # Each ordered pair of basis classes and the product of their one-term elements.
     gens = [D(k) for k in range(1, max_index + 1)] + [SO2, O2]
-    return {g: BurnsideElement({g: 1}) for g in gens}
+    units = {g: BurnsideElement({g: 1}) for g in gens}
+    for g, unit_g in units.items():
+        for h, unit_h in units.items():
+            yield g, h, unit_g * unit_h
 
 
 def _expected_product(g: Generator, h: Generator) -> BurnsideElement:
@@ -109,12 +114,9 @@ def verify_table(max_index: int = 24) -> SuiteResult:
     check_range("max_index", max_index)
 
     def cases() -> Iterator[str | None]:
-        units = _units(max_index)
-        for g, unit_g in units.items():
-            for h, unit_h in units.items():
-                got = unit_g * unit_h
-                want = _expected_product(g, h)
-                yield None if got == want else f"{g.label}*{h.label}: got {got}, want {want}"
+        for g, h, got in _unit_pairs(max_index):
+            want = _expected_product(g, h)
+            yield None if got == want else f"{g.label}*{h.label}: got {got}, want {want}"
 
     return _run("table", cases())
 
@@ -125,14 +127,17 @@ def verify_recurrence(max_index: int = 24) -> SuiteResult:
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_index)
-        units = _units(max_index)
-        for g, unit_g in units.items():
-            for h, unit_h in units.items():
-                direct = unit_g * unit_h
-                recur = recurrence_mul(g, h, lattice)
-                yield None if direct == recur else f"{g.label}*{h.label}: direct {direct}, recurrence {recur}"
+        for g, h, direct in _unit_pairs(max_index):
+            recur = recurrence_mul(g, h, lattice)
+            yield None if direct == recur else f"{g.label}*{h.label}: direct {direct}, recurrence {recur}"
 
     return _run("recurrence", cases())
+
+
+# Fixed case shapes: (most indices, largest index) of the key sets checked.
+_EXHAUSTIVE_KEYS = (3, 12)
+_INVOLUTION_KEYS = (8, 100)
+_PROP_COEFF_KEYS = (8, 60)
 
 
 def _random_key_set(rng: random.Random, max_size: int, max_index: int) -> KeySet:
@@ -140,34 +145,26 @@ def _random_key_set(rng: random.Random, max_size: int, max_index: int) -> KeySet
     return KeySet(rng.sample(range(1, max_index + 1), size))
 
 
-def verify_involution(
-    exhaustive_index: int = 12,
-    exhaustive_size: int = 3,
-    trials: int = 1000,
-    trial_size: int = 8,
-    trial_index: int = 100,
-    seed: int = 0,
-) -> SuiteResult:
+def verify_involution(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """key * key == identity, exhaustively small plus random large."""
     check_range("trials", trials)
 
     def cases() -> Iterator[str | None]:
-        for size in range(1, exhaustive_size + 1):
-            for combo in combinations(range(1, exhaustive_index + 1), size):
+        most, largest = _EXHAUSTIVE_KEYS
+        for size in range(1, most + 1):
+            for combo in combinations(range(1, largest + 1), size):
                 k = key_element(combo)
                 yield None if k * k == IDENTITY else f"S={set(combo)}: square is not the identity"
         rng = random.Random(seed)
         for _ in range(trials):
-            s = _random_key_set(rng, trial_size, trial_index)
+            s = _random_key_set(rng, *_INVOLUTION_KEYS)
             k = key_element(s)
             yield None if k * k == IDENTITY else f"S={s}: square is not the identity"
 
     return _run("involution", cases())
 
 
-def verify_prop_coeff(
-    trials: int = 500, max_size: int = 8, max_index: int = 60, seed: int = 0
-) -> SuiteResult:
+def verify_prop_coeff(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Three independent algorithms for one key coefficient agree.
 
     key_coeff enumerates subsets, key_coeff_mobius inverts the key's
@@ -177,15 +174,16 @@ def verify_prop_coeff(
     check_range("trials", trials)
 
     def cases() -> Iterator[str | None]:
+        most, largest = _PROP_COEFF_KEYS
         rng = random.Random(seed)
         for trial in range(trials):
-            s = _random_key_set(rng, max_size, max_index)
+            s = _random_key_set(rng, most, largest)
             # Alternate arbitrary indices with members of S so the odd
             # (membership) branch is exercised as often as the even one.
             if trial % 2:
                 s0 = rng.choice(s.indices)
             else:
-                s0 = rng.randint(1, max_index)
+                s0 = rng.randint(1, largest)
             closed = key_coeff(s, s0)
             mobius = key_coeff_mobius(s, s0)
             element = key_element(s).dihedral_coeff(s0)
@@ -206,7 +204,7 @@ def verify_basic_degree(max_irrep: int = 50) -> SuiteResult:
 
     def cases() -> Iterator[str | None]:
         lattice = o2_lattice(max_irrep)
-        dims = fixed_point_dims(max_irrep, max_irrep)
+        dims = fixed_point_dims(max_irrep)
         for m in range(0, max_irrep + 1):
             got = basic_degree_recurrence(m, lattice, dims)
             want = basic_degree(m)
@@ -227,37 +225,29 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "rf1": verify_basic_degree,
 }
 
-# The run_suite options each suite takes.
-_SUITE_OPTIONS: dict[str, tuple[str, ...]] = {
-    "table": ("max_index",),
-    "recurrence": ("max_index",),
-    "involution": ("trials", "seed"),
-    "prop-coeff": ("trials", "seed"),
-    "rf1": ("max_irrep",),
-}
-
 
 def run_suite(name: str, **options) -> list[SuiteResult]:
     """Run one named suite, or every suite for name == 'all'.
 
     An option set to None keeps the suite's default; every other value,
-    0 included, is passed to the suites that take it.  An option that
-    no suite takes, one given to a named suite that does not take it,
-    and every given option's range are checked before the first suite
-    runs.
+    0 included, is passed to the suites whose parameters name it.  An
+    option that no suite takes, one given to a named suite that does not
+    take it, and every given option's range are checked before the first
+    suite runs.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    taken = {single: signature(suite).parameters for single, suite in SUITES.items()}
     for option, value in options.items():
-        if not any(option in taken for taken in _SUITE_OPTIONS.values()):
+        if not any(option in params for params in taken.values()):
             raise ValueError(f"unknown option {option!r}")
-        if name != "all" and value is not None and option not in _SUITE_OPTIONS[name]:
+        if name != "all" and value is not None and option not in taken[name]:
             raise ValueError(f"suite {name!r} does not take option {option!r}")
     for option in RANGES:
         if options.get(option) is not None:
             check_range(option, options[option])
     names = SUITES if name == "all" else [name]
     return [
-        SUITES[single](**{k: options[k] for k in _SUITE_OPTIONS[single] if options.get(k) is not None})
+        SUITES[single](**{k: v for k, v in options.items() if v is not None and k in taken[single]})
         for single in names
     ]

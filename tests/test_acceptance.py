@@ -89,9 +89,7 @@ def test_criterion_02_recurrence_oracle():
 
 
 def test_criterion_03_involution():
-    result = verify_involution(
-        exhaustive_index=12, exhaustive_size=3, trials=1000, trial_size=8, trial_index=100, seed=3
-    )
+    result = verify_involution(trials=1000, seed=3)
     exhaustive = sum(
         1 for size in (1, 2, 3) for _ in combinations(range(1, 13), size)
     )
@@ -106,7 +104,7 @@ def test_criterion_03_involution():
 
 
 def test_criterion_04_closed_form_coefficients():
-    result = verify_prop_coeff(trials=500, max_size=8, max_index=60, seed=4)
+    result = verify_prop_coeff(trials=500, seed=4)
     _report(
         4,
         "closed-form coefficients (three-way)",

@@ -207,7 +207,7 @@ def test_cpa_cap_raises_before_the_oracle(monkeypatch):
         raise AssertionError("key element built")
 
     monkeypatch.setattr(attacks, "key_element", refuse)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="^key set has 21 indices, above the limit 20$"):
         run_cpa_experiment(KeySet(range(1, 22)), KeySet([*range(1, 21), 22]), hidden_bit=0)
 
 

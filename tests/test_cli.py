@@ -306,6 +306,25 @@ def test_decrypt_long_declared_length_is_fast(tmp_path, keyfile, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_decrypt_refuses_an_endless_device_by_its_header(tmp_path, keyfile):
+    # The header line is read at most 80 bytes deep and refused before the
+    # body: reading /dev/zero whole would grow until the address-space
+    # limit raised MemoryError, a traceback instead of one error line.
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["decrypt", "--key", str(keyfile), "--in", "/dev/zero", "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "brc", *argv], capture_output=True, text=True, timeout=30, preexec_fn=cap_address_space
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: bad ciphertext header {chr(0) * 80!r}\n"
+
+
 # -------------------------------------------------------------------- attacks
 
 
@@ -334,7 +353,7 @@ def test_attack_cpa_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "attack", "cpa", "--s0", s0, "--s1", s1, "--hidden-bit", "0")
     assert code == 1
     assert out == ""
-    assert "subset enumeration cap" in err
+    assert err == "error: key set has 21 indices, above the limit 20\n"
 
 
 def test_attack_cpa_identity_query_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
@@ -350,7 +369,7 @@ def test_attack_cpa_identity_query_oversize_sets_exit_1_before_the_oracle(capsys
     code, out, err = run_cli(capsys, *argv, "--identity-query")
     assert code == 1
     assert out == ""
-    assert err == "error: key set has 21 indices, above the subset enumeration cap 20\n"
+    assert err == "error: key set has 21 indices, above the limit 20\n"
     assert run_cli(capsys, *argv)[2] == err
 
 

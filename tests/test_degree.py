@@ -145,21 +145,21 @@ def test_replaced_containment_count_changes_the_recurrence():
 
 
 def test_fixed_point_dims_divisibility():
-    dims = fixed_point_dims(10, 10)
+    dims = fixed_point_dims(10)
     assert dims.dim(6, D(3)) == 1
     assert dims.dim(6, D(4)) == 0
     assert dims.dim(6, D(6)) == 1
 
 
 def test_fixed_point_dims_trivial_representation():
-    dims = fixed_point_dims(5, 5)
+    dims = fixed_point_dims(5)
     assert dims.dim(0, SO2) == 1
     assert dims.dim(0, O2) == 1
     assert dims.dim(0, D(3)) == 1
 
 
 def test_fixed_point_dims_rotations_fix_nothing():
-    dims = fixed_point_dims(5, 5)
+    dims = fixed_point_dims(5)
     for m in range(1, 6):
         assert dims.dim(m, SO2) == 0
         assert dims.dim(m, O2) == 0
@@ -170,7 +170,7 @@ def test_oracle_tables_at_the_rf1_cap_stay_small():
     # table none; N**2 cells at N = 800 would take tens of MiB.
     tracemalloc.start()
     try:
-        tables = o2_lattice(MAX_IRREP), fixed_point_dims(MAX_IRREP, MAX_IRREP)
+        tables = o2_lattice(MAX_IRREP), fixed_point_dims(MAX_IRREP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -179,7 +179,7 @@ def test_oracle_tables_at_the_rf1_cap_stay_small():
 
 
 def test_fixed_point_dims_bounds_checked():
-    dims = fixed_point_dims(5, 5)
+    dims = fixed_point_dims(5)
     with pytest.raises(ValueError):
         dims.dim(6, D(2))
     with pytest.raises(ValueError):
@@ -191,25 +191,25 @@ def test_fixed_point_dims_bounds_checked():
 
 def test_basic_degree_recurrence_formula():
     lat = o2_lattice(10)
-    dims = fixed_point_dims(10, 10)
+    dims = fixed_point_dims(10)
     assert basic_degree_recurrence(5, lat, dims) == BurnsideElement({O2: 1, D(5): -1})
 
 
 def test_basic_degree_recurrence_trivial_representation():
     lat = o2_lattice(4)
-    dims = fixed_point_dims(4, 4)
+    dims = fixed_point_dims(4)
     assert basic_degree_recurrence(0, lat, dims) == IDENTITY
 
 
 def test_basic_degree_recurrence_rotation_coefficient_vanishes():
     lat = o2_lattice(4)
-    dims = fixed_point_dims(4, 4)
+    dims = fixed_point_dims(4)
     assert basic_degree_recurrence(1, lat, dims).coeff(SO2) == 0
 
 
 def test_basic_degree_recurrence_proper_divisors_vanish():
     lat = o2_lattice(12)
-    dims = fixed_point_dims(12, 12)
+    dims = fixed_point_dims(12)
     result = basic_degree_recurrence(12, lat, dims)
     for k in (1, 2, 3, 4, 6):
         assert result.coeff(D(k)) == 0
@@ -219,14 +219,14 @@ def test_basic_degree_recurrence_proper_divisors_vanish():
 def test_basic_degree_recurrence_sweep():
     bound = 20
     lat = o2_lattice(bound)
-    dims = fixed_point_dims(bound, bound)
+    dims = fixed_point_dims(bound)
     for m in range(0, bound + 1):
         assert basic_degree_recurrence(m, lat, dims) == basic_degree(m), m
 
 
 def test_basic_degree_recurrence_bounds():
     lat = o2_lattice(4)
-    dims = fixed_point_dims(4, 4)
+    dims = fixed_point_dims(4)
     with pytest.raises(ValueError):
         basic_degree_recurrence(5, lat, dims)
     with pytest.raises(ValueError):

@@ -46,13 +46,18 @@ REFUSALS = [
     ),
     pytest.param(
         ["attack", "cpa", "--s0", OVER_KEY, "--s1", "2", "--hidden-bit", "0"],
-        "key set has 21 indices, above the subset enumeration cap 20",
+        "key set has 21 indices, above the limit 20",
         id="cpa-indices",
     ),
     pytest.param(
         ["attack", "cpa", "--s0", "2", "--s1", OVER_KEY, "--hidden-bit", "1", "--identity-query"],
-        "key set has 21 indices, above the subset enumeration cap 20",
+        "key set has 21 indices, above the limit 20",
         id="cpa-identity-query-indices",
+    ),
+    pytest.param(
+        ["attack", "cpa", "--s0", OVER_DIGITS, "--s1", "2", "--hidden-bit", "0"],
+        "key index has more than 30 digits",
+        id="cpa-digits",
     ),
     pytest.param(
         ["attack", "cpa-sweep", "--max-index", OVER_GAMES, "--max-size", "1"],
@@ -68,6 +73,16 @@ REFUSALS = [
         ["attack", "cpa-sweep", "--max-index", "1"],
         "fewer than two key sets with indices <= 1, |S| <= 3",
         id="cpa-sweep-games-low",
+    ),
+    pytest.param(
+        ["attack", "ambiguity", "--s", OVER_KEY, "--window", "8", "--count", "1"],
+        "key set has 21 indices, above the limit 20",
+        id="ambiguity-indices",
+    ),
+    pytest.param(
+        ["attack", "ambiguity", "--s", OVER_DIGITS, "--window", "8", "--count", "1"],
+        "key index has more than 30 digits",
+        id="ambiguity-digits",
     ),
     pytest.param(
         ["attack", "ambiguity", "--s", "2,3", "--window", "8", "--count", str(limits.MAX_TWINS + 1)],

@@ -1,5 +1,7 @@
 """The verification suites: today's case counts, and that they catch a broken key element."""
 
+import inspect
+
 import pytest
 
 from brc import limits, verify
@@ -48,6 +50,14 @@ def test_suites_catch_a_wrong_key_element(monkeypatch, suite, side, wrong):
     assert not result.ok
     assert result.failures > 0
     assert result.first_failure is not None and result.first_failure.startswith("S=")
+
+
+def test_every_suite_parameter_is_a_verify_option():
+    # run_suite reads the options a suite takes off its signature, so a
+    # parameter outside the CLI's options would be a knob no caller sets.
+    options = {"max_index", "trials", "seed", "max_irrep"}
+    for suite in verify.SUITES.values():
+        assert set(inspect.signature(suite).parameters) <= options, suite.__name__
 
 
 def test_each_cap_admits_its_own_value(monkeypatch):
