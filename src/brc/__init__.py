@@ -10,6 +10,7 @@ from .attacks import (
     KpaResult,
     OperatorMatrix,
     OracleMismatchError,
+    WindowMarks,
     ambiguous_family,
     ambiguous_key,
     choose_probe,

@@ -10,10 +10,13 @@ as the reference; builds prime-scaled key sets that are
 indistinguishable on any such window (so passive data never identifies
 the key set); and runs the one-query chosen-plaintext experiment that
 distinguishes any two candidate key sets with certainty, alone or over
-every pair of a bounded key space.  The known-plaintext and ambiguity
-demonstrations work on window vectors and key marks and never build a
-key element; the operator matrix is built from the marks only when a
-result's `matrix` is read, as a report does up to MAX_PRINTED_WINDOW.
+every pair of a bounded key space.  What a passive attack learns is
+one WindowMarks, the key's marks on W_L with 0 at an x left open:
+known_plaintext_solver returns it, also from a partial solve, and
+run_kpa_demo and run_ambiguity_demo report it.  Those demonstrations
+work on window vectors and key marks and never build a key element; a
+WindowMarks builds the operator matrix only when asked, as a report
+does up to MAX_PRINTED_WINDOW.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "run_cpa_sweep",
     "OracleMismatchError",
     "InconsistentPairsError",
+    "WindowMarks",
     "KpaResult",
     "known_plaintext_solver",
     "generic_plaintext_solver",
@@ -129,6 +133,35 @@ def operator_matrix(key: BurnsideElement, window: int) -> OperatorMatrix:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     return _operator_from_marks(window_marks(key, window))
+
+
+# The demonstrations work on marks and window vectors, O(L) memory, and
+# accept any window up to limits.MAX_LENGTH.  Their reports print the dense
+# window x window operator matrix up to this window; above it they list the
+# x with eps_x = -1 instead, and no matrix is built.
+MAX_PRINTED_WINDOW = 1000
+
+
+@dataclass(frozen=True)
+class WindowMarks:
+    """The key's marks eps_1..eps_L on W_L, with 0 at an x left open.
+
+    On W_L the key acts as M = Z^-1 * diag(eps) * Z, so the marks are all
+    an attack learns of it; `operator()` builds M from them.
+    """
+
+    eps: tuple[int, ...]
+
+    def operator(self) -> OperatorMatrix:
+        return _operator_from_marks(self.eps)
+
+    def report(self, head: str) -> list[str]:
+        """Report lines under `head`, whose {} names what follows: the
+        operator matrix up to MAX_PRINTED_WINDOW, the x with eps_x = -1 above it."""
+        if len(self.eps) <= MAX_PRINTED_WINDOW:
+            return [head.format("matrix") + ":", _indent(self.operator().render())]
+        minus = ", ".join(f"D{x}" for x, eps in enumerate(self.eps, 1) if eps == -1)
+        return [f"{head.format('marks')}: -1 at {minus}; +1 elsewhere (no matrix above W_{MAX_PRINTED_WINDOW})"]
 
 
 def _is_prime(n: int) -> bool:
@@ -342,31 +375,31 @@ def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
 class KpaResult:
     """Outcome of a known-plaintext operator solve.
 
-    `marks` holds eps_1..eps_L when known_plaintext_solver pins every one
-    down, and is None otherwise.  `undetermined` lists the window indices
-    the pairs leave open, one per missing unit of rank: the marks eps_x no
-    pair pins down for known_plaintext_solver, the free columns of the
-    elimination for generic_plaintext_solver.
+    `undetermined` lists the window indices the pairs leave open, one per
+    missing unit of rank: the marks eps_x no pair pins down for
+    known_plaintext_solver, which returns every mark it read in `marks`,
+    and the free columns of the elimination for generic_plaintext_solver,
+    which returns no marks and, at full rank, the matrix it `eliminated`.
     """
 
     window: int
     pairs_used: int
-    rank: int
-    marks: tuple[int, ...] | None
-    undetermined: tuple[int, ...] = ()
+    undetermined: tuple[int, ...]
+    marks: WindowMarks | None = None
+    eliminated: OperatorMatrix | None = None
+
+    @property
+    def rank(self) -> int:
+        return self.window - len(self.undetermined)
 
     @property
     def determined(self) -> bool:
-        return self.rank == self.window
+        return not self.undetermined
 
     @cached_property
     def matrix(self) -> OperatorMatrix | None:
-        """The recovered operator on W_L, built from the marks on first access.
-
-        None while the result is undetermined.  generic_plaintext_solver
-        stores the matrix it eliminated here instead.
-        """
-        return None if self.marks is None else _operator_from_marks(self.marks)
+        """The recovered operator on W_L, None while undetermined; built from the marks on first access."""
+        return self.eliminated if self.marks is None or self.undetermined else self.marks.operator()
 
 
 def _check_solver_input(pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int) -> None:
@@ -393,9 +426,10 @@ def known_plaintext_solver(
     eps_x * F_x, G_x must vanish where F_x does, and eps_x must be an
     integer (it is M's diagonal entry).  Any failure raises
     InconsistentPairsError.  `rank` counts the determined marks; when
-    some stay open the result is undetermined (marks None) and names
-    them.  A pair holds two window vectors of length L (ValueError
-    otherwise); `cipher.ring_decode` turns a window element into one.
+    some stay open the result is undetermined, names them, and keeps the
+    marks it did read, 0 at each open x.  A pair holds two window vectors
+    of length L (ValueError otherwise); `cipher.ring_decode` turns a
+    window element into one.
     Each pair costs O(L log L); the result's `matrix` view costs
     O(L^2 log L) on first access and is not built here.
     """
@@ -414,13 +448,11 @@ def known_plaintext_solver(
         if list(map(mul, marks, f_sums)) != g_sums:
             raise _first_inconsistency(marks, set(opened), f_sums, g_sums)
         open_x = [x for x in open_x if not f_sums[x]]
-    undetermined = tuple(x + 1 for x in open_x)
     return KpaResult(
         window=window,
         pairs_used=len(pairs),
-        rank=window - len(undetermined),
-        marks=None if undetermined else tuple(marks),
-        undetermined=undetermined,
+        undetermined=tuple(x + 1 for x in open_x),
+        marks=WindowMarks(tuple(marks)),
     )
 
 
@@ -459,8 +491,8 @@ def generic_plaintext_solver(
     when d divides them.  Returns an undetermined result (matrix None)
     when the plaintexts do not span the window; raises
     InconsistentPairsError when no single integer operator explains the
-    pairs.  Its results carry no marks: the eliminated matrix itself is
-    the result's `matrix`.
+    pairs.  Its results carry no marks: the eliminated matrix is both
+    `eliminated` and the result's `matrix`.
     """
     _check_solver_input(pairs, window)
     # Augmented system [P | C]: row j is (plaintext_j, ciphertext_j).
@@ -495,10 +527,9 @@ def generic_plaintext_solver(
                 "pairs are not generated by any single linear operator"
             )
 
-    rank = len(pivot_cols)
-    if rank < window:
+    if len(pivot_cols) < window:
         free = tuple(col + 1 for col in range(window) if col not in pivot_cols)
-        return KpaResult(window=window, pairs_used=n_rows, rank=rank, marks=None, undetermined=free)
+        return KpaResult(window=window, pairs_used=n_rows, undetermined=free)
 
     # Full rank: the P part is now previous * I, so pivot row r holds
     # previous * M[t][col] in right-hand column t (output t, input col).
@@ -512,18 +543,8 @@ def generic_plaintext_solver(
                     "generated by an integer operator"
                 )
             entries[t][col] = value
-    result = KpaResult(window=window, pairs_used=n_rows, rank=rank, marks=None)
-    # Fill the cached `matrix` view, which has no marks to build from.
-    result.__dict__["matrix"] = OperatorMatrix(window=window, rows=tuple(tuple(r) for r in entries))
-    return result
-
-
-# The ambiguity and known-plaintext demonstrations work on marks and
-# window vectors, O(L) memory, and accept any window up to limits.MAX_LENGTH.
-# Their reports print the dense window x window operator matrix up to
-# this window; above it they list the x with eps_x = -1 instead, and no
-# matrix is built.
-MAX_PRINTED_WINDOW = 1000
+    eliminated = OperatorMatrix(window=window, rows=tuple(tuple(r) for r in entries))
+    return KpaResult(window=window, pairs_used=n_rows, undetermined=(), eliminated=eliminated)
 
 
 @dataclass(frozen=True)
@@ -531,16 +552,10 @@ class AmbiguityResult:
     """Prime-scaled twins and their window-operator comparison, from the base key's marks."""
 
     base: KeySet
-    window: int
-    base_marks: tuple[int, ...]
+    marks: WindowMarks
     twins: tuple[tuple[int, KeySet], ...]
     matrices_equal: tuple[bool, ...]
     elements_differ: tuple[bool, ...]
-
-    @cached_property
-    def base_matrix(self) -> OperatorMatrix:
-        """The base key's operator on W_L, built from its marks on first access."""
-        return _operator_from_marks(self.base_marks)
 
     @property
     def all_matrices_equal(self) -> bool:
@@ -572,13 +587,12 @@ def run_ambiguity_demo(
     s = as_key_set(s)
     check_range("window", window)
     twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
-    base_marks = tuple(key_marks(s, window))
+    marks = WindowMarks(tuple(key_marks(s, window)))
     return AmbiguityResult(
         base=s,
-        window=window,
-        base_marks=base_marks,
+        marks=marks,
         twins=twins,
-        matrices_equal=tuple(tuple(key_marks(t, window)) == base_marks for _, t in twins),
+        matrices_equal=tuple(tuple(key_marks(t, window)) == marks.eps for _, t in twins),
         elements_differ=tuple(t != s for _, t in twins),
     )
 
@@ -658,9 +672,9 @@ def run_kpa_demo(
         values = list(drawn[start : start + window])
         if not any(values):
             values = [1] + [0] * (window - 1)
-        pairs.append((values, mark_product(values, ambiguity.base_marks)))
+        pairs.append((values, mark_product(values, ambiguity.marks.eps)))
     solver = known_plaintext_solver(pairs, window)
-    matches = solver.marks == ambiguity.base_marks if solver.determined else None
+    matches = solver.marks == ambiguity.marks if solver.determined else None
     return KpaDemoResult(
         key_set=ambiguity.base,
         window=window,
@@ -674,12 +688,6 @@ def run_kpa_demo(
 
 def _indent(text: str, pad: str = "    ") -> str:
     return "\n".join(pad + line for line in text.splitlines())
-
-
-def _minus_marks(marks: Sequence[int]) -> str:
-    # Stands in for an operator matrix too large to print.
-    minus = ", ".join(f"D{x}" for x, eps in enumerate(marks, 1) if eps == -1)
-    return f"-1 at {minus}; +1 elsewhere (no matrix above W_{MAX_PRINTED_WINDOW})"
 
 
 def _decision_lines(guess: int, queries: int, hidden_bit: int, seed: int | None) -> list[str]:
@@ -741,7 +749,7 @@ def format_cpa_sweep_report(result: CpaSweepResult) -> str:
 
 def format_ambiguity_report(result: AmbiguityResult) -> str:
     lines = [
-        f"Key ambiguity on the window W_{result.window}",
+        f"Key ambiguity on the window W_{len(result.marks.eps)}",
         f"base key set   : {result.base}",
     ]
     for (q, twin), m_eq, e_diff in zip(
@@ -751,11 +759,7 @@ def format_ambiguity_report(result: AmbiguityResult) -> str:
             f"twin q={q:<6}: {twin}  matrix equal: {'yes' if m_eq else 'NO'}  "
             f"key element differs: {'yes' if e_diff else 'NO'}"
         )
-    if result.window <= MAX_PRINTED_WINDOW:
-        lines.append("operator matrix on the window:")
-        lines.append(_indent(result.base_matrix.render()))
-    else:
-        lines.append(f"operator marks on the window: {_minus_marks(result.base_marks)}")
+    lines.extend(result.marks.report("operator {} on the window"))
     verdict = (
         "matrices identical; key set not identifiable from this window"
         if result.ok
@@ -779,13 +783,7 @@ def format_kpa_report(result: KpaDemoResult) -> str:
             f"matches hidden key's operator: "
             f"{'yes' if result.matches_true_operator else 'NO'}"
         )
-        if result.window <= MAX_PRINTED_WINDOW:
-            assert result.solver.matrix is not None
-            lines.append("recovered matrix:")
-            lines.append(_indent(result.solver.matrix.render()))
-        else:
-            assert result.solver.marks is not None
-            lines.append(f"recovered marks: {_minus_marks(result.solver.marks)}")
+        lines.extend(result.solver.marks.report("recovered {}"))
     else:
         lines.append("operator fully determined: no (underdetermined system)")
         lines.append(f"open marks     : {', '.join(f'D{x}' for x in result.solver.undetermined)}")

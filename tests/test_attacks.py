@@ -10,6 +10,7 @@ from brc.attacks import (
     InconsistentPairsError,
     OperatorMatrix,
     OracleMismatchError,
+    WindowMarks,
     ambiguous_family,
     ambiguous_key,
     choose_probe,
@@ -409,6 +410,8 @@ def test_mark_solver_at_least_as_strong_as_generic(s, window, extra_pairs, seed)
     assert marks.rank >= generic.rank
     assert len(marks.undetermined) == window - marks.rank
     assert len(generic.undetermined) == window - generic.rank
+    # A partial solve keeps every mark it read, with 0 at each open x.
+    assert marks.marks == WindowMarks(tuple(0 if x in marks.undetermined else eps for x, eps in enumerate(key_marks(s, window), 1)))
     expected = operator_matrix(key, window)
     if marks.determined:
         assert marks.matrix == expected
@@ -455,7 +458,7 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
         return
     result = known_plaintext_solver(pairs, window)
     assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
-    assert result.marks == (None if result.undetermined else tuple(expected))
+    assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
 
 
 def test_solver_returns_marks_and_builds_matrix_on_access(monkeypatch):
@@ -465,12 +468,22 @@ def test_solver_returns_marks_and_builds_matrix_on_access(monkeypatch):
     build = attacks._operator_from_marks
     monkeypatch.setattr(attacks, "_operator_from_marks", lambda marks: built.append(marks) or build(marks))
     result = known_plaintext_solver(_probe_pairs(key, 6), 6)
-    assert result.marks == tuple(key_marks([2, 5], 6))
+    assert result.marks == WindowMarks(tuple(key_marks([2, 5], 6)))
     assert built == []
     assert result.matrix == expected
     assert result.matrix is result.matrix
-    assert built == [result.marks]
+    assert built == [result.marks.eps]
     assert generic_plaintext_solver(_probe_pairs(key, 6), 6).marks is None
+
+
+def test_partial_solve_keeps_the_marks_it_read():
+    # The one --seed 6 pair on W_8 has divisor sum 0 at D5 only: every
+    # other mark of {2, 3} is read, and D5's stays 0.
+    result = run_kpa_demo(KeySet([2, 3]), window=8, n_pairs=1, seed=6).solver
+    expected = key_marks([2, 3], 8)
+    assert result.undetermined == (5,)
+    assert result.marks == WindowMarks(tuple(0 if x == 5 else eps for x, eps in enumerate(expected, 1)))
+
 
 
 # -------------------------------------------------------------- demo drivers
@@ -493,7 +506,7 @@ def test_run_ambiguity_demo_compares_twins_by_marks(monkeypatch):
     assert result.matrices_equal == (True, False)
     assert result.elements_differ == (True, True)
     assert not result.ok
-    assert operator_matrix(key_element([2, 3, 5]), 5) != result.base_matrix
+    assert operator_matrix(key_element([2, 3, 5]), 5) != result.marks.operator()
 
 
 @given(key_sets(max_size=4, max_index=30), st.lists(key_sets(max_size=4, max_index=30), max_size=4), st.integers(1, 12))
@@ -507,8 +520,9 @@ def test_run_ambiguity_demo_set_comparison_is_exact(s, others, window):
         result = run_ambiguity_demo(s, window, len(family))
     base = key_element(s)
     assert result.elements_differ == tuple(key_element(t) != base for t in family)
-    assert result.matrices_equal == tuple(operator_matrix(key_element(t), window) == result.base_matrix for t in family)
-    assert result.base_matrix == operator_matrix(base, window)
+    base_matrix = result.marks.operator()
+    assert result.matrices_equal == tuple(operator_matrix(key_element(t), window) == base_matrix for t in family)
+    assert base_matrix == operator_matrix(base, window)
 
 
 def test_run_kpa_demo_builds_no_sparse_messages(monkeypatch):
@@ -550,14 +564,17 @@ def _demo_plaintexts(monkeypatch, window, n_pairs, seed):
     return [p for p, _ in seen]
 
 
-# W_1 with seed 139 draws the value 0 first: the all-zero fallback.  W_40000
-# with 2 pairs draws across several getrandbits calls.
+# W_1 with seed 139 draws the value 0 first, and W_2 with seed 30890 two
+# zeros: the all-zero fallback.  W_40000 with 2 pairs draws across several
+# getrandbits calls.
 @pytest.mark.parametrize(
     "window, n_pairs, seeds",
-    [(1, 1, [*range(40), 139]), (1, 9, range(20)), (3, 7, range(30)), (8, 1, range(30)), (60, 60, range(5)), (40000, 2, [0, 1])],
+    [(1, 1, [*range(40), 139]), (1, 9, range(20)), (3, 7, range(30)), (8, 1, range(30)), (60, 60, range(5)), (40000, 2, [0, 1]), (2, 1, [30890])],
 )
 def test_run_kpa_demo_plaintexts_are_the_randint_loop(monkeypatch, window, n_pairs, seeds):
     assert random.Random(139).randint(0, 127) == 0
+    rng = random.Random(30890)
+    assert [rng.randint(0, 127), rng.randint(0, 127)] == [0, 0]
     for seed in seeds:
         rng = random.Random(seed)
         expected = []
@@ -584,7 +601,7 @@ def test_run_kpa_demo_large_window_stays_linear(monkeypatch):
         tracemalloc.stop()
     assert result.ok and result.matches_true_operator
     assert result.solver.rank == window
-    assert result.solver.marks == tuple(key_marks([2, 3, 7, 12, 30], window))
+    assert result.solver.marks == WindowMarks(tuple(key_marks([2, 3, 7, 12, 30], window)))
     assert peak < 24 << 20, peak
 
 

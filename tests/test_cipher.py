@@ -436,6 +436,9 @@ def test_ciphertext_file_strict_parsing(tmp_path, content):
         ("BRC-CT v1\nL 2000000\nD1 1\n", "declared length 2000000 is above the limit 1048576"),
         ("BRC-CT v1\nL 2\nD1 5\nD2 x\n", "ciphertext term line 'D2 x' is malformed"),
         ("BRC-KEY v1\nS 2 \u0663\n", "non-ASCII byte at offset 15 of key file"),
+        ("BRC-KEY v1\nT 2 3\n", "bad key line 'T 2 3'"),
+        ("BRC-KEY v2\nS 2 3\n", "bad key file header 'BRC-KEY v2'"),
+        ("BRC-KEY v1\nS 2\nextra\n", "key file must be exactly 2 newline-terminated lines"),
     ],
 )
 def test_file_error_texts(tmp_path, content, message):

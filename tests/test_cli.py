@@ -436,6 +436,20 @@ def test_attack_cpa_sweep_transcript(capsys):
     )
 
 
+def test_attack_cpa_sweep_two_key_sets(capsys):
+    # The smallest key space the sweep accepts: {1} and {2}, 2 * 1 * 2 games.
+    code, out, _ = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "2", "--max-size", "1")
+    assert code == 0
+    assert out == (
+        "key space      : 2 sets (indices <= 2, |S| <= 1)\n"
+        "experiments    : 4 (ordered pairs x both hidden bits)\n"
+        "success rate   : 1.000000 (4/4)\n"
+        "queries/game   : 1.000\n"
+        "probe histogram:\n"
+        "  D2   4\n"
+    )
+
+
 def test_attack_cpa_sweep_rejects_tiny_key_space(capsys):
     code, out, err = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "1")
     assert code == 1
@@ -551,7 +565,7 @@ def test_attack_kpa_fails_on_wrong_recovered_matrix(keyfile, capsys, monkeypatch
 
     def wrong_solver(pairs, window):
         result = solve(pairs, window)
-        return replace(result, marks=tuple(-eps for eps in result.marks))
+        return replace(result, marks=attacks.WindowMarks(tuple(-eps for eps in result.marks.eps)))
 
     monkeypatch.setattr(attacks, "known_plaintext_solver", wrong_solver)
     code, out, _ = run_cli(

@@ -188,6 +188,13 @@ def test_each_cap_is_refused_before_any_work(monkeypatch, capsys, files, argv, e
     assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
 
 
+def test_drawn_values_cap_is_inclusive():
+    # n_pairs * max(window, MIN_PAIR_COST) == MAX_DRAWN_VALUES is admitted.
+    limits.check_drawn_values(limits.MAX_DRAWN_VALUES // limits.MIN_PAIR_COST, 1)
+    limits.check_drawn_values(4, limits.MAX_LENGTH)
+    assert 4 * limits.MAX_LENGTH == limits.MAX_DRAWN_VALUES
+
+
 def test_only_limits_defines_a_cap():
     # attacks.MAX_PRINTED_WINDOW refuses nothing: it only decides what a report prints.
     defined = {
