@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -231,11 +231,27 @@ class CpaExperiment:
         return self.s1 if self.hidden_bit else self.s0
 
     def query_probe(self, x: int) -> BurnsideElement:
-        """Encrypt the probe D(x) under the hidden key."""
-        if x < 1:
-            raise ValueError(f"probe index must be >= 1, got {x}")
+        """Encrypt the probe D(x) under the hidden key, from the probe's odd gcds.
+
+        D(x)*(O2 - D(s)) = D(x)*(O2 - D(gcd(x, s))), and each basic degree
+        is an involution, so D(x)*k_S = D(x)*k_G with G the values
+        gcd(x, s), s in S, that occur an odd number of times.  Every index
+        of k_G divides x, and D(x)*D(d) = 2*D(d) for d | x, so the reply is
+        D(x) + 2*(k_G - O2), read off key_element(G)'s terms, or D(x) alone
+        when G is empty: neither key_element(S) nor a ring product is built.
+        x is refused as D(x) refuses it, and G above limits.MAX_KEY_SIZE
+        indices, before the query is logged.
+        """
+        D(x)  # refuses a bool, a non-int or x < 1 with the ring's own errors
+        odd: set[int] = set()
+        for s in self.hidden_set:
+            odd ^= {gcd(x, s)}
+        check_subset_cap(odd)
         self.query_log.append(x)
-        return BurnsideElement({D(x): 1}) * key_element(self.hidden_set)
+        # Package-internal fast path: the reply's coefficients straight from k_G's.
+        reply = {d: 2 * c for d, c in key_element(odd)._dih.items()} if odd else {}
+        reply[x] = reply.get(x, 0) + 1
+        return BurnsideElement._raw(reply)
 
     @property
     def queries(self) -> int:

@@ -13,6 +13,8 @@ from math import comb
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Collection
+
     from .burnside import KeySet
 
 # Longest message, in bytes, largest declared ciphertext length and
@@ -21,9 +23,11 @@ if TYPE_CHECKING:
 MAX_LENGTH = 1 << 20
 
 # Most indices of a key set wherever the cost grows as 2**|S|: subset
-# enumeration, the identity-query reply, a key file and every key set the
-# CLI parses.  The key of the first 20 primes' product over each prime has
-# 2**20 terms; `brc keygen` prints it in 4.1 s at 234 MB.
+# enumeration, the identity-query reply, the probe reply's odd gcds, a key
+# file and every key set the CLI parses.  The key of the first 20 primes'
+# product over each prime has 2**20 terms; `brc keygen` prints it in 4.1 s
+# at 234 MB.  As the hidden `--s0` of `brc attack cpa` its probe leaves 20
+# odd gcds, a reply of 2**19 terms: 4.4-5.0 s at 187 MB (three runs).
 MAX_KEY_SIZE = 20
 
 # Most decimal digits of one index of a key file or a CLI key set (KeySet
@@ -47,7 +51,8 @@ MAX_TWINS = 100
 
 # Games in one sweep, n*(n-1)*2 on n key sets.  Near the cap (--max-index 12
 # --max-size 3, 177 012 games; --max-index 8 --max-size 8, 129 540 games on
-# the largest sets) `brc attack cpa-sweep` takes 4-5 s at 16.4 MB.
+# the largest sets) `brc attack cpa-sweep` takes 2.7-3.1 s at 16.6 MB (three
+# runs each).
 MAX_SWEEP_GAMES = 200_000
 
 # Most plaintext values (pairs x window) the known-plaintext demonstration
@@ -81,7 +86,7 @@ def check_range(option: str, value: int) -> None:
         raise ValueError(f"{option} must be <= {high}, got {value}")
 
 
-def check_subset_cap(s: KeySet) -> None:
+def check_subset_cap(s: Collection[int]) -> None:
     if len(s) > MAX_KEY_SIZE:
         raise ValueError(f"key set has {len(s)} indices, above the limit {MAX_KEY_SIZE}")
 

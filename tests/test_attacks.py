@@ -1,8 +1,9 @@
 import random
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from brc.attacks import (
@@ -228,6 +229,92 @@ def test_cpa_experiment_rejects_bad_probe():
     experiment = CpaExperiment(s0=KeySet([2]), s1=KeySet([3]), hidden_bit=0)
     with pytest.raises(ValueError):
         experiment.query_probe(0)
+
+
+@pytest.mark.parametrize(
+    "x, error, text",
+    [
+        (True, TypeError, "generator index must be an int, got True"),
+        (2.0, TypeError, "generator index must be an int, got 2.0"),
+        (0, ValueError, "dihedral index must be >= 1, got 0"),
+        (-3, ValueError, "dihedral index must be >= 1, got -3"),
+    ],
+)
+def test_refused_probe_is_not_logged(x, error, text):
+    # The oracle refuses x with the errors D(x) raises, before it logs the query.
+    experiment = CpaExperiment(s0=KeySet([2]), s1=KeySet([3]), hidden_bit=0)
+    for refused in (D, experiment.query_probe):
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            refused(x)
+    assert experiment.query_log == []
+
+
+def test_query_probe_caps_the_odd_gcds_before_the_key_element(monkeypatch):
+    # Every s <= 21 divides lcm(1..21), so the 21 gcds are the key set itself.
+    def refuse(*args):
+        raise AssertionError("key element built")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    experiment = CpaExperiment(s0=KeySet(range(1, 22)), s1=KeySet([22]), hidden_bit=0)
+    with pytest.raises(ValueError, match="^key set has 21 indices, above the limit 20$"):
+        experiment.query_probe(lcm(*range(1, 22)))
+    assert experiment.query_log == []
+
+
+def test_query_probe_answers_an_oversize_key_with_few_odd_gcds(monkeypatch):
+    # gcd(x, s) is 1 for s = 1, 23 and 29 and s itself for s = 2..20, so the
+    # 22-index key leaves the 20 odd gcds 1..20, at the cap but not above it.
+    s = KeySet([*range(1, 21), 23, 29])
+    x = lcm(*range(1, 21))
+    built = []
+
+    def capped(g):
+        if len(g) > limits.MAX_KEY_SIZE:
+            raise AssertionError("key element above the cap built")
+        built.append(set(g))
+        return key_element(g)
+
+    monkeypatch.setattr(attacks, "key_element", capped)
+    experiment = CpaExperiment(s0=s, s1=KeySet([2]), hidden_bit=0)
+    assert experiment.query_probe(x) == BurnsideElement({D(x): 1}) * key_element(s)
+    assert built == [set(range(1, 21))]
+    assert experiment.query_log == [x]
+
+
+_PRIMES_12 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# Each index is the product of 11 of the first 12 primes, so every probe
+# gcd differs from the others and the reply keeps 2**11 terms.
+_PRIME_PRODUCT_KEY = KeySet(prod(_PRIMES_12) // q for q in _PRIMES_12)
+
+
+def _probe_games():
+    # A key set and a probe: one of its indices, 1, above its maximum, a
+    # small x that many indices share a gcd with, or any x up to 120.
+    keys = st.one_of(key_sets(max_size=8, max_index=60), st.just(_PRIME_PRODUCT_KEY))
+    return keys.flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            st.one_of(
+                st.sampled_from(s.indices),
+                st.just(1),
+                st.integers(s.max_index + 1, 2 * s.max_index + 60),
+                st.integers(1, 12),
+                st.integers(1, 120),
+            ),
+        )
+    )
+
+
+@given(_probe_games())
+@example((KeySet([2, 4, 6, 8]), 2))  # four equal gcds: no odd one, the reply is D(2)
+@example((KeySet([2, 3, 4]), 6))  # gcds 2, 3, 2: the reply is D(6) * k_{3}
+@example((_PRIME_PRODUCT_KEY, _PRIME_PRODUCT_KEY.max_index))
+@example((_PRIME_PRODUCT_KEY, prod(_PRIMES_12)))
+def test_query_probe_matches_the_ring_product(game):
+    s, x = game
+    experiment = CpaExperiment(s0=s, s1=KeySet([s.max_index + 1]), hidden_bit=0)
+    assert experiment.query_probe(x) == BurnsideElement({D(x): 1}) * key_element(s)
+    assert experiment.query_log == [x]
 
 
 @given(key_sets(max_size=5, max_index=20), key_sets(max_size=5, max_index=20))

@@ -14,7 +14,7 @@ import pytest
 from brc import attacks, cipher, limits, verify
 from brc.cli import build_parser, main
 from brc.cipher import read_key_file
-from brc.burnside import BurnsideElement, KeySet
+from brc.burnside import BurnsideElement, D, KeySet, key_element
 
 
 def run_cli(capsys, *argv):
@@ -455,6 +455,37 @@ def test_attack_cpa_sweep_rejects_tiny_key_space(capsys):
     assert code == 1
     assert out == ""
     assert "fewer than two" in err
+
+
+def _ring_product_query_probe(self, x):
+    # Reference oracle: D(x) times the whole hidden key element, by the ring product.
+    self.query_log.append(x)
+    return BurnsideElement({D(x): 1}) * key_element(self.hidden_set)
+
+
+_PRIME_PRODUCTS_8 = [9699690 // q for q in (2, 3, 5, 7, 11, 13, 17, 19)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0"],
+        ["attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "1"],
+        ["attack", "cpa", "--s0", "4,6,8,10", "--s1", "4,6,8,10,12", "--hidden-bit", "1"],
+        ["attack", "cpa", "--s0", "2,1000000000000", "--s1", "1000000000000", "--hidden-bit", "0"],
+        [
+            "attack", "cpa", "--s0", ",".join(map(str, _PRIME_PRODUCTS_8)),
+            "--s1", ",".join(map(str, _PRIME_PRODUCTS_8[:-1])), "--random", "--seed", "7",
+        ],
+        ["attack", "cpa-sweep", "--max-index", "5", "--max-size", "3"],
+    ],
+    ids=["2-3-bit-0", "2-3-bit-1", "repeated-gcds", "huge-index", "prime-products", "sweep"],
+)
+def test_attack_cpa_output_matches_the_ring_product_oracle(capsys, monkeypatch, argv):
+    fast = run_cli(capsys, *argv)
+    assert fast[0] == 0
+    monkeypatch.setattr(attacks.CpaExperiment, "query_probe", _ring_product_query_probe)
+    assert run_cli(capsys, *argv) == fast
 
 
 def test_attack_ambiguity_example(capsys):
