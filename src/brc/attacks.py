@@ -16,7 +16,12 @@ known_plaintext_solver returns it, also from a partial solve, and
 run_kpa_demo and run_ambiguity_demo report it.  Those demonstrations
 work on window vectors and key marks and never build a key element; a
 WindowMarks builds the operator matrix only when asked, as a report
-does up to MAX_PRINTED_WINDOW.
+does up to MAX_PRINTED_WINDOW.  Each demonstration's result
+(CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds the
+AmbiguityResult it ran) renders its own `report()` and carries its
+`ok` verdict.  One CPA game is reported by format_cpa_report or
+format_identity_report: its verdict needs the hidden bit, which the
+attacker's CpaResult does not hold.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ __all__ = [
     "run_kpa_demo",
     "format_cpa_report",
     "format_identity_report",
-    "format_cpa_sweep_report",
-    "format_ambiguity_report",
-    "format_kpa_report",
 ]
 
 
@@ -155,7 +157,7 @@ class WindowMarks:
     def operator(self) -> OperatorMatrix:
         return _operator_from_marks(self.eps)
 
-    def report(self, head: str) -> list[str]:
+    def lines(self, head: str) -> list[str]:
         """Report lines under `head`, whose {} names what follows: the
         operator matrix up to MAX_PRINTED_WINDOW, the x with eps_x = -1 above it."""
         if len(self.eps) <= MAX_PRINTED_WINDOW:
@@ -351,6 +353,22 @@ class CpaSweepResult:
     correct: int
     queries: int
     probes: tuple[tuple[int, int], ...]  # (probe index, games), ascending
+
+    @property
+    def ok(self) -> bool:
+        """Every game was won."""
+        return self.correct == self.games
+
+    def report(self) -> str:
+        lines = [
+            f"key space      : {self.key_sets} sets (indices <= {self.max_index}, |S| <= {self.max_size})",
+            f"experiments    : {self.games} (ordered pairs x both hidden bits)",
+            f"success rate   : {self.correct / self.games:.6f} ({self.correct}/{self.games})",
+            f"queries/game   : {self.queries / self.games:.3f}",
+            "probe histogram:",
+            *(f"  D{probe:<3} {games}" for probe, games in self.probes),
+        ]
+        return "\n".join(lines)
 
 
 def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
@@ -574,16 +592,21 @@ class AmbiguityResult:
     elements_differ: tuple[bool, ...]
 
     @property
-    def all_matrices_equal(self) -> bool:
-        return all(self.matrices_equal)
-
-    @property
-    def all_elements_differ(self) -> bool:
-        return all(self.elements_differ)
-
-    @property
     def ok(self) -> bool:
-        return self.all_matrices_equal and self.all_elements_differ
+        """Every twin acts as the base key on the window and has another key element."""
+        return all(self.matrices_equal) and all(self.elements_differ)
+
+    def report(self) -> str:
+        lines = [f"Key ambiguity on the window W_{len(self.marks.eps)}", f"base key set   : {self.base}"]
+        for (q, twin), m_eq, e_diff in zip(self.twins, self.matrices_equal, self.elements_differ):
+            lines.append(
+                f"twin q={q:<6}: {twin}  matrix equal: {'yes' if m_eq else 'NO'}  "
+                f"key element differs: {'yes' if e_diff else 'NO'}"
+            )
+        lines.extend(self.marks.lines("operator {} on the window"))
+        verdict = "matrices identical; key set not identifiable from this window" if self.ok else "demonstration FAILED"
+        lines.append(f"conclusion     : {verdict}")
+        return "\n".join(lines)
 
 
 def run_ambiguity_demo(
@@ -615,20 +638,49 @@ def run_ambiguity_demo(
 
 @dataclass(frozen=True)
 class KpaDemoResult:
-    """Seeded known-plaintext run against a hidden key."""
+    """Seeded known-plaintext run against the hidden key of `ambiguity`, the demonstration it ran."""
 
-    key_set: KeySet
-    window: int
+    ambiguity: AmbiguityResult
     seed: int
     solver: KpaResult
     matches_true_operator: bool | None
-    twins: tuple[KeySet, ...]
-    twins_match: tuple[bool, ...]
+
+    @property
+    def twins(self) -> tuple[KeySet, ...]:
+        return tuple(twin for _, twin in self.ambiguity.twins)
+
+    @property
+    def twins_match(self) -> tuple[bool, ...]:
+        return self.ambiguity.matrices_equal
 
     @property
     def ok(self) -> bool:
         """No recovered matrix disagrees with the key's, and every twin's matches."""
         return self.matches_true_operator is not False and all(self.twins_match)
+
+    def report(self) -> str:
+        solver = self.solver
+        lines = [
+            f"Known-plaintext attack on the window W_{solver.window}",
+            f"hidden key set : {self.ambiguity.base}",
+            f"seed           : {self.seed}",
+            f"pairs used     : {solver.pairs_used}",
+            f"system rank    : {solver.rank} / {solver.window}",
+        ]
+        if solver.determined:
+            lines.append("operator fully determined: yes")
+            lines.append(f"matches hidden key's operator: {'yes' if self.matches_true_operator else 'NO'}")
+            lines.extend(solver.marks.lines("recovered {}"))
+        else:
+            lines.append("operator fully determined: no (underdetermined system)")
+            lines.append(f"open marks     : {', '.join(f'D{x}' for x in solver.undetermined)}")
+        twin_bits = ", ".join(
+            f"{t} ({'same' if same else 'DIFFERENT'} matrix)" for t, same in zip(self.twins, self.twins_match)
+        )
+        lines.append(f"scaled twins   : {twin_bits}")
+        verdict = "recovering the operator does not identify the key set" if self.ok else "demonstration FAILED"
+        lines.append(f"conclusion     : {verdict}")
+        return "\n".join(lines)
 
 
 _REJECTED_BYTES = bytes(range(128, 256))
@@ -691,38 +743,24 @@ def run_kpa_demo(
         pairs.append((values, mark_product(values, ambiguity.marks.eps)))
     solver = known_plaintext_solver(pairs, window)
     matches = solver.marks == ambiguity.marks if solver.determined else None
-    return KpaDemoResult(
-        key_set=ambiguity.base,
-        window=window,
-        seed=seed,
-        solver=solver,
-        matches_true_operator=matches,
-        twins=tuple(twin for _, twin in ambiguity.twins),
-        twins_match=ambiguity.matrices_equal,
-    )
+    return KpaDemoResult(ambiguity=ambiguity, seed=seed, solver=solver, matches_true_operator=matches)
 
 
 def _indent(text: str, pad: str = "    ") -> str:
     return "\n".join(pad + line for line in text.splitlines())
 
 
-def _decision_lines(guess: int, queries: int, hidden_bit: int, seed: int | None) -> list[str]:
-    lines = [
+def _decision_lines(guess: int, queries: int, hidden_bit: int) -> list[str]:
+    return [
         f"decision       : {guess}",
         f"queries        : {queries}",
         f"hidden bit     : {hidden_bit}",
         f"outcome        : {'SUCCESS' if guess == hidden_bit else 'FAILURE'}",
     ]
-    if seed is not None:
-        lines.append(f"seed           : {seed}")
-    return lines
 
 
-def format_cpa_report(result: CpaResult, experiment: CpaExperiment, seed: int | None = None) -> str:
-    """Structured text report of one distinguishing game.
-
-    `seed`, when given, is the seed the hidden bit was drawn from.
-    """
+def format_cpa_report(result: CpaResult, experiment: CpaExperiment) -> str:
+    """Structured text report of one distinguishing game."""
     lines = [
         "CPA key-distinguishing attack",
         f"candidates     : S0 = {experiment.s0}, S1 = {experiment.s1}",
@@ -731,87 +769,18 @@ def format_cpa_report(result: CpaResult, experiment: CpaExperiment, seed: int | 
         _indent(result.response.render()),
         f"probe coefficient observed {result.observed}; "
         f"expected {result.expected0} for S0, {result.expected1} for S1",
-        *_decision_lines(result.guess, experiment.queries, experiment.hidden_bit, seed),
+        *_decision_lines(result.guess, experiment.queries, experiment.hidden_bit),
     ]
     return "\n".join(lines)
 
 
-def format_identity_report(
-    s0: KeySet, s1: KeySet, hidden_bit: int, guess: int, response: BurnsideElement, seed: int | None = None
-) -> str:
+def format_identity_report(s0: KeySet, s1: KeySet, hidden_bit: int, guess: int, response: BurnsideElement) -> str:
     """Report of the identity-class query game (see identity_query_leak)."""
     lines = [
         "CPA key-distinguishing attack (identity-class query)",
         f"candidates     : S0 = {s0}, S1 = {s1}",
         "oracle response:",
         _indent(response.render()),
-        *_decision_lines(guess, 1, hidden_bit, seed),
+        *_decision_lines(guess, 1, hidden_bit),
     ]
-    return "\n".join(lines)
-
-
-def format_cpa_sweep_report(result: CpaSweepResult) -> str:
-    lines = [
-        f"key space      : {result.key_sets} sets "
-        f"(indices <= {result.max_index}, |S| <= {result.max_size})",
-        f"experiments    : {result.games} (ordered pairs x both hidden bits)",
-        f"success rate   : {result.correct / result.games:.6f} ({result.correct}/{result.games})",
-        f"queries/game   : {result.queries / result.games:.3f}",
-        "probe histogram:",
-        *(f"  D{probe:<3} {games}" for probe, games in result.probes),
-    ]
-    return "\n".join(lines)
-
-
-def format_ambiguity_report(result: AmbiguityResult) -> str:
-    lines = [
-        f"Key ambiguity on the window W_{len(result.marks.eps)}",
-        f"base key set   : {result.base}",
-    ]
-    for (q, twin), m_eq, e_diff in zip(
-        result.twins, result.matrices_equal, result.elements_differ
-    ):
-        lines.append(
-            f"twin q={q:<6}: {twin}  matrix equal: {'yes' if m_eq else 'NO'}  "
-            f"key element differs: {'yes' if e_diff else 'NO'}"
-        )
-    lines.extend(result.marks.report("operator {} on the window"))
-    verdict = (
-        "matrices identical; key set not identifiable from this window"
-        if result.ok
-        else "demonstration FAILED"
-    )
-    lines.append(f"conclusion     : {verdict}")
-    return "\n".join(lines)
-
-
-def format_kpa_report(result: KpaDemoResult) -> str:
-    lines = [
-        f"Known-plaintext attack on the window W_{result.window}",
-        f"hidden key set : {result.key_set}",
-        f"seed           : {result.seed}",
-        f"pairs used     : {result.solver.pairs_used}",
-        f"system rank    : {result.solver.rank} / {result.window}",
-    ]
-    if result.solver.determined:
-        lines.append("operator fully determined: yes")
-        lines.append(
-            f"matches hidden key's operator: "
-            f"{'yes' if result.matches_true_operator else 'NO'}"
-        )
-        lines.extend(result.solver.marks.report("recovered {}"))
-    else:
-        lines.append("operator fully determined: no (underdetermined system)")
-        lines.append(f"open marks     : {', '.join(f'D{x}' for x in result.solver.undetermined)}")
-    twin_bits = ", ".join(
-        f"{t} ({'same' if ok else 'DIFFERENT'} matrix)"
-        for t, ok in zip(result.twins, result.twins_match)
-    )
-    lines.append(f"scaled twins   : {twin_bits}")
-    verdict = (
-        "recovering the operator does not identify the key set"
-        if result.ok
-        else "demonstration FAILED"
-    )
-    lines.append(f"conclusion     : {verdict}")
     return "\n".join(lines)

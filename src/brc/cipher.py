@@ -59,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from io import FileIO
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import add, countOf
 from pathlib import Path
 from typing import Sequence
@@ -289,8 +289,8 @@ def _read_ciphertext_values(body: bytes, window: int, offset: int) -> list[int]:
         raise FileFormatError("ciphertext file must end with a newline")
     # The body of the zero vector, "0", holds no term lines.
     start = 2 if body == b"0\n" else 0
-    # values[n-1] holds D(n) for n up to the last label read so far.
-    values: list[int] = []
+    # values[n-1] holds D(n); the whole window is allocated once, before the terms are read.
+    values = [0] * window
     try:
         for labels, coeffs in read_terms(body, start):
             # Ascending, so the last label bounds the chunk before any is used as an index.
@@ -298,13 +298,10 @@ def _read_ciphertext_values(body: bytes, window: int, offset: int) -> list[int]:
             if top > window:
                 raise FileFormatError(f"ciphertext has support at D{top}, outside window L={window}")
             if top - labels[0] + 1 == len(labels):
-                # Consecutive labels: zeros up to the chunk, then its coefficients.
-                values += repeat(0, labels[0] - 1 - len(values))
-                values += coeffs
+                # Consecutive labels: the chunk's coefficients fill one slice.
+                values[labels[0] - 1 : top] = coeffs
             else:
-                values += repeat(0, top - len(values))
                 deque(map(values.__setitem__, map(_PRED, labels), coeffs), maxlen=0)
     except ElementFormatError as exc:
         raise FileFormatError(f"ciphertext {exc}") from None
-    values += repeat(0, window - len(values))
     return values

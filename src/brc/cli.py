@@ -87,6 +87,13 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_reports(*results) -> int:
+    """Print each result's report; exit status 0 exactly when every result is ok."""
+    for result in results:
+        print(result.report())
+    return 0 if all(result.ok for result in results) else 1
+
+
 def _cmd_attack_cpa(args: argparse.Namespace) -> int:
     s0, s1 = _parse_key_set(args.s0), _parse_key_set(args.s1)
     if args.seed is not None and not args.random:
@@ -99,39 +106,33 @@ def _cmd_attack_cpa(args: argparse.Namespace) -> int:
         hidden_bit = args.hidden_bit
     if args.identity_query:
         guess, response = attacks.identity_query_leak(s0, s1, hidden_bit)
-        print(attacks.format_identity_report(s0, s1, hidden_bit, guess, response, seed))
+        print(attacks.format_identity_report(s0, s1, hidden_bit, guess, response))
     else:
         result, experiment = attacks.run_cpa_experiment(s0, s1, hidden_bit)
         guess = result.guess
-        print(attacks.format_cpa_report(result, experiment, seed))
+        print(attacks.format_cpa_report(result, experiment))
+    if seed is not None:
+        print(f"seed           : {seed}")
+    # The verdict needs the hidden bit, which the attacker's result does not hold.
     return 0 if guess == hidden_bit else 1
 
 
 def _cmd_attack_cpa_sweep(args: argparse.Namespace) -> int:
-    result = attacks.run_cpa_sweep(args.max_index, args.max_size)
-    print(attacks.format_cpa_sweep_report(result))
-    return 0 if result.correct == result.games else 1
+    return _print_reports(attacks.run_cpa_sweep(args.max_index, args.max_size))
 
 
 def _cmd_attack_ambiguity(args: argparse.Namespace) -> int:
-    result = attacks.run_ambiguity_demo(_parse_key_set(args.s), args.window, args.count)
-    print(attacks.format_ambiguity_report(result))
-    return 0 if result.ok else 1
+    return _print_reports(attacks.run_ambiguity_demo(_parse_key_set(args.s), args.window, args.count))
 
 
 def _cmd_attack_kpa(args: argparse.Namespace) -> int:
-    result = attacks.run_kpa_demo(read_key_file(args.key), args.window, args.pairs, seed=args.seed)
-    print(attacks.format_kpa_report(result))
-    return 0 if result.ok else 1
+    return _print_reports(attacks.run_kpa_demo(read_key_file(args.key), args.window, args.pairs, seed=args.seed))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(
-        args.suite, max_index=args.max_index, trials=args.trials, seed=args.seed, max_irrep=args.max_irrep
+    return _print_reports(
+        *run_suite(args.suite, max_index=args.max_index, trials=args.trials, seed=args.seed, max_irrep=args.max_irrep)
     )
-    for result in results:
-        print(result.summary())
-    return 0 if all(result.ok for result in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

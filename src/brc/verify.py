@@ -58,7 +58,7 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def summary(self) -> str:
+    def report(self) -> str:
         state = "PASS" if self.ok else "FAIL"
         line = f"{self.name:<12} {state}  cases={self.cases} failures={self.failures} ({self.elapsed:.2f}s)"
         if self.first_failure:

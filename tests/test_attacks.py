@@ -16,9 +16,7 @@ from brc.attacks import (
     ambiguous_key,
     choose_probe,
     cpa_distinguish,
-    format_ambiguity_report,
     format_cpa_report,
-    format_kpa_report,
     generic_plaintext_solver,
     identity_query_leak,
     known_plaintext_solver,
@@ -578,10 +576,11 @@ def test_partial_solve_keeps_the_marks_it_read():
 
 def test_run_ambiguity_demo_succeeds():
     result = run_ambiguity_demo(KeySet([2, 3]), window=5, count=3)
-    assert result.all_matrices_equal
-    assert result.all_elements_differ
+    assert all(result.matrices_equal)
+    assert all(result.elements_differ)
+    assert result.ok
     assert [q for q, _ in result.twins] == [7, 11, 13]
-    report = format_ambiguity_report(result)
+    report = result.report()
     assert "{14, 21}" in report and "matrices identical" in report
 
 
@@ -633,7 +632,9 @@ def test_run_kpa_demo_determined():
     assert result.solver.determined
     assert result.matches_true_operator
     assert all(result.twins_match)
-    report = format_kpa_report(result)
+    # The ambiguity demonstration the run holds is the one for its key and window.
+    assert result.ambiguity == run_ambiguity_demo(KeySet([2, 3]), window=4, count=3)
+    report = result.report()
     assert "rank" in report and "4 / 4" in report
 
 
@@ -697,7 +698,7 @@ def test_run_cpa_sweep_counts():
     n = 5 + 10  # singletons and pairs from 1..5
     assert result.key_sets == n
     assert result.games == n * (n - 1) * 2
-    assert result.correct == result.games
+    assert result.correct == result.games and result.ok
     assert result.queries == result.games
     assert sum(games for _, games in result.probes) == result.games
     assert [probe for probe, _ in result.probes] == sorted(probe for probe, _ in result.probes)
@@ -752,7 +753,7 @@ def test_run_kpa_demo_underdetermined():
     assert result.solver.undetermined == (5,)
     assert result.matches_true_operator is None
     assert result.ok
-    report = format_kpa_report(result)
+    report = result.report()
     assert "underdetermined" in report
     assert "open marks     : D5\n" in report
 

@@ -385,12 +385,57 @@ def test_attack_cpa_huge_index_candidates(capsys):
 
 
 def test_attack_cpa_random_prints_seed(capsys):
-    code, out, _ = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--random", "--seed", "42")
-    assert code == 0
-    assert "seed           : 42" in out
+    # random.Random(42).randrange(2) draws the hidden bit 0.
+    code, out, err = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--random", "--seed", "42")
+    assert (code, err) == (0, "")
+    assert out == (
+        "CPA key-distinguishing attack\n"
+        "candidates     : S0 = {2}, S1 = {3}\n"
+        "chosen probe   : D3\n"
+        "oracle response:\n"
+        "    D1 -2\n"
+        "    D3 1\n"
+        "probe coefficient observed 1; expected 1 for S0, -1 for S1\n"
+        "decision       : 0\n"
+        "queries        : 1\n"
+        "hidden bit     : 0\n"
+        "outcome        : SUCCESS\n"
+        "seed           : 42\n"
+    )
     # deterministic rerun gives the same transcript
     code2, out2, _ = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--random", "--seed", "42")
     assert (code2, out2) == (code, out)
+
+
+def test_attack_cpa_random_draws_and_prints_a_fresh_seed(capsys):
+    argv = ("attack", "cpa", "--s0", "2", "--s1", "3", "--random")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    seeds = re.findall(r"^seed           : (\d+)$", out, re.MULTILINE)
+    assert len(seeds) == 1
+    assert out.endswith(f"seed           : {seeds[0]}\n")
+    assert 0 <= int(seeds[0]) < 2**32
+    # The printed seed replays the game.
+    assert run_cli(capsys, *argv, "--seed", seeds[0]) == (0, out, "")
+
+
+def test_attack_cpa_seed_without_random_is_refused(capsys):
+    code, out, err = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0", "--seed", "5")
+    assert (code, out, err) == (1, "", "error: --seed is only meaningful together with --random\n")
+
+
+def test_attack_cpa_wrong_guess_fails(capsys, monkeypatch):
+    distinguish = attacks.cpa_distinguish
+
+    def wrong_guess(s0, s1, oracle):
+        result = distinguish(s0, s1, oracle)
+        return replace(result, guess=1 - result.guess)
+
+    monkeypatch.setattr(attacks, "cpa_distinguish", wrong_guess)
+    code, out, _ = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0")
+    assert code == 1
+    assert "decision       : 1\n" in out
+    assert out.endswith("hidden bit     : 0\noutcome        : FAILURE\n")
 
 
 def test_attack_cpa_identity_query(capsys):
@@ -448,6 +493,21 @@ def test_attack_cpa_sweep_two_key_sets(capsys):
         "probe histogram:\n"
         "  D2   4\n"
     )
+
+
+def test_attack_cpa_sweep_fails_on_one_lost_game(capsys, monkeypatch):
+    play = attacks.run_cpa_experiment
+    played = []
+
+    def lose_the_first_game(s0, s1, hidden_bit):
+        result, experiment = play(s0, s1, hidden_bit)
+        played.append(hidden_bit)
+        return (replace(result, guess=1 - result.guess) if len(played) == 1 else result), experiment
+
+    monkeypatch.setattr(attacks, "run_cpa_experiment", lose_the_first_game)
+    code, out, _ = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "2", "--max-size", "1")
+    assert code == 1
+    assert "success rate   : 0.750000 (3/4)\n" in out
 
 
 def test_attack_cpa_sweep_rejects_tiny_key_space(capsys):
@@ -514,6 +574,16 @@ def test_attack_ambiguity_transcript(capsys):
         "     0  0  0  0  0  1\n"
         "conclusion     : matrices identical; key set not identifiable from this window\n"
     )
+
+
+def test_attack_ambiguity_fails_on_a_non_twin(capsys, monkeypatch):
+    # {2, 3, 5} is no scaled twin of {2, 3}: their marks differ at D5.
+    monkeypatch.setattr(attacks, "ambiguous_family", lambda s, window, count: [KeySet([14, 21]), KeySet([2, 3, 5])])
+    code, out, _ = run_cli(capsys, "attack", "ambiguity", "--s", "2,3", "--window", "5", "--count", "2")
+    assert code == 1
+    assert "twin q=7     : {14, 21}  matrix equal: yes  key element differs: yes\n" in out
+    assert "twin q=1     : {2, 3, 5}  matrix equal: NO  key element differs: yes\n" in out
+    assert out.endswith("conclusion     : demonstration FAILED\n")
 
 
 def test_attack_ambiguity_invalid_count(capsys):
@@ -712,6 +782,33 @@ def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--trials", "50")
     assert code == 0
     assert out.count("PASS") == 5
+
+
+@pytest.mark.parametrize(
+    "args, cases",
+    # D1, SO2 and O2 squared for recurrence; m = 0 and m = 1 for rf1.
+    [(["recurrence", "--max-index", "1"], 9), (["rf1", "--max-irrep", "1"], 2)],
+)
+def test_verify_runs_the_low_ends_of_the_ranges(capsys, args, cases):
+    code, out, _ = run_cli(capsys, "verify", *args)
+    assert code == 0
+    assert f"{args[0]:<12} PASS  cases={cases} failures=0 (" in out
+
+
+def test_verify_fails_on_a_negated_side(capsys, monkeypatch):
+    key_coeff = verify.key_coeff
+    monkeypatch.setattr(verify, "key_coeff", lambda s, n: -key_coeff(s, n))
+    seconds = re.compile(r"\(\d+\.\d+s\)")
+    code, out, _ = run_cli(capsys, "verify", "prop-coeff", "--trials", "20")
+    assert code == 1
+    lines = seconds.sub("(s)", out).splitlines()
+    assert re.fullmatch(r"prop-coeff   FAIL  cases=20 failures=\d+ \(s\)", lines[0]), lines
+    assert lines[1].startswith("    first counterexample: S=")
+    assert len(lines) == 2
+    # One failing suite fails 'all', whose other suites still pass.
+    code, out, _ = run_cli(capsys, "verify", "all", "--trials", "20")
+    assert code == 1
+    assert out.count("PASS") == 4 and out.count("FAIL") == 1
 
 
 def test_verify_respects_bounds(capsys):

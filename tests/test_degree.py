@@ -108,6 +108,30 @@ def test_recurrence_matches_direct_product():
             assert recurrence_mul(g, h, lat) == direct, (g, h)
 
 
+def test_containment_entries_outside_the_classes_are_skipped():
+    # Counts that name a class the lattice does not hold, below (D9) or
+    # above (D8), take no part in the recurrences.
+    lat = o2_lattice(4)
+    wide = dataclasses.replace(lat, contains={**lat.contains, (D(1), D(8)): 1, (D(9), D(2)): 1})
+    gens = [D(k) for k in range(1, 5)]
+    for g in gens:
+        for h in gens:
+            assert recurrence_mul(g, h, wide) == BurnsideElement({g: 1}) * BurnsideElement({h: 1}), (g, h)
+
+
+def test_smallest_tables():
+    # One dihedral class is the low end of both bounds.
+    lat = o2_lattice(1)
+    dims = fixed_point_dims(1)
+    assert lat.classes == (O2, SO2, D(1))
+    assert recurrence_mul(D(1), D(1), lat) == BurnsideElement({D(1): 2})
+    assert basic_degree_recurrence(1, lat, dims) == basic_degree(1)
+    with pytest.raises(ValueError, match=r"^max_index must be >= 1, got 0$"):
+        o2_lattice(0)
+    with pytest.raises(ValueError, match=r"^table bound must be >= 1$"):
+        fixed_point_dims(0)
+
+
 def test_recurrence_mul_rejects_out_of_range():
     lat = o2_lattice(4)
     with pytest.raises(ValueError):
@@ -227,11 +251,12 @@ def test_basic_degree_recurrence_sweep():
 def test_basic_degree_recurrence_bounds():
     lat = o2_lattice(4)
     dims = fixed_point_dims(4)
-    with pytest.raises(ValueError):
+    cover = r"^lattice range must cover the irrep index and the dims table$"
+    with pytest.raises(ValueError, match=cover):
         basic_degree_recurrence(5, lat, dims)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^representation index must be >= 0, got -1$"):
         basic_degree_recurrence(-1, lat, dims)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=cover):
         basic_degree_recurrence(2, o2_lattice(8), dims)  # dims table too small
 
 
