@@ -196,8 +196,11 @@ def ambiguous_family(s: KeySet | Iterable[int], window: int, count: int) -> list
 def choose_probe(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int]) -> int:
     """Largest index on which the candidate key sets disagree.
 
-    At that index the folded key coefficients of the two candidates
-    have different parity, so one encrypted probe separates them.
+    Exactly one candidate holds that index and they agree above it, so
+    the index divides one more index of that candidate and their marks
+    there are opposite: the probe's coefficient in the reply,
+    1 + 2*key_coeff_fold, is +1 under one and -1 under the other, and
+    one encrypted probe separates them.
     """
     s0, s1 = as_key_set(s0), as_key_set(s1)
     diff = set(s0.indices) ^ set(s1.indices)
@@ -281,13 +284,18 @@ def cpa_distinguish(
 
     Probes at the largest index where the candidates disagree; the
     probe's own coefficient in the reply equals 1 + 2*fold for the
-    hidden candidate, and the two folds differ in parity.
+    hidden candidate, its mark (-1)**#{s in S : probe | s}.  The
+    candidates agree above the probe and exactly one of them holds it,
+    so the probe divides one more index of that candidate and their marks
+    are opposite: s0's fold alone gives both expected values.
     """
     s0, s1 = as_key_set(s0), as_key_set(s1)
     probe = choose_probe(s0, s1)
-    # Folds first: an oversize candidate hits their cap before the oracle builds its element.
+    # Both caps before the fold: an oversize candidate is refused before the oracle runs.
+    check_subset_cap(s0)
+    check_subset_cap(s1)
     expected0 = 1 + 2 * key_coeff_fold(s0, probe)
-    expected1 = 1 + 2 * key_coeff_fold(s1, probe)
+    expected1 = -expected0
     response = oracle(probe)
     observed = response.dihedral_coeff(probe)
     if observed == expected0:

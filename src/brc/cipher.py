@@ -25,7 +25,9 @@ without building a sparse element.  The body lines go through
 element text uses too, one slice or chunk at a time with no Python loop
 over the terms.  The writer refuses a value that is not an int before
 it opens the file, and writes bytes.  The reader checks the header and
-the length line first, a bounded number of bytes each, then refuses a
+the length line first, a bounded number of bytes each, reads the body no
+further than one byte past the `max_body` bound it is given (`brc
+decrypt` passes `limits.max_text_ciphertext_body`), then refuses a
 body with a non-ASCII byte and parses it in place in the file's bytes,
 with no decoded copy, storing a chunk of consecutive labels with one
 list extension, so the coefficients of a dense body become the vector
@@ -62,7 +64,7 @@ from io import FileIO
 from itertools import compress, count
 from operator import add, countOf
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .burnside import (
     ElementFormatError,
@@ -248,12 +250,15 @@ def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:
             f.write(format_terms(compress(count(start + 1), part), list(filter(None, part))))
 
 
-def read_ciphertext_file(path: str | Path) -> Ciphertext:
+def read_ciphertext_file(path: str | Path, max_body: Callable[[int], int] | None = None) -> Ciphertext:
     """Read a canonical ciphertext file straight into its window vector.
 
     The header and the length line, at most _CT_HEAD_LINE bytes each, are
-    checked before the body is read.  The body's bytes are parsed in a helper,
-    so they are freed before the vector is copied into the Ciphertext's tuple.
+    checked before the body is read.  With `max_body`, a body longer than
+    max_body(L) bytes, L the declared length, is refused after one byte
+    more is read; without it the body is read to its end.  The body's bytes
+    are parsed in a helper, so they are freed before the vector is copied
+    into the Ciphertext's tuple.
     """
     # Bytes, not text mode: newline translation would accept "\r\n".  Unbuffered:
     # the head is read a byte at a time and the body in one allocation.
@@ -268,8 +273,25 @@ def read_ciphertext_file(path: str | Path) -> Ciphertext:
         # Compare digit counts first: int() refuses very long digit strings.
         if len(m[1]) > len(str(MAX_LENGTH)) or int(m[1]) > MAX_LENGTH:
             raise FileFormatError(f"declared length {m[1]} is above the limit {MAX_LENGTH}")
-        values = _read_ciphertext_values(f.readall(), int(m[1]), len(header) + len(length_line) + 2)
+        window = int(m[1])
+        values = _read_ciphertext_values(_read_body(f, window, max_body), window, len(header) + len(length_line) + 2)
     return Ciphertext(values)
+
+
+def _read_body(f: FileIO, window: int, max_body: Callable[[int], int] | None) -> bytes:
+    """The rest of the file, or FileFormatError one byte past max_body(window)."""
+    if max_body is None:
+        return f.readall()
+    limit = max_body(window)
+    # A pipe returns what it holds, so read until the file ends or the limit is passed.
+    chunks = []
+    left = limit + 1
+    while left and (chunk := f.read(left)):
+        chunks.append(chunk)
+        left -= len(chunk)
+    if not left:
+        raise FileFormatError(f"ciphertext body is longer than {limit} bytes, the most a {window}-byte text encrypts to")
+    return b"".join(chunks)
 
 
 def _read_head_line(f: FileIO, offset: int) -> str:

@@ -80,7 +80,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     key_set = read_key_file(args.key)
-    ciphertext = read_ciphertext_file(args.in_path)
+    ciphertext = read_ciphertext_file(args.in_path, max_body=limits.max_text_ciphertext_body)
     data = decrypt(ciphertext, key_set)
     Path(args.out_path).write_bytes(data)
     print(f"decrypted {len(data)} bytes -> {args.out_path}", file=sys.stderr)

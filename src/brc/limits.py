@@ -27,7 +27,7 @@ MAX_LENGTH = 1 << 20
 # file and every key set the CLI parses.  The key of the first 20 primes'
 # product over each prime has 2**20 terms; `brc keygen` prints it in 4.1 s
 # at 234 MB.  As the hidden `--s0` of `brc attack cpa` its probe leaves 20
-# odd gcds, a reply of 2**19 terms: 4.4-5.0 s at 187 MB (three runs).
+# odd gcds, a reply of 2**19 terms: 3.6-5.1 s at 187 MB (six runs).
 MAX_KEY_SIZE = 20
 
 # Most decimal digits of one index of a key file or a CLI key set (KeySet
@@ -44,6 +44,17 @@ MAX_INDEX_DIGITS = 30
 # {n, 2n, ..., 4096n}, 1.0 s.
 MAX_MOBIUS_QUOTIENT = 1 << 12
 
+# Most body bytes `brc decrypt` reads after a ciphertext's length line
+# declares L.  A text of L bytes, each 0..127, encrypts to coefficients with
+# |c_n| <= 127 * sum_{q <= L} floor(L / q) < 127 * L * (L.bit_length() + 1), so
+# the body holds at most L lines `D<n> -<c>`, each with no more digits of n
+# than L has and of c than that bound has, plus 4 bytes: 170 000 bytes at
+# L = 10 000 and 22 020 096 at MAX_LENGTH, where the longest body measured is
+# 13 882 783 bytes.
+def max_text_ciphertext_body(length: int) -> int:
+    return length * (len(str(length)) + len(str(127 * length * (length.bit_length() + 1))) + 4)
+
+
 # Most twins ambiguous_family builds; each costs a prime search, its marks on
 # the window and a report line.  At the window MAX_LENGTH the cap takes 1.9-3.0 s
 # at 40 MB for the key {2, 3}, and 134 s at 41 MB for the 30-digit key above.
@@ -51,8 +62,8 @@ MAX_TWINS = 100
 
 # Games in one sweep, n*(n-1)*2 on n key sets.  Near the cap (--max-index 12
 # --max-size 3, 177 012 games; --max-index 8 --max-size 8, 129 540 games on
-# the largest sets) `brc attack cpa-sweep` takes 2.7-3.1 s at 16.6 MB (three
-# runs each).
+# the largest sets) `brc attack cpa-sweep` takes 2.0-2.9 s at 16.2-16.4 MB
+# (five runs each).
 MAX_SWEEP_GAMES = 200_000
 
 # Most plaintext values (pairs x window) the known-plaintext demonstration

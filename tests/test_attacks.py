@@ -201,14 +201,54 @@ def test_cpa_distinguish_overlapping_sets():
 
 
 def test_cpa_cap_raises_before_the_oracle(monkeypatch):
-    # The folds' subset cap rejects 21-index candidates before the oracle
-    # builds the hidden key element of 2**21 terms.
+    # The subset cap rejects 21-index candidates before the oracle builds
+    # the hidden key element of 2**21 terms.
     def refuse(*args):
         raise AssertionError("key element built")
 
     monkeypatch.setattr(attacks, "key_element", refuse)
     with pytest.raises(ValueError, match="^key set has 21 indices, above the limit 20$"):
         run_cpa_experiment(KeySet(range(1, 22)), KeySet([*range(1, 21), 22]), hidden_bit=0)
+
+
+@pytest.mark.parametrize(
+    "s0, s1, size",
+    [
+        (KeySet(range(1, 22)), KeySet([2, 3]), 21),
+        (KeySet([2, 3]), KeySet(range(1, 22)), 21),
+        # Both above the cap: s0 is checked first.
+        (KeySet(range(1, 23)), KeySet([*range(1, 21), 23]), 22),
+    ],
+    ids=["s0", "s1", "s0-first"],
+)
+def test_cpa_caps_each_candidate_before_any_query(monkeypatch, s0, s1, size):
+    def refuse(*args):
+        raise AssertionError("key element built")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    experiment = CpaExperiment(s0=s0, s1=s1, hidden_bit=0)
+    with pytest.raises(ValueError, match=f"^key set has {size} indices, above the limit 20$"):
+        cpa_distinguish(experiment.s0, experiment.s1, experiment.query_probe)
+    assert experiment.query_log == []
+
+
+def test_cpa_game_folds_s0_once(monkeypatch):
+    # The candidates' marks at the probe are opposite, so one fold gives
+    # both expected values: s0's, whichever candidate holds the probe.
+    folded = []
+
+    def counted(s, x):
+        folded.append((s, x))
+        return key_coeff_fold(s, x)
+
+    monkeypatch.setattr(attacks, "key_coeff_fold", counted)
+    games = [([2], [3]), ([3], [2]), ([4, 6, 8, 10], [4, 6, 8, 10, 12]), ([3, 4, 6, 9, 10, 12], [3, 4, 6, 9, 12])]
+    for s0, s1 in games:
+        for hidden_bit in (0, 1):
+            folded.clear()
+            result, _ = run_cpa_experiment(s0, s1, hidden_bit)
+            assert folded == [(KeySet(s0), result.probe)]
+            assert result.guess == hidden_bit
 
 
 def test_cpa_oracle_mismatch_detected():
@@ -320,7 +360,38 @@ def test_probe_parity_separates_candidates(s0, s1):
     if s0 == s1:
         return
     probe = choose_probe(s0, s1)
-    assert (key_coeff_fold(s0, probe) - key_coeff_fold(s1, probe)) % 2 == 1
+    # Exactly one candidate holds the probe, and no index above it
+    # separates them, so their marks there, 1 + 2*fold, are opposite.
+    assert key_coeff_fold(s0, probe) + key_coeff_fold(s1, probe) == -1
+
+
+def _cpa_candidate_pairs():
+    """Nested, neighbouring (S and S minus {j}), disjoint and 30-digit candidate pairs, in either order."""
+    # 30-digit indices 10**26 * k; the listed k divide one another often, so folds do not vanish.
+    wide = st.one_of(st.integers(1000, 9999), st.sampled_from([1000, 1200, 2000, 2400, 3600, 4800, 7200, 9600]))
+    wide = wide.map(lambda k: 10**26 * k)
+    small = key_sets(max_size=6, max_index=40)
+    nested = st.tuples(small, small).map(lambda p: (p[0], KeySet({*p[0], *p[1]})))
+    neighbouring = key_sets(max_size=8, max_index=60).filter(lambda s: len(s) > 1).flatmap(
+        lambda s: st.sampled_from(s.indices).map(lambda j: (s, KeySet(i for i in s if i != j)))
+    )
+    disjoint = st.sets(st.integers(1, 60), min_size=2, max_size=10).flatmap(
+        lambda u: st.integers(1, len(u) - 1).map(lambda k: (KeySet(sorted(u)[:k]), KeySet(sorted(u)[k:])))
+    )
+    thirty_digits = st.tuples(st.sets(wide, min_size=1, max_size=5), st.sets(wide, min_size=1, max_size=5))
+    thirty_digits = thirty_digits.map(lambda p: (KeySet(p[0]), KeySet(p[1])))
+    pairs = st.one_of(nested, neighbouring, disjoint, thirty_digits).filter(lambda p: p[0] != p[1])
+    return st.tuples(pairs, st.booleans()).map(lambda t: t[0][::-1] if t[1] else t[0])
+
+
+@given(_cpa_candidate_pairs(), st.sampled_from([0, 1]))
+def test_cpa_expected_values_are_each_candidates_fold(pair, hidden_bit):
+    s0, s1 = pair
+    result, experiment = run_cpa_experiment(s0, s1, hidden_bit)
+    assert result.expected0 == 1 + 2 * key_coeff_fold(s0, result.probe)
+    assert result.expected1 == 1 + 2 * key_coeff_fold(s1, result.probe)
+    assert result.guess == hidden_bit
+    assert experiment.query_log == [result.probe]
 
 
 @given(key_sets(max_size=5, max_index=20), st.integers(1, 20))

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -628,6 +630,58 @@ def test_ciphertext_writer_memory_is_one_slice(tmp_path):
         tracemalloc.stop()
     assert read_ciphertext_file(path) == ciphertext
     assert peak < 128 * cipher._CT_SLICE < path.stat().st_size
+
+
+def test_ciphertext_reader_refuses_a_body_past_max_body(tmp_path):
+    # max_text_ciphertext_body(2) is 16 bytes, two lines `D<n> -254`.
+    path = tmp_path / "c.ct"
+    path.write_bytes(b"BRC-CT v1\nL 2\nD1 -254\nD2 -254\n")
+    assert read_ciphertext_file(path, max_body=limits.max_text_ciphertext_body).values == (-254, -254)
+    path.write_bytes(b"BRC-CT v1\nL 2\nD1 -2540\nD2 -254\n")
+    text = "ciphertext body is longer than 16 bytes, the most a 2-byte text encrypts to"
+    with pytest.raises(FileFormatError, match=f"^{text}$"):
+        read_ciphertext_file(path, max_body=limits.max_text_ciphertext_body)
+    # Without max_body the reader takes any body.
+    assert read_ciphertext_file(path).values == (-2540, -254)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_ciphertext_reader_reads_a_bounded_body_from_a_pipe(tmp_path):
+    # A pipe hands the body over in pieces; the bounded read collects them all.
+    data = bytes(32 + (13 * i) % 95 for i in range(20_000))
+    written = tmp_path / "msg.ct"
+    write_ciphertext_file(written, encrypt(data, KeySet([2, 3, 5, 7])))
+    content = written.read_bytes()
+    assert len(content) > 1 << 16
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb", buffering=0) as f:
+            for start in range(0, len(content), 1000):
+                f.write(content[start : start + 1000])
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        ciphertext = read_ciphertext_file(f"/dev/fd/{read_end}", max_body=limits.max_text_ciphertext_body)
+    finally:
+        # Closed first, so a writer still blocked on a failed read ends.
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert decrypt(ciphertext, KeySet([2, 3, 5, 7])) == data
+
+
+@given(
+    key_sets(max_size=6, max_index=120),
+    st.one_of(plaintext_vectors(max_length=120), st.integers(1, 120).map(lambda n: [127] * n)),
+)
+def test_text_ciphertext_bodies_fit_the_decrypt_bound(tmp_path_factory, key_set, values):
+    path = tmp_path_factory.mktemp("bound") / "msg.ct"
+    write_ciphertext_file(path, encrypt(bytes(values), key_set))
+    head = f"BRC-CT v1\nL {len(values)}\n"
+    assert path.stat().st_size - len(head) <= limits.max_text_ciphertext_body(len(values))
+    assert read_ciphertext_file(path, max_body=limits.max_text_ciphertext_body) == read_ciphertext_file(path)
 
 
 # Characters of the ciphertext grammar plus near misses.

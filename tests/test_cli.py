@@ -306,23 +306,38 @@ def test_decrypt_long_declared_length_is_fast(tmp_path, keyfile, capsys):
     assert elapsed < 1.0
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-def test_decrypt_refuses_an_endless_device_by_its_header(tmp_path, keyfile):
-    # The header line is read at most 80 bytes deep and refused before the
-    # body: reading /dev/zero whole would grow until the address-space
-    # limit raised MemoryError, a traceback instead of one error line.
+def _run_in_512_mib(argv):
+    """Run argv under a 512 MiB address-space limit and a 30 s timeout."""
     resource = pytest.importorskip("resource")
     limit = 512 * 2**20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    return subprocess.run(argv, capture_output=True, text=True, timeout=30, preexec_fn=cap_address_space)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_decrypt_refuses_an_endless_device_by_its_header(tmp_path, keyfile):
+    # The header line is read at most 80 bytes deep and refused before the
+    # body: reading /dev/zero whole would grow until the address-space
+    # limit raised MemoryError, a traceback instead of one error line.
     argv = ["decrypt", "--key", str(keyfile), "--in", "/dev/zero", "--out", str(tmp_path / "o")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "brc", *argv], capture_output=True, text=True, timeout=30, preexec_fn=cap_address_space
-    )
+    proc = _run_in_512_mib([sys.executable, "-m", "brc", *argv])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: bad ciphertext header {chr(0) * 80!r}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_decrypt_refuses_an_endless_pipe_after_a_valid_head(tmp_path, keyfile):
+    # After a valid head the body is read at most max_text_ciphertext_body(2)
+    # + 1 = 17 bytes deep; read to its end, the pipe would grow until the
+    # address-space limit raised MemoryError.
+    script = 'printf "BRC-CT v1\\nL 2\\n" | cat - /dev/zero | "$0" -m brc decrypt --key "$1" --in /dev/stdin --out "$2"'
+    proc = _run_in_512_mib(["sh", "-c", script, sys.executable, str(keyfile), str(tmp_path / "o")])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: ciphertext body is longer than 16 bytes, the most a 2-byte text encrypts to\n"
+    assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------------------- attacks
@@ -478,6 +493,94 @@ def test_attack_cpa_sweep_transcript(capsys):
         "  D2   24\n"
         "  D3   48\n"
         "  D4   96\n"
+    )
+
+
+_NEIGHBOUR_TRANSCRIPTS = {
+    # --s1 holds the probe, above every index of --s0.
+    ("4,6,8,10", "4,6,8,10,12", 0): (
+        "CPA key-distinguishing attack\n"
+        "candidates     : S0 = {4, 6, 8, 10}, S1 = {4, 6, 8, 10, 12}\n"
+        "chosen probe   : D12\n"
+        "oracle response:\n"
+        "    D2 2\n"
+        "    D6 -2\n"
+        "    D12 1\n"
+        "probe coefficient observed 1; expected 1 for S0, -1 for S1\n"
+        "decision       : 0\n"
+        "queries        : 1\n"
+        "hidden bit     : 0\n"
+        "outcome        : SUCCESS\n"
+    ),
+    ("4,6,8,10", "4,6,8,10,12", 1): (
+        "CPA key-distinguishing attack\n"
+        "candidates     : S0 = {4, 6, 8, 10}, S1 = {4, 6, 8, 10, 12}\n"
+        "chosen probe   : D12\n"
+        "oracle response:\n"
+        "    D2 -2\n"
+        "    D6 2\n"
+        "    D12 -1\n"
+        "probe coefficient observed -1; expected 1 for S0, -1 for S1\n"
+        "decision       : 1\n"
+        "queries        : 1\n"
+        "hidden bit     : 1\n"
+        "outcome        : SUCCESS\n"
+    ),
+    # --s0 holds the probe, below its largest index.
+    ("3,4,6,9,10,12", "3,4,6,9,12", 0): (
+        "CPA key-distinguishing attack\n"
+        "candidates     : S0 = {3, 4, 6, 9, 10, 12}, S1 = {3, 4, 6, 9, 12}\n"
+        "chosen probe   : D10\n"
+        "oracle response:\n"
+        "    D2 2\n"
+        "    D10 -1\n"
+        "probe coefficient observed -1; expected -1 for S0, 1 for S1\n"
+        "decision       : 0\n"
+        "queries        : 1\n"
+        "hidden bit     : 0\n"
+        "outcome        : SUCCESS\n"
+    ),
+    ("3,4,6,9,10,12", "3,4,6,9,12", 1): (
+        "CPA key-distinguishing attack\n"
+        "candidates     : S0 = {3, 4, 6, 9, 10, 12}, S1 = {3, 4, 6, 9, 12}\n"
+        "chosen probe   : D10\n"
+        "oracle response:\n"
+        "    D2 -2\n"
+        "    D10 1\n"
+        "probe coefficient observed 1; expected -1 for S0, 1 for S1\n"
+        "decision       : 1\n"
+        "queries        : 1\n"
+        "hidden bit     : 1\n"
+        "outcome        : SUCCESS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("s0, s1, hidden_bit", list(_NEIGHBOUR_TRANSCRIPTS))
+def test_attack_cpa_neighbouring_transcripts(capsys, s0, s1, hidden_bit):
+    code, out, err = run_cli(capsys, "attack", "cpa", "--s0", s0, "--s1", s1, "--hidden-bit", str(hidden_bit))
+    assert (code, err) == (0, "")
+    assert out == _NEIGHBOUR_TRANSCRIPTS[s0, s1, hidden_bit]
+
+
+def test_attack_cpa_sweep_default_transcript(capsys):
+    # The defaults, --max-index 8 --max-size 3: 92 key sets, 16 744 games.
+    code, out, _ = run_cli(capsys, "attack", "cpa-sweep")
+    assert code == 0
+    assert out == (
+        "key space      : 92 sets (indices <= 8, |S| <= 3)\n"
+        "experiments    : 16744 (ordered pairs x both hidden bits)\n"
+        "success rate   : 1.000000 (16744/16744)\n"
+        "queries/game   : 1.000\n"
+        "probe histogram:\n"
+        "  D1   112\n"
+        "  D2   224\n"
+        "  D3   408\n"
+        "  D4   740\n"
+        "  D5   1336\n"
+        "  D6   2392\n"
+        "  D7   4224\n"
+        "  D8   7308\n"
     )
 
 

@@ -18,9 +18,9 @@ OVER_LENGTH = str(limits.MAX_LENGTH + 1)
 OVER_GAMES = str(next(n for n in count(2) if n * (n - 1) * 2 > limits.MAX_SWEEP_GAMES))
 OVER_DRAWN = str(limits.MAX_DRAWN_VALUES // limits.MIN_PAIR_COST + 1)
 
-# (argv, the one stderr line).  {key} holds {2, 3}; {key21}, {key31}, {long}
-# and {long_ct} are one above the key size, index digits, message length
-# and declared length caps.
+# (argv, the one stderr line).  {key} holds {2, 3}; {key21}, {key31}, {long},
+# {long_ct} and {long_body} are one above the key size, index digits, message
+# length, declared length and ciphertext body caps.
 REFUSALS = [
     pytest.param(["keygen", "--indices", OVER_KEY], "key set has 21 indices, above the limit 20", id="keygen-indices"),
     pytest.param(["keygen", "--indices", OVER_DIGITS], "key index has more than 30 digits", id="keygen-digits"),
@@ -43,6 +43,11 @@ REFUSALS = [
         ["decrypt", "--key", "{key}", "--in", "{long_ct}", "--out", "{out}"],
         "declared length 1048577 is above the limit 1048576",
         id="decrypt-length",
+    ),
+    pytest.param(
+        ["decrypt", "--key", "{key}", "--in", "{long_body}", "--out", "{out}"],
+        "ciphertext body is longer than 16 bytes, the most a 2-byte text encrypts to",
+        id="decrypt-body",
     ),
     pytest.param(
         ["attack", "cpa", "--s0", OVER_KEY, "--s1", "2", "--hidden-bit", "0"],
@@ -151,7 +156,8 @@ REFUSALS = [
 
 @pytest.fixture
 def files(tmp_path):
-    paths = {name: tmp_path / name for name in ("key", "key21", "key31", "msg", "long", "long_ct", "out")}
+    names = ("key", "key21", "key31", "msg", "long", "long_ct", "long_body", "out")
+    paths = {name: tmp_path / name for name in names}
     paths["key"].write_text("BRC-KEY v1\nS 2 3\n")
     paths["key21"].write_text("BRC-KEY v1\nS " + OVER_KEY.replace(",", " ") + "\n")
     paths["key31"].write_text("BRC-KEY v1\nS " + OVER_DIGITS.replace(",", " ") + "\n")
@@ -159,6 +165,8 @@ def files(tmp_path):
     with open(paths["long"], "wb") as f:
         f.truncate(limits.MAX_LENGTH + 1)
     paths["long_ct"].write_text(f"BRC-CT v1\nL {OVER_LENGTH}\nD1 1\n")
+    # 17 body bytes; max_text_ciphertext_body(2) is 16.
+    paths["long_body"].write_text("BRC-CT v1\nL 2\nD1 -2540\nD2 -254\n")
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -186,6 +194,14 @@ def test_each_cap_is_refused_before_any_work(monkeypatch, capsys, files, argv, e
     code = main([arg.format(**files) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "length, bound", [(1, 8), (2, 16), (10_000, 170_000), (limits.MAX_LENGTH, 22_020_096)]
+)
+def test_text_ciphertext_body_bound(length, bound):
+    # L lines `D<n> -<c>`, n <= L and |c| < 127 * L * (L.bit_length() + 1).
+    assert limits.max_text_ciphertext_body(length) == bound
 
 
 def test_drawn_values_cap_is_inclusive():
