@@ -48,7 +48,7 @@ from functools import partial
 from itertools import combinations, compress, count, islice, repeat, starmap
 from math import gcd, isqrt
 from operator import add, countOf, itemgetter, lt, ne
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .limits import check_mobius_quotient, check_subset_cap
 
@@ -505,12 +505,14 @@ def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
     return BurnsideElement._raw({k: c for k, c in acc.items() if c}, full=1)
 
 
-def _signed_subset_count(indices: tuple[int, ...], subset_gcd: Callable[..., int], target: int) -> int:
-    # sum over r >= 2 of (-2)**(r-2) * #{I of size r : subset_gcd(*I) == target},
-    # each size counted at C speed; every subset of size >= 2 is visited once.
+def _signed_subset_count(values: tuple[int, ...], target: int) -> int:
+    # sum over r >= 2 of (-2)**(r-2) * #{I of size r : gcd(*I) == target},
+    # I a subset of positions, so equal values count apart: key_coeff passes
+    # the indices, key_coeff_fold their gcds with the probe.  Each size is
+    # counted at C speed; every subset of size >= 2 is visited once.
     total, weight = 0, 1
-    for r in range(2, len(indices) + 1):
-        total += weight * countOf(starmap(subset_gcd, combinations(indices, r)), target)
+    for r in range(2, len(values) + 1):
+        total += weight * countOf(starmap(gcd, combinations(values, r)), target)
         weight *= -2
     return total
 
@@ -528,7 +530,7 @@ def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
     _check_dihedral_index(s0)
     s = as_key_set(s)
     check_subset_cap(s)
-    return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s.indices, gcd, s0)
+    return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s.indices, s0)
 
 
 def _mobius(q: int) -> int:
@@ -597,22 +599,22 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
 
     Every subset gcd is at most max(s), so summing [gcd(I) == n] over
     the multiples n of x gives [x | gcd(I)], which is
-    [gcd(x, *I) == x].  The fold is therefore
-    -#{i in s : x | i} + 2 * sum over subsets I of s, |I| >= 2, of
-    (-2)**(|I|-2) * [gcd(x, *I) == x]: one enumeration per call, at a
-    cost of 2**|s| gcds whatever x or max(s) is (none when x > max(s),
-    where the fold is 0).  The probe goes first, so `gcd` stops working
-    once the running value is 1.  The self-coefficient of an encrypted
-    probe D(x) equals 1 + 2*key_coeff_fold(s, x), which is what the
-    one-query distinguisher reads out.
+    [gcd(x, *I) == x].  With g_i = gcd(x, i), taken once per index,
+    gcd(x, *I) is gcd of the g_i over I when |I| >= 2, and x | i exactly
+    when g_i == x.  The fold is therefore -#{i : g_i == x} + 2 * sum over
+    subsets J of g, |J| >= 2, of (-2)**(|J|-2) * [gcd(*J) == x]: one
+    enumeration per call, 2**|s| gcds of divisors of x whatever max(s)
+    is (none when x > max(s), where the fold is 0).  The self-coefficient
+    of an encrypted probe D(x) equals 1 + 2*key_coeff_fold(s, x), which
+    is what the one-query distinguisher reads out.
     """
     _check_dihedral_index(x)
     s = as_key_set(s)
     check_subset_cap(s)
     if x > s.max_index:
         return 0
-    members = countOf(map(x.__rmod__, s.indices), 0)  # #{i in s : i % x == 0}
-    return -members + 2 * _signed_subset_count(s.indices, partial(gcd, x), x)
+    g = tuple(map(partial(gcd, x), s.indices))
+    return -countOf(g, x) + 2 * _signed_subset_count(g, x)
 
 
 def divisor_sums(values: Sequence[int]) -> list[int]:

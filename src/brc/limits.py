@@ -27,7 +27,7 @@ MAX_LENGTH = 1 << 20
 # file and every key set the CLI parses.  The key of the first 20 primes'
 # product over each prime has 2**20 terms; `brc keygen` prints it in 4.1 s
 # at 234 MB.  As the hidden `--s0` of `brc attack cpa` its probe leaves 20
-# odd gcds, a reply of 2**19 terms: 3.6-5.1 s at 187 MB (six runs).
+# odd gcds, a reply of 2**19 terms: 2.8-3.6 s at 188 MB (six runs).
 MAX_KEY_SIZE = 20
 
 # Most decimal digits of one index of a key file or a CLI key set (KeySet

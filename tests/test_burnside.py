@@ -499,13 +499,18 @@ def test_coefficient_functions_refuse_a_non_int_index(monkeypatch, fn, index):
         fn([*range(1, 22), 10**6], index)
 
 
-def test_subset_cap_enforced():
+def test_subset_cap_enforced(monkeypatch):
     big = KeySet(range(1, 22))
     with pytest.raises(ValueError):
         key_coeff(big, 1)
     with pytest.raises(ValueError):
         key_coeff_bruteforce(big, 1)
-    # The cap comes before the fold's x > max(s) shortcut.
+
+    def refuse(*args):
+        raise AssertionError("gcd taken")
+
+    # The cap comes before the fold's x > max(s) shortcut and before any gcd.
+    monkeypatch.setattr(burnside, "gcd", refuse)
     for x in (1, 22, 10**12):
         with pytest.raises(ValueError, match="^key set has 21 indices, above the limit 20$"):
             key_coeff_fold(big, x)
@@ -530,9 +535,52 @@ def test_key_coeff_and_fold_match_their_definitions(s, x):
     assert 1 + 2 * fold == (-1) ** sum(1 for i in s if i % x == 0)
 
 
+def _key_coeff_fold_per_subset(s, x):
+    # The fold by its definition, one subset of s at a time: [x | gcd(I)].
+    total = 0
+    for r in range(2, len(s) + 1):
+        for sub in itertools.combinations(s.indices, r):
+            if gcd(*sub) % x == 0:
+                total += (-2) ** (r - 2)
+    return -sum(1 for i in s if i % x == 0) + 2 * total
+
+
+# Products of small prime powers, up to limits.MAX_INDEX_DIGITS digits
+# (the cube of 2*3*...*29 has 30): a probe and an index mostly share some
+# primes and not others, so gcd(x, i) is mostly neither 1, x nor i.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _smooth(primes, max_exponent):
+    exponents = st.lists(st.integers(0, max_exponent), min_size=len(primes), max_size=len(primes))
+    return exponents.map(lambda es: prod(p**e for p, e in zip(primes, es)))
+
+
+@st.composite
+def _smooth_keys_and_probes(draw):
+    s = draw(st.sets(_smooth(_SMALL_PRIMES, 3), min_size=1, max_size=8).map(KeySet))
+    x = draw(_smooth(_SMALL_PRIMES[:6], 2))
+    if draw(st.booleans()):
+        # A probe that divides some indices, so that x | gcd(I) occurs.
+        x = gcd(x, *draw(st.lists(st.sampled_from(s.indices), min_size=1, max_size=3)))
+    return s, x
+
+
+@given(_smooth_keys_and_probes())
+@example((KeySet([2 * 3 * 5 * 7**2, 2**2 * 3 * 11, 3 * 5 * 13, 2 * 3 * 5 * 7]), 2 * 3 * 7))
+def test_key_coeff_fold_matches_its_definition_on_smooth_indices(key_and_probe):
+    s, x = key_and_probe
+    assert s.max_index < 10**limits.MAX_INDEX_DIGITS
+    fold = key_coeff_fold(s, x)
+    assert fold == _key_coeff_fold_per_subset(s, x)
+    assert 1 + 2 * fold == (-1) ** sum(1 for i in s if i % x == 0)
+
+
 @pytest.mark.parametrize("fn", [key_coeff, key_coeff_fold])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_key_coeff_enumerates_each_subset_once(monkeypatch, fn, n):
+    # key_coeff enumerates the indices; the fold enumerates their gcds
+    # with the probe, one per index, so equal gcds still count apart.
     s = KeySet([2, 3, 4, 6, 8, 12, 16])
     seen = []
 
@@ -543,7 +591,9 @@ def test_key_coeff_enumerates_each_subset_once(monkeypatch, fn, n):
 
     monkeypatch.setattr(burnside, "combinations", counted)
     fn(s, n)
-    subsets = [sub for r in range(2, len(s) + 1) for sub in itertools.combinations(s.indices, r)]
+    values = s.indices if fn is key_coeff else tuple(gcd(n, i) for i in s)
+    subsets = [sub for r in range(2, len(s) + 1) for sub in itertools.combinations(values, r)]
+    assert len(subsets) == 2**7 - 8
     assert sorted(seen) == sorted(subsets)
 
 
