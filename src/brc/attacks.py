@@ -19,9 +19,9 @@ WindowMarks builds the operator matrix only when asked, as a report
 does up to MAX_PRINTED_WINDOW.  Each demonstration's result
 (CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds the
 AmbiguityResult it ran) renders its own `report()` and carries its
-`ok` verdict.  One CPA game is reported by format_cpa_report or
-format_identity_report: its verdict needs the hidden bit, which the
-attacker's CpaResult does not hold.
+`ok` verdict.  One CPA game is reported by format_cpa_report: its
+verdict needs the hidden bit, which the attacker's CpaResult does not
+hold.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .burnside import (
-    IDENTITY,
     BurnsideElement,
     D,
     KeySet,
@@ -61,7 +60,6 @@ __all__ = [
     "CpaResult",
     "cpa_distinguish",
     "run_cpa_experiment",
-    "identity_query_leak",
     "CpaSweepResult",
     "run_cpa_sweep",
     "OracleMismatchError",
@@ -76,7 +74,6 @@ __all__ = [
     "KpaDemoResult",
     "run_kpa_demo",
     "format_cpa_report",
-    "format_identity_report",
 ]
 
 
@@ -213,9 +210,9 @@ def choose_probe(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int]) -> int:
 class CpaExperiment:
     """Key-distinguishing game: candidates, a hidden bit, a probe oracle.
 
-    The oracle answers only dihedral probes (queries of the identity
-    class would hand over the key element wholesale; see
-    identity_query_leak for that demonstration).
+    The oracle answers only dihedral probes, the messages D(x); the
+    identity class O2 is not a message, and its reply would be the key
+    element itself.
     """
 
     s0: KeySet
@@ -324,30 +321,6 @@ def run_cpa_experiment(
     experiment = CpaExperiment(s0=as_key_set(s0), s1=as_key_set(s1), hidden_bit=hidden_bit)
     result = cpa_distinguish(experiment.s0, experiment.s1, experiment.query_probe)
     return result, experiment
-
-
-def identity_query_leak(
-    s0: KeySet | Iterable[int], s1: KeySet | Iterable[int], hidden_bit: int
-) -> tuple[int, BurnsideElement]:
-    """Trivial distinguisher when identity-class queries are admissible.
-
-    Encrypting the identity element returns the key element itself, so
-    one unrestricted query reveals the hidden bit.  Kept separate from
-    the headline attack, which works under the dihedral restriction.
-    A key element has up to 2**|S| terms, so candidates above the
-    dihedral game's subset cap are refused before any is built.
-    """
-    game = CpaExperiment(s0=s0, s1=s1, hidden_bit=hidden_bit)
-    check_subset_cap(game.s0)
-    check_subset_cap(game.s1)
-    # The single query is the identity class itself; the oracle reply is
-    # IDENTITY * k = k, the hidden key element in the clear.
-    response = IDENTITY * key_element(game.hidden_set)
-    if response == key_element(game.s0):
-        return 0, response
-    if response == key_element(game.s1):
-        return 1, response
-    raise OracleMismatchError("identity-query reply matches neither candidate key")
 
 
 @dataclass(frozen=True)
@@ -758,15 +731,6 @@ def _indent(text: str, pad: str = "    ") -> str:
     return "\n".join(pad + line for line in text.splitlines())
 
 
-def _decision_lines(guess: int, queries: int, hidden_bit: int) -> list[str]:
-    return [
-        f"decision       : {guess}",
-        f"queries        : {queries}",
-        f"hidden bit     : {hidden_bit}",
-        f"outcome        : {'SUCCESS' if guess == hidden_bit else 'FAILURE'}",
-    ]
-
-
 def format_cpa_report(result: CpaResult, experiment: CpaExperiment) -> str:
     """Structured text report of one distinguishing game."""
     lines = [
@@ -777,18 +741,9 @@ def format_cpa_report(result: CpaResult, experiment: CpaExperiment) -> str:
         _indent(result.response.render()),
         f"probe coefficient observed {result.observed}; "
         f"expected {result.expected0} for S0, {result.expected1} for S1",
-        *_decision_lines(result.guess, experiment.queries, experiment.hidden_bit),
-    ]
-    return "\n".join(lines)
-
-
-def format_identity_report(s0: KeySet, s1: KeySet, hidden_bit: int, guess: int, response: BurnsideElement) -> str:
-    """Report of the identity-class query game (see identity_query_leak)."""
-    lines = [
-        "CPA key-distinguishing attack (identity-class query)",
-        f"candidates     : S0 = {s0}, S1 = {s1}",
-        "oracle response:",
-        _indent(response.render()),
-        *_decision_lines(guess, 1, hidden_bit),
+        f"decision       : {result.guess}",
+        f"queries        : {experiment.queries}",
+        f"hidden bit     : {experiment.hidden_bit}",
+        f"outcome        : {'SUCCESS' if result.guess == experiment.hidden_bit else 'FAILURE'}",
     ]
     return "\n".join(lines)

@@ -104,17 +104,12 @@ def _cmd_attack_cpa(args: argparse.Namespace) -> int:
         hidden_bit = random.Random(seed).randrange(2)
     else:
         hidden_bit = args.hidden_bit
-    if args.identity_query:
-        guess, response = attacks.identity_query_leak(s0, s1, hidden_bit)
-        print(attacks.format_identity_report(s0, s1, hidden_bit, guess, response))
-    else:
-        result, experiment = attacks.run_cpa_experiment(s0, s1, hidden_bit)
-        guess = result.guess
-        print(attacks.format_cpa_report(result, experiment))
+    result, experiment = attacks.run_cpa_experiment(s0, s1, hidden_bit)
+    print(attacks.format_cpa_report(result, experiment))
     if seed is not None:
         print(f"seed           : {seed}")
     # The verdict needs the hidden bit, which the attacker's result does not hold.
-    return 0 if guess == hidden_bit else 1
+    return 0 if result.guess == hidden_bit else 1
 
 
 def _cmd_attack_cpa_sweep(args: argparse.Namespace) -> int:
@@ -169,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     pick.add_argument("--hidden-bit", type=int, choices=(0, 1), help="fixed hidden bit")
     pick.add_argument("--random", action="store_true", help="draw the hidden bit from a seeded RNG")
     cpa.add_argument("--seed", type=int, help="seed for --random (fresh one drawn and printed otherwise)")
-    cpa.add_argument(
-        "--identity-query",
-        action="store_true",
-        help="demonstrate the trivial identity-class query instead of the dihedral probe",
-    )
     cpa.set_defaults(func=_cmd_attack_cpa)
 
     sweep = attack_sub.add_parser(

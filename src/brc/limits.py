@@ -23,11 +23,11 @@ if TYPE_CHECKING:
 MAX_LENGTH = 1 << 20
 
 # Most indices of a key set wherever the cost grows as 2**|S|: subset
-# enumeration, the identity-query reply, the probe reply's odd gcds, a key
-# file and every key set the CLI parses.  The key of the first 20 primes'
-# product over each prime has 2**20 terms; `brc keygen` prints it in 4.1 s
-# at 234 MB.  As the hidden `--s0` of `brc attack cpa` its probe leaves 20
-# odd gcds, a reply of 2**19 terms: 2.8-3.6 s at 188 MB (six runs).
+# enumeration, the probe reply's odd gcds, a key file and every key set the
+# CLI parses.  The key of the first 20 primes' product over each prime has
+# 2**20 terms; `brc keygen` prints it at 234 MB.  As the hidden `--s0` of
+# `brc attack cpa` its probe leaves 20 odd gcds, a reply of 2**19 terms:
+# 2.8-3.6 s at 188 MB (six runs).
 MAX_KEY_SIZE = 20
 
 # Most decimal digits of one index of a key file or a CLI key set (KeySet

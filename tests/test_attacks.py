@@ -18,7 +18,6 @@ from brc.attacks import (
     cpa_distinguish,
     format_cpa_report,
     generic_plaintext_solver,
-    identity_query_leak,
     known_plaintext_solver,
     operator_matrix,
     run_ambiguity_demo,
@@ -404,12 +403,6 @@ def test_oracle_response_identity(s, x):
             expected = expected + BurnsideElement({D(gcd(x, n)): 2 * a})
     assert response == expected
     assert response.coeff(D(x)) == 1 + 2 * key_coeff_fold(s, x)
-
-
-def test_identity_query_leak():
-    guess, response = identity_query_leak(KeySet([2]), KeySet([3]), hidden_bit=1)
-    assert guess == 1
-    assert response == key_element([3])
 
 
 # ----------------------------------------------------------- ciphertext only

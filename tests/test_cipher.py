@@ -8,7 +8,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from brc import burnside, cipher, limits
 from brc.burnside import SO2, O2, ZERO, BurnsideElement, D, ElementFormatError, KeySet, key_element
@@ -712,4 +712,49 @@ def test_ciphertext_reader_accepts_only_canonical_files(tmp_path_factory, text):
         return
     out = path.with_suffix(".out")
     write_ciphertext_file(out, ct)
+    assert out.read_bytes() == data
+
+
+# Characters of the key file grammar plus near misses.
+_KEY_ALPHABET = "BRC-KEY v1S0123456789+_ \n\r\t\u00b2\u0663"
+
+
+@st.composite
+def key_file_texts(draw):
+    """A key file's text with up to one above each cap, left as it is, with one
+    index made 0, a repeat, out of order or in another form int() takes, or with small
+    random edits."""
+    digits = draw(st.sampled_from([3, limits.MAX_INDEX_DIGITS, limits.MAX_INDEX_DIGITS + 1]))
+    index = st.integers(1 if digits == 3 else 10 ** (digits - 1), 10**digits - 1)
+    size = draw(st.sampled_from([1, 3, limits.MAX_KEY_SIZE, limits.MAX_KEY_SIZE + 1]))
+    tokens = list(map(str, sorted(draw(st.lists(index, min_size=size, max_size=size, unique=True)))))
+    edit = draw(st.sampled_from(["none", "token", "text"]))
+    if edit == "token":
+        k = draw(st.integers(0, size - 1))
+        token = tokens[k]
+        form = draw(st.sampled_from(["0", "0" + token, "+" + token, token + "_0", "\u0663", "repeat", "swap"]))
+        tokens[k] = tokens[k - 1] if form in ("repeat", "swap") else form
+        if form == "swap":
+            tokens[k - 1] = token
+    text = f"BRC-KEY v1\nS {' '.join(tokens)}\n"
+    for _ in range(draw(st.integers(1, 3)) if edit == "text" else 0):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 2)))
+        text = text[:i] + draw(st.text(alphabet=_KEY_ALPHABET, max_size=2)) + text[j:]
+    return text
+
+
+# Each near miss is a narrow slice of the draws.
+@settings(max_examples=300)
+@given(st.one_of(st.text(), key_file_texts()))
+def test_key_file_reader_accepts_only_canonical_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "key.brc"
+    data = text.encode("utf-8", "surrogatepass")
+    path.write_bytes(data)
+    try:
+        key_set = read_key_file(path)
+    except FileFormatError:
+        return
+    out = path.with_suffix(".out")
+    write_key_file(out, key_set)
     assert out.read_bytes() == data

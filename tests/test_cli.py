@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import os
 import re
 import shlex
@@ -9,11 +12,13 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from brc import attacks, cipher, limits, verify
 from brc.cli import build_parser, main
-from brc.cipher import read_key_file
+from brc.cipher import encrypt, read_key_file, write_ciphertext_file
 from brc.burnside import BurnsideElement, D, KeySet, key_element
 
 
@@ -371,23 +376,6 @@ def test_attack_cpa_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
     assert err == "error: key set has 21 indices, above the limit 20\n"
 
 
-def test_attack_cpa_identity_query_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
-    # The identity game builds whole key elements, 2**|S| terms each, so it
-    # refuses the same sets as the dihedral game, with the same line.
-    def refuse(*args):
-        raise AssertionError("key element built")
-
-    monkeypatch.setattr(attacks, "key_element", refuse)
-    s0 = ",".join(str(i) for i in range(1, 22))
-    s1 = ",".join(str(i) for i in [*range(1, 21), 22])
-    argv = ("attack", "cpa", "--s0", s0, "--s1", s1, "--hidden-bit", "0")
-    code, out, err = run_cli(capsys, *argv, "--identity-query")
-    assert code == 1
-    assert out == ""
-    assert err == "error: key set has 21 indices, above the limit 20\n"
-    assert run_cli(capsys, *argv)[2] == err
-
-
 def test_attack_cpa_huge_index_candidates(capsys):
     # The probe is 2, so the folds enumerate the subsets of each candidate
     # once and never walk the multiples of 2 up to 10**12.
@@ -451,33 +439,6 @@ def test_attack_cpa_wrong_guess_fails(capsys, monkeypatch):
     assert code == 1
     assert "decision       : 1\n" in out
     assert out.endswith("hidden bit     : 0\noutcome        : FAILURE\n")
-
-
-def test_attack_cpa_identity_query(capsys):
-    code, out, _ = run_cli(
-        capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0", "--identity-query"
-    )
-    assert code == 0
-    assert "identity-class query" in out
-    assert "decision       : 0" in out
-
-
-def test_attack_cpa_identity_query_transcript(capsys):
-    code, out, _ = run_cli(
-        capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0", "--identity-query"
-    )
-    assert code == 0
-    assert out == (
-        "CPA key-distinguishing attack (identity-class query)\n"
-        "candidates     : S0 = {2}, S1 = {3}\n"
-        "oracle response:\n"
-        "    D2 -1\n"
-        "    O2 1\n"
-        "decision       : 0\n"
-        "queries        : 1\n"
-        "hidden bit     : 0\n"
-        "outcome        : SUCCESS\n"
-    )
 
 
 def test_attack_cpa_sweep_transcript(capsys):
@@ -1040,3 +1001,162 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "D2 -1\nO2 1\n"
+
+
+# -------------------------------------------------------- production boundary
+
+
+def _refuse_ring_product(*args):
+    raise AssertionError("ring product called")
+
+
+def test_production_commands_never_multiply_ring_elements(tmp_path, capsys, monkeypatch):
+    # BurnsideElement.__mul__ is the reference product of `verify`, degree.py
+    # and the tests; every other subcommand works on key sets, marks and
+    # coefficient vectors.  main turns no AssertionError into exit 1, so a
+    # product under the patch fails this test.
+    message = tmp_path / "msg.txt"
+    message.write_bytes(b"Burnside ring of O(2)\n")
+    commands = [
+        ["keygen", "--indices", "2,3,12", "--out", "{dir}/key.brc"],
+        ["encrypt", "--key", "{dir}/key.brc", "--in", str(message), "--out", "{dir}/msg.ct"],
+        ["decrypt", "--key", "{dir}/key.brc", "--in", "{dir}/msg.ct", "--out", "{dir}/msg.out"],
+        ["attack", "cpa", "--s0", "2,3,12", "--s1", "2,3", "--hidden-bit", "0"],
+        ["attack", "cpa", "--s0", "4,6,8,10", "--s1", "4,6,8,10,12", "--random", "--seed", "7"],
+        ["attack", "cpa-sweep", "--max-index", "5", "--max-size", "2"],
+        ["attack", "ambiguity", "--s", "2,3", "--window", "6", "--count", "2"],
+        ["attack", "kpa", "--key", "{dir}/key.brc", "--pairs", "2", "--window", "12"],
+    ]
+
+    def run_all(work):
+        work.mkdir()
+        outputs = [run_cli(capsys, *(arg.format(dir=work) for arg in argv))[:2] for argv in commands]
+        return outputs, [(work / name).read_bytes() for name in ("key.brc", "msg.ct", "msg.out")]
+
+    expected = run_all(tmp_path / "unpatched")
+    assert [code for code, _ in expected[0]] == [0] * len(commands)
+    monkeypatch.setattr(BurnsideElement, "__mul__", _refuse_ring_product)
+    monkeypatch.setattr(BurnsideElement, "__rmul__", _refuse_ring_product)
+    with pytest.raises(AssertionError, match="ring product called"):
+        key_element([2]) * D(3)
+    assert run_all(tmp_path / "patched") == expected
+
+
+def test_attack_cpa_has_no_identity_class_query(capsys):
+    # The identity class O2 is not a message: the game admits only dihedral probes.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["attack", "cpa", "--s0", "2", "--s1", "3", "--hidden-bit", "0", "--identity-query"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --identity-query\n" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ argument vectors
+
+# Integer option values: near misses (zero, negative, a leading zero,
+# non-ASCII digits, which argparse's int() takes, malformed text) and valid
+# values of at most 3, so that no drawn vector does work near a cap.  Each
+# option adds the value one above its own cap.
+_INTS = ["1", "2", "3", "0", "-1", "02", "\u0662", "\uff13", "+1", "2.0", "x", ""]
+_SEEDS = ["0", "-1", "42", "01", "9" * 40, "\u0663", "x"]
+_INDEX_LISTS = [
+    "2", "5", "2,3", "3,5,12", "4,6,8,10", "4,6,8,10,12", "0", "-3", "02", "\u0663", "2,,3", "2,2", "x", "",
+    ",".join(map(str, range(1, limits.MAX_KEY_SIZE + 2))),
+    "2," + "1" * (limits.MAX_INDEX_DIGITS + 1),
+]
+# Files of each vector's own directory, by name: None is a directory.
+_FILES = {
+    "key.brc": b"BRC-KEY v1\nS 2 3\n",
+    "\u043a\u043b\u044e\u0447.brc": b"BRC-KEY v1\nS 2 3\n",
+    "bad.brc": b"BRC-KEY v1\nS 3 2\n",
+    "non-ascii.brc": "BRC-KEY v1\nS \u0663\n".encode(),
+    "msg.txt": b"Burnside\n",
+    "non-ascii.txt": "Burnside \u00e9\n".encode(),
+    "non-ascii.ct": "BRC-CT v1\nL 2\nD1 \u0662\n".encode(),
+    "empty": b"",
+    "dir": None,
+}
+# A sweep plays n*(n-1)*2 games on n key sets; this many singletons are one too many.
+_OVER_GAMES = str(next(n for n in itertools.count(2) if n * (n - 1) * 2 > limits.MAX_SWEEP_GAMES))
+# "@name" is the file of that name; "missing" and "no-dir/out" do not exist.
+_PATHS = [f"@{name}" for name in [*_FILES, "msg.ct", "missing", "no-dir/out"]]
+
+
+def _option(flag, values, required=False):
+    """The option with a drawn value, or (unless required) left out as often as one value is drawn."""
+    return st.sampled_from(values if required else [None, *values]).map(
+        lambda value: [] if value is None else [flag, value]
+    )
+
+
+def _vector(command, *options):
+    return st.tuples(*options).map(lambda parts: [*command, *(arg for part in parts for arg in part)])
+
+
+_ARGV = st.one_of(
+    _vector(["keygen"], _option("--indices", _INDEX_LISTS), _option("--out", _PATHS)),
+    *(
+        _vector([mode], _option("--key", _PATHS), _option("--in", _PATHS), _option("--out", _PATHS))
+        for mode in ("encrypt", "decrypt")
+    ),
+    _vector(
+        ["attack", "cpa"],
+        _option("--s0", _INDEX_LISTS),
+        _option("--s1", _INDEX_LISTS),
+        # The hidden bit is fixed, drawn with or without a seed, both, neither, or fixed with a seed.
+        st.one_of(
+            _option("--hidden-bit", ["0", "1", "2", "-1", "01", "\u0661", "x"], required=True),
+            _option("--seed", _SEEDS).map(lambda seed: ["--random", *seed]),
+            st.sampled_from([[], ["--random", "--hidden-bit", "0"], ["--hidden-bit", "0", "--seed", "5"]]),
+        ),
+        # No longer an option: the game admits only dihedral probes.
+        st.sampled_from([[], [], [], ["--identity-query"]]),
+    ),
+    # --max-index is always given: the default key space plays 16 744 games.
+    _vector(
+        ["attack", "cpa-sweep"],
+        _option("--max-index", [*_INTS, _OVER_GAMES], required=True),
+        _option("--max-size", [*_INTS, str(limits.MAX_KEY_SIZE + 1)]),
+    ),
+    _vector(
+        ["attack", "ambiguity"],
+        _option("--s", _INDEX_LISTS),
+        _option("--window", [*_INTS, str(limits.MAX_LENGTH + 1)]),
+        _option("--count", [*_INTS, str(limits.MAX_TWINS + 1)]),
+    ),
+    _vector(
+        ["attack", "kpa"],
+        _option("--key", _PATHS),
+        _option("--pairs", [*_INTS, str(limits.MAX_DRAWN_VALUES // limits.MIN_PAIR_COST + 1)]),
+        _option("--window", [*_INTS, str(limits.MAX_LENGTH + 1)]),
+        _option("--seed", _SEEDS),
+    ),
+    _vector(
+        ["verify"],
+        st.sampled_from(["table", "involution", "prop-coeff", "recurrence", "rf1", "all", "tables"]).map(lambda s: [s]),
+        _option("--max-index", [*_INTS, str(limits.MAX_TABLE_INDEX + 1)]),
+        _option("--trials", [*_INTS, str(limits.MAX_TRIALS + 1)]),
+        _option("--seed", _SEEDS),
+        _option("--max-irrep", [*_INTS, str(limits.MAX_IRREP + 1)]),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(_ARGV)
+def test_argument_vectors_exit_0_1_or_2_with_at_most_one_error_line(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("argv")
+    for name, content in _FILES.items():
+        if content is None:
+            (work / name).mkdir()
+        else:
+            (work / name).write_bytes(content)
+    write_ciphertext_file(work / "msg.ct", encrypt(b"Burnside\n", KeySet([2, 3])))
+    argv = [str(work / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1

@@ -55,11 +55,6 @@ REFUSALS = [
         id="cpa-indices",
     ),
     pytest.param(
-        ["attack", "cpa", "--s0", "2", "--s1", OVER_KEY, "--hidden-bit", "1", "--identity-query"],
-        "key set has 21 indices, above the limit 20",
-        id="cpa-identity-query-indices",
-    ),
-    pytest.param(
         ["attack", "cpa", "--s0", OVER_DIGITS, "--s1", "2", "--hidden-bit", "0"],
         "key index has more than 30 digits",
         id="cpa-digits",
