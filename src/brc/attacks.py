@@ -200,7 +200,7 @@ def choose_probe(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int]) -> int:
     one encrypted probe separates them.
     """
     s0, s1 = as_key_set(s0), as_key_set(s1)
-    diff = set(s0.indices) ^ set(s1.indices)
+    diff = set(s0) ^ set(s1)
     if not diff:
         raise ValueError("candidate key sets are identical")
     return max(diff)
@@ -606,7 +606,7 @@ def run_ambiguity_demo(
     """
     s = as_key_set(s)
     check_range("window", window)
-    twins = tuple((t.indices[0] // s.indices[0], t) for t in ambiguous_family(s, window, count))
+    twins = tuple((t[0] // s[0], t) for t in ambiguous_family(s, window, count))
     marks = WindowMarks(tuple(key_marks(s, window)))
     return AmbiguityResult(
         base=s,

@@ -18,6 +18,10 @@ operations.  Generators label terms at the public interface only (the
 constructor, `coeff`, `support`, `terms`, `str`): an element stores its
 dihedral coefficients in a dict keyed by the int index and its SO2 and
 O2 coefficients as two ints, and all arithmetic works on those.
+A key's index set S is a `KeySet`, also an immutable tuple: the
+distinct positive indices in increasing order.  Iteration, membership
+and hashing are tuple operations, and a key set equals the plain tuple
+of its indices.
 
 Canonical text rendering, one term per line in ascending basis order
 D1 < D2 < ... < SO2 < O2, e.g. for O2 + 2*D1 - D3:
@@ -416,16 +420,16 @@ ZERO = BurnsideElement()
 IDENTITY = BurnsideElement({O2: 1})
 
 
-class KeySet:
-    """Finite set of distinct positive representation indices.
+class KeySet(tuple):
+    """Finite set of distinct positive representation indices, a strictly increasing tuple.
 
-    Normalized to a strictly increasing tuple; the derived key element
-    is the product of the basic degrees of its indices.
+    The derived key element is the product of the basic degrees of its
+    indices.
     """
 
-    __slots__ = ("indices",)
+    __slots__ = ()
 
-    def __init__(self, indices: Iterable[int]):
+    def __new__(cls, indices: Iterable[int]) -> KeySet:
         idx = tuple(indices)
         if not idx:
             raise ValueError("key set must be non-empty")
@@ -438,34 +442,16 @@ class KeySet:
         idx = tuple(sorted(idx))
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate key indices in {idx}")
-        self.indices: tuple[int, ...] = idx
+        return tuple.__new__(cls, idx)
 
-    @property
-    def max_index(self) -> int:
-        return self.indices[-1]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, i: object) -> bool:
-        return i in self.indices
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KeySet):
-            return NotImplemented
-        return self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash(self.indices)
+    indices = property(tuple)
+    max_index = property(itemgetter(-1))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(i) for i in self.indices) + "}"
+        return "{" + ", ".join(map(str, self)) + "}"
 
     def __repr__(self) -> str:
-        return f"KeySet({self.indices})"
+        return f"KeySet({tuple(self)})"
 
 
 def as_key_set(s: KeySet | Iterable[int]) -> KeySet:
@@ -530,7 +516,7 @@ def key_coeff(s: KeySet | Iterable[int], s0: int) -> int:
     _check_dihedral_index(s0)
     s = as_key_set(s)
     check_subset_cap(s)
-    return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s.indices, s0)
+    return -(1 if s0 in s else 0) + 2 * _signed_subset_count(s, s0)
 
 
 def _mobius(q: int) -> int:
@@ -567,7 +553,7 @@ def key_coeff_mobius(s: KeySet | Iterable[int], n: int) -> int:
     _check_dihedral_index(n)
     s = as_key_set(s)
     check_mobius_quotient(s.max_index // n)
-    quotients = [i // n for i in s.indices if i % n == 0]
+    quotients = [i // n for i in s if i % n == 0]
     top = quotients[-1] if quotients else 0
     total = 0
     for q in range(1, top + 1):
@@ -613,7 +599,7 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
     check_subset_cap(s)
     if x > s.max_index:
         return 0
-    g = tuple(map(partial(gcd, x), s.indices))
+    g = tuple(map(partial(gcd, x), s))
     return -countOf(g, x) + 2 * _signed_subset_count(g, x)
 
 

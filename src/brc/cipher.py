@@ -218,15 +218,16 @@ def read_key_file(path: str | Path) -> KeySet:
         raise FileFormatError(f"bad key file header {lines[0]!r}")
     if not _KEY_LINE.fullmatch(lines[1]):
         raise FileFormatError(f"bad key line {lines[1]!r}")
-    tokens = lines[1].split()[1:]
-    if len(tokens) > MAX_KEY_SIZE:
-        raise FileFormatError(f"key file holds {len(tokens)} indices, above the limit {MAX_KEY_SIZE}")
-    if max(map(len, tokens)) > MAX_INDEX_DIGITS:
-        raise FileFormatError(f"key index has more than {MAX_INDEX_DIGITS} digits")
-    indices = [int(tok) for tok in tokens]
+    # The read bound keeps every token short enough for int().
+    indices = [int(tok) for tok in lines[1].split()[1:]]
     if indices != sorted(set(indices)):
         raise FileFormatError("key indices must be strictly increasing")
-    return KeySet(indices)
+    key_set = KeySet(indices)
+    try:
+        check_key_limits(key_set)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+    return key_set
 
 
 def write_ciphertext_file(path: str | Path, ciphertext: Ciphertext) -> None:

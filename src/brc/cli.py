@@ -29,19 +29,27 @@ from .cipher import (
     write_ciphertext_file,
     write_key_file,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
+
+
+def _integer(text: str) -> int:
+    """The type of every integer option and index: canonical ASCII decimals, the text str() gives back."""
+    # int() alone also takes "+3", " 3", "1_0", "02" and non-ASCII digits.
+    try:
+        if str(value := int(text)) == text:
+            return value
+    except ValueError:
+        pass
+    # argparse prints this after the option's name.
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_key_set(text: str) -> KeySet:
     """The key set of an option, refused above the key file's limits before any work."""
-    # Canonical tokens only: int() alone also takes "+3", " 3", "1_0", "02" and non-ASCII digits.
-    tokens = text.split(",")
     try:
-        indices = [int(tok) for tok in tokens]
-    except ValueError:
-        indices = []
-    if list(map(str, indices)) != tokens:
-        raise ValueError(f"indices must be comma-separated integers, got {text!r}")
+        indices = [_integer(tok) for tok in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"indices must be comma-separated integers, got {text!r}") from None
     key_set = KeySet(indices)
     limits.check_key_limits(key_set)
     return key_set
@@ -161,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     cpa.add_argument("--s0", required=True, help="first candidate key set, e.g. 2,3")
     cpa.add_argument("--s1", required=True, help="second candidate key set")
     pick = cpa.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--hidden-bit", type=int, choices=(0, 1), help="fixed hidden bit")
+    pick.add_argument("--hidden-bit", type=_integer, choices=(0, 1), help="fixed hidden bit")
     pick.add_argument("--random", action="store_true", help="draw the hidden bit from a seeded RNG")
-    cpa.add_argument("--seed", type=int, help="seed for --random (fresh one drawn and printed otherwise)")
+    cpa.add_argument("--seed", type=_integer, help="seed for --random (fresh one drawn and printed otherwise)")
     cpa.set_defaults(func=_cmd_attack_cpa)
 
     sweep = attack_sub.add_parser(
@@ -171,38 +179,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinguisher over every pair of a bounded key space",
         description=f"Plays n*(n-1)*2 games on n key sets, at most {limits.MAX_SWEEP_GAMES}.",
     )
-    sweep.add_argument("--max-index", type=int, default=8, help="largest key index (default 8)")
-    sweep.add_argument("--max-size", type=int, default=3, help="largest key set size (default 3)")
+    sweep.add_argument("--max-index", type=_integer, default=8, help="largest key index (default 8)")
+    sweep.add_argument("--max-size", type=_integer, default=3, help="largest key set size (default 3)")
     sweep.set_defaults(func=_cmd_attack_cpa_sweep)
 
     ambiguity = attack_sub.add_parser("ambiguity", help="prime-scaled keys identical on a window")
     ambiguity.add_argument("--s", required=True, help="base key set, e.g. 2,3")
-    ambiguity.add_argument("--window", type=int, required=True, help="observation window size L")
+    ambiguity.add_argument("--window", type=_integer, required=True, help="observation window size L")
     ambiguity.add_argument(
-        "--count", type=int, required=True, help=f"number of scaled twins, at most {limits.MAX_TWINS}"
+        "--count", type=_integer, required=True, help=f"number of scaled twins, at most {limits.MAX_TWINS}"
     )
     ambiguity.set_defaults(func=_cmd_attack_ambiguity)
 
     kpa = attack_sub.add_parser("kpa", help="known-plaintext operator recovery")
     kpa.add_argument("--key", required=True, help="key file for the hidden key")
-    kpa.add_argument("--pairs", type=int, required=True, help="number of plaintext/ciphertext pairs")
-    kpa.add_argument("--window", type=int, required=True, help="observation window size L")
-    kpa.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled plaintexts")
+    kpa.add_argument("--pairs", type=_integer, required=True, help="number of plaintext/ciphertext pairs")
+    kpa.add_argument("--window", type=_integer, required=True, help="observation window size L")
+    kpa.add_argument("--seed", type=_integer, default=0, help="RNG seed for the sampled plaintexts")
     kpa.set_defaults(func=_cmd_attack_kpa)
 
     verify = sub.add_parser("verify", help="run an oracle-equivalence suite")
+    verify.add_argument("suite", choices=(*SUITES, "all"))
     verify.add_argument(
-        "suite",
-        choices=("table", "involution", "prop-coeff", "recurrence", "rf1", "all"),
+        "--max-index", type=_integer, help=f"basis index bound for table/recurrence, at most {limits.MAX_TABLE_INDEX}"
     )
     verify.add_argument(
-        "--max-index", type=int, help=f"basis index bound for table/recurrence, at most {limits.MAX_TABLE_INDEX}"
+        "--trials", type=_integer, help=f"random case count for involution/prop-coeff, at most {limits.MAX_TRIALS}"
     )
-    verify.add_argument(
-        "--trials", type=int, help=f"random case count for involution/prop-coeff, at most {limits.MAX_TRIALS}"
-    )
-    verify.add_argument("--seed", type=int, help="RNG seed for randomized suites")
-    verify.add_argument("--max-irrep", type=int, help=f"representation bound for rf1, at most {limits.MAX_IRREP}")
+    verify.add_argument("--seed", type=_integer, help="RNG seed for randomized suites")
+    verify.add_argument("--max-irrep", type=_integer, help=f"representation bound for rf1, at most {limits.MAX_IRREP}")
     verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -218,7 +223,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # in the try: a reader that closed stdout early is met here
+        return code
+    except BrokenPipeError:
+        # As the signal module's docs advise: stdout to devnull, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

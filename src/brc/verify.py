@@ -181,7 +181,7 @@ def verify_prop_coeff(trials: int = 500, seed: int = 0) -> SuiteResult:
             # Alternate arbitrary indices with members of S so the odd
             # (membership) branch is exercised as often as the even one.
             if trial % 2:
-                s0 = rng.choice(s.indices)
+                s0 = rng.choice(s)
             else:
                 s0 = rng.randint(1, largest)
             closed = key_coeff(s, s0)

@@ -350,7 +350,68 @@ def test_key_set_container_protocol():
     assert len(s) == 2
     assert 5 in s and 3 not in s
     assert s.max_index == 5
-    assert str(s) == "{2, 5}"
+    assert (str(s), repr(s)) == ("{2, 5}", "KeySet((2, 5))")
+    assert (str(KeySet([3])), repr(KeySet([3]))) == ("{3}", "KeySet((3,))")
+
+
+def test_key_set_is_a_slotted_tuple_with_the_tuple_protocol():
+    assert KeySet.__bases__ == (tuple,)
+    assert KeySet.__slots__ == ()
+    assert not {"__iter__", "__len__", "__contains__", "__eq__", "__hash__"} & vars(KeySet).keys()
+
+
+# Indices of one digit to past the key file's digit cap.
+_key_indices = st.one_of(st.integers(1, 60), st.integers(1, 10**40))
+
+
+@given(st.lists(_key_indices, min_size=1, max_size=24, unique=True))
+@example([5, 2])
+@example([3])
+def test_key_set_is_the_sorted_tuple_of_its_indices(xs):
+    s, t = KeySet(xs), tuple(sorted(xs))
+    assert tuple(s) == s.indices == t
+    assert type(s.indices) is tuple
+    assert (len(s), list(s), hash(s), s.max_index) == (len(t), list(t), hash(t), t[-1])
+    assert all(i in s for i in xs)
+    assert 0 not in s and t[-1] + 1 not in s and str(t[0]) not in s
+    # The texts printed before a key set was a tuple.
+    assert str(s) == "{" + ", ".join(str(i) for i in t) + "}"
+    assert repr(s) == f"KeySet({t})"
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert type(back) is KeySet
+        assert back == s and hash(back) == hash(s)
+    # New as a tuple: a key set equals the plain tuple of its indices, and no list.
+    assert s == t and t == s and s != list(t)
+
+
+def _key_set_error(xs):
+    """The ValueError text of KeySet(xs), or None: the first failing rule, in this order."""
+    if not xs:
+        return "key set must be non-empty"
+    for i in xs:
+        if isinstance(i, bool) or not isinstance(i, int):
+            return f"key index must be an int, got {i!r}"
+        if i < 1:
+            return f"key index must be >= 1, got {i}"
+    if len(set(xs)) != len(xs):
+        return f"duplicate key indices in {tuple(sorted(xs))}"
+    return None
+
+
+@given(st.lists(st.one_of(st.integers(-2, 6), st.booleans(), st.floats(), st.text(max_size=1)), max_size=5))
+@example([])
+@example([2, 2])
+@example([3, 1, 3])
+@example([1, "a"])
+@example(["a", 1])
+def test_key_set_refuses_invalid_lists_with_the_same_texts(xs):
+    error = _key_set_error(xs)
+    if error is None:
+        assert tuple(KeySet(xs)) == tuple(sorted(xs))
+        return
+    with pytest.raises(ValueError) as exc:
+        KeySet(xs)
+    assert str(exc.value) == error
 
 
 # ------------------------------------------------------------- basic degrees

@@ -441,6 +441,10 @@ def test_ciphertext_file_strict_parsing(tmp_path, content):
         ("BRC-KEY v1\nT 2 3\n", "bad key line 'T 2 3'"),
         ("BRC-KEY v2\nS 2 3\n", "bad key file header 'BRC-KEY v2'"),
         ("BRC-KEY v1\nS 2\nextra\n", "key file must be exactly 2 newline-terminated lines"),
+        ("BRC-KEY v1\nS 3 2\n", "key indices must be strictly increasing"),
+        # The caps of limits.check_key_limits, the one key-set cap check.
+        (f"BRC-KEY v1\nS {' '.join(map(str, range(1, 22)))}\n", "key set has 21 indices, above the limit 20"),
+        (f"BRC-KEY v1\nS 2 {'1' * 31}\n", "key index has more than 30 digits"),
     ],
 )
 def test_file_error_texts(tmp_path, content, message):

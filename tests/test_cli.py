@@ -82,6 +82,70 @@ def test_index_lists_leave_value_errors_to_the_key_set(capsys, indices, error):
     assert run_cli(capsys, "keygen", "--indices", indices) == (1, "", f"error: {error}\n")
 
 
+# Each integer option, after the words and options its command needs.
+_INTEGER_OPTIONS = [
+    (["attack", "cpa", "--s0", "2", "--s1", "3"], "--hidden-bit"),
+    (["attack", "cpa", "--s0", "2", "--s1", "3", "--random"], "--seed"),
+    (["attack", "cpa-sweep"], "--max-index"),
+    (["attack", "cpa-sweep"], "--max-size"),
+    (["attack", "ambiguity", "--s", "2,3", "--count", "1"], "--window"),
+    (["attack", "ambiguity", "--s", "2,3", "--window", "8"], "--count"),
+    (["attack", "kpa", "--key", "key.brc", "--window", "8"], "--pairs"),
+    (["attack", "kpa", "--key", "key.brc", "--pairs", "1"], "--window"),
+    (["attack", "kpa", "--key", "key.brc", "--pairs", "1", "--window", "8"], "--seed"),
+    (["verify", "table"], "--max-index"),
+    (["verify", "all"], "--trials"),
+    (["verify", "all"], "--seed"),
+    (["verify", "rf1"], "--max-irrep"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", ["\u0663", "\uff11", "+1", "01", "-0", "-01", " 1", "1 ", "1_0", "x", "", "9" * 5000]
+)
+@pytest.mark.parametrize("command, option", _INTEGER_OPTIONS)
+def test_integer_options_accept_only_canonical_decimals(capsys, command, option, value):
+    # argparse's int() takes every value here but the last three.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, option, value])
+    captured = capsys.readouterr()
+    prog = " ".join(["brc", *command[: 2 if command[0] == "attack" else 1]])
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"{prog}: error: argument {option}: invalid int value: {value!r}"
+    ]
+
+
+def test_integer_options_take_negative_seeds(capsys):
+    code, out, err = run_cli(capsys, "attack", "cpa", "--s0", "2", "--s1", "3", "--random", "--seed", "-5")
+    assert (code, err) == (0, "")
+    assert out.endswith("seed           : -5\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # 3 MB of report, written while the reader is gone; and a short report, met at the final flush.
+    [["attack", "ambiguity", "--s", "2,3", "--window", "1000", "--count", "100"], ["keygen", "--indices", "2,3"]],
+)
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "brc", *argv], stdout=write_end, stderr=subprocess.PIPE, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_other_os_errors_still_print_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.brc"
+    code, out, err = run_cli(capsys, "attack", "kpa", "--key", str(missing), "--pairs", "1", "--window", "8")
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 def test_keygen_out_rejects_key_above_cap(tmp_path, capsys):
     path = tmp_path / "key.brc"
     indices = ",".join(str(i) for i in range(1, limits.MAX_KEY_SIZE + 2))
@@ -840,6 +904,12 @@ def test_verify_suites_pass(capsys, suite):
     assert code == 0
     assert "PASS" in out
     assert "failures=0" in out
+
+
+def test_verify_takes_its_suite_names_from_the_suite_table(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "extra", verify.verify_table)
+    for suite in [*verify.SUITES, "all"]:
+        assert build_parser().parse_args(["verify", suite]).suite == suite
 
 
 def test_verify_all(capsys):

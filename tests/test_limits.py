@@ -31,7 +31,7 @@ REFUSALS = [
     ),
     pytest.param(
         ["encrypt", "--key", "{key21}", "--in", "{msg}", "--out", "{out}"],
-        "key file holds 21 indices, above the limit 20",
+        "key set has 21 indices, above the limit 20",
         id="encrypt-key-indices",
     ),
     pytest.param(
@@ -126,7 +126,7 @@ REFUSALS = [
     ),
     pytest.param(
         ["attack", "kpa", "--key", "{key21}", "--pairs", "1", "--window", "8"],
-        "key file holds 21 indices, above the limit 20",
+        "key set has 21 indices, above the limit 20",
         id="kpa-key-indices",
     ),
     *(
