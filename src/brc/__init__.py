@@ -1,10 +1,17 @@
 """Burnside-ring cryptosystem over O(2): exact ring arithmetic, the
 involutory-multiplier cipher, its cryptanalysis, and lattice-recurrence
-verification oracles."""
+verification oracles.
+
+The top level exports production names only.  Oracles and the tests'
+bridges between elements and window vectors are imported from their
+modules: `degree`, `verify`, `burnside` (`key_coeff`, `key_coeff_mobius`,
+`key_coeff_bruteforce`, `ring_encode`, `ring_decode`) and `attacks`
+(`generic_plaintext_solver`, `operator_matrix`)."""
 
 from .attacks import (
     AmbiguityResult,
     CpaExperiment,
+    CpaGame,
     CpaResult,
     InconsistentPairsError,
     KpaResult,
@@ -15,9 +22,7 @@ from .attacks import (
     ambiguous_key,
     choose_probe,
     cpa_distinguish,
-    generic_plaintext_solver,
     known_plaintext_solver,
-    operator_matrix,
     run_ambiguity_demo,
     run_cpa_experiment,
     run_kpa_demo,
@@ -33,37 +38,22 @@ from .burnside import (
     Generator,
     KeySet,
     basic_degree,
-    key_coeff,
-    key_coeff_bruteforce,
     key_coeff_fold,
-    key_coeff_mobius,
     key_element,
 )
 from .cipher import (
     Ciphertext,
     FileFormatError,
     MessageError,
-    SupportWindowError,
     decode_text,
     decrypt,
     encode_text,
     encrypt,
     read_ciphertext_file,
     read_key_file,
-    ring_decode,
-    ring_encode,
+    read_message_file,
     write_ciphertext_file,
     write_key_file,
-)
-from .degree import (
-    FixedPointTable,
-    LatticeConsistencyError,
-    LatticeData,
-    basic_degree_recurrence,
-    fixed_point_dims,
-    linear_iso_degree,
-    o2_lattice,
-    recurrence_mul,
 )
 
 __version__ = "0.1.0"

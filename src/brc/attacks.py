@@ -16,12 +16,11 @@ known_plaintext_solver returns it, also from a partial solve, and
 run_kpa_demo and run_ambiguity_demo report it.  Those demonstrations
 work on window vectors and key marks and never build a key element; a
 WindowMarks builds the operator matrix only when asked, as a report
-does up to MAX_PRINTED_WINDOW.  Each demonstration's result
-(CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds the
+does up to MAX_PRINTED_WINDOW.  Each demonstration's result (CpaGame,
+CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds the
 AmbiguityResult it ran) renders its own `report()` and carries its
-`ok` verdict.  One CPA game is reported by format_cpa_report: its
-verdict needs the hidden bit, which the attacker's CpaResult does not
-hold.
+`ok` verdict.  A CpaGame pairs the attacker's CpaResult with the
+referee's CpaExperiment, because its verdict needs the hidden bit.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
 from math import gcd, isqrt
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .burnside import (
     BurnsideElement,
@@ -59,6 +58,7 @@ __all__ = [
     "CpaExperiment",
     "CpaResult",
     "cpa_distinguish",
+    "CpaGame",
     "run_cpa_experiment",
     "CpaSweepResult",
     "run_cpa_sweep",
@@ -73,7 +73,6 @@ __all__ = [
     "run_ambiguity_demo",
     "KpaDemoResult",
     "run_kpa_demo",
-    "format_cpa_report",
 ]
 
 
@@ -155,12 +154,13 @@ class WindowMarks:
         return _operator_from_marks(self.eps)
 
     def lines(self, head: str) -> list[str]:
-        """Report lines under `head`, whose {} names what follows: the
-        operator matrix up to MAX_PRINTED_WINDOW, the x with eps_x = -1 above it."""
+        """Report lines under `head`, whose {} names what follows: the operator
+        matrix up to MAX_PRINTED_WINDOW, above it the x with eps_x = -1, if any."""
         if len(self.eps) <= MAX_PRINTED_WINDOW:
             return [head.format("matrix") + ":", _indent(self.operator().render())]
         minus = ", ".join(f"D{x}" for x, eps in enumerate(self.eps, 1) if eps == -1)
-        return [f"{head.format('marks')}: -1 at {minus}; +1 elsewhere (no matrix above W_{MAX_PRINTED_WINDOW})"]
+        marks = f"-1 at {minus}; +1 elsewhere" if minus else "+1 everywhere"
+        return [f"{head.format('marks')}: {marks} (no matrix above W_{MAX_PRINTED_WINDOW})"]
 
 
 def _is_prime(n: int) -> bool:
@@ -314,13 +314,39 @@ def cpa_distinguish(
     )
 
 
-def run_cpa_experiment(
-    s0: KeySet | Iterable[int], s1: KeySet | Iterable[int], hidden_bit: int
-) -> tuple[CpaResult, CpaExperiment]:
-    """Play one full game in-process and return result plus query log."""
+class CpaGame(NamedTuple):
+    """One played game: the attacker's result and the referee's experiment, which holds the hidden bit."""
+
+    result: CpaResult
+    experiment: CpaExperiment
+
+    @property
+    def ok(self) -> bool:
+        """The guess is the hidden bit."""
+        return self.result.guess == self.experiment.hidden_bit
+
+    def report(self) -> str:
+        result, experiment = self
+        lines = [
+            "CPA key-distinguishing attack",
+            f"candidates     : S0 = {experiment.s0}, S1 = {experiment.s1}",
+            f"chosen probe   : D{result.probe}",
+            "oracle response:",
+            _indent(result.response.render()),
+            f"probe coefficient observed {result.observed}; "
+            f"expected {result.expected0} for S0, {result.expected1} for S1",
+            f"decision       : {result.guess}",
+            f"queries        : {experiment.queries}",
+            f"hidden bit     : {experiment.hidden_bit}",
+            f"outcome        : {'SUCCESS' if self.ok else 'FAILURE'}",
+        ]
+        return "\n".join(lines)
+
+
+def run_cpa_experiment(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int], hidden_bit: int) -> CpaGame:
+    """Play one full game in-process; the game unpacks as (result, experiment)."""
     experiment = CpaExperiment(s0=as_key_set(s0), s1=as_key_set(s1), hidden_bit=hidden_bit)
-    result = cpa_distinguish(experiment.s0, experiment.s1, experiment.query_probe)
-    return result, experiment
+    return CpaGame(cpa_distinguish(experiment.s0, experiment.s1, experiment.query_probe), experiment)
 
 
 @dataclass(frozen=True)
@@ -370,11 +396,11 @@ def run_cpa_sweep(max_index: int, max_size: int) -> CpaSweepResult:
     probes: Counter[int] = Counter()
     for s0, s1 in permutations(key_space, 2):
         for hidden in (0, 1):
-            result, experiment = run_cpa_experiment(s0, s1, hidden)
+            game = run_cpa_experiment(s0, s1, hidden)
             games += 1
-            correct += result.guess == hidden
-            queries += experiment.queries
-            probes[result.probe] += 1
+            correct += game.ok
+            queries += game.experiment.queries
+            probes[game.result.probe] += 1
     return CpaSweepResult(
         max_index=max_index,
         max_size=max_size,
@@ -707,9 +733,8 @@ def run_kpa_demo(
     key's, which is exact because Z is invertible, and no operator matrix
     is built here.  The window and the pairs are checked against
     limits.RANGES and limits.check_drawn_values before any work.
-    Memory stays O(n_pairs * window): `brc attack kpa --window 1048576
-    --pairs 4` takes about 4.4 s and 206 MB peak RSS (Python 3.11,
-    2 vCPU).
+    Memory stays O(n_pairs * window); the README's Limits table gives
+    the cost at the cap.
     """
     key_set = as_key_set(key_set)
     check_range("window", window)
@@ -730,20 +755,3 @@ def run_kpa_demo(
 def _indent(text: str, pad: str = "    ") -> str:
     return "\n".join(pad + line for line in text.splitlines())
 
-
-def format_cpa_report(result: CpaResult, experiment: CpaExperiment) -> str:
-    """Structured text report of one distinguishing game."""
-    lines = [
-        "CPA key-distinguishing attack",
-        f"candidates     : S0 = {experiment.s0}, S1 = {experiment.s1}",
-        f"chosen probe   : D{result.probe}",
-        "oracle response:",
-        _indent(result.response.render()),
-        f"probe coefficient observed {result.observed}; "
-        f"expected {result.expected0} for S0, {result.expected1} for S1",
-        f"decision       : {result.guess}",
-        f"queries        : {experiment.queries}",
-        f"hidden bit     : {experiment.hidden_bit}",
-        f"outcome        : {'SUCCESS' if result.guess == experiment.hidden_bit else 'FAILURE'}",
-    ]
-    return "\n".join(lines)

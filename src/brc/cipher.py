@@ -51,12 +51,15 @@ are ASCII digits with no leading zeros, `+` or `_`.  The declared
 length L travels with the ciphertext, since only nonzero coefficients
 are stored and trailing zeros would otherwise be lost.  The length, the
 indices of a key file and the digits of each index have caps in
-`brc.limits`, where their costs are recorded.
+`brc.limits`, and `read_message_file` reads a message file no further
+than one byte past its length cap.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -94,6 +97,7 @@ __all__ = [
     "read_key_file",
     "write_ciphertext_file",
     "read_ciphertext_file",
+    "read_message_file",
     "KEY_MAGIC",
     "CT_MAGIC",
 ]
@@ -156,11 +160,17 @@ def encode_text(data: bytes | str) -> list[int]:
     if not data:
         raise MessageError("empty message")
     if len(data) > MAX_LENGTH:
-        raise MessageError(f"message of {len(data)} bytes is longer than {MAX_LENGTH} bytes")
+        raise _too_long(len(data))
     if not data.isascii():
         pos = next(pos for pos, b in enumerate(data) if b > 127)
         raise MessageError(f"non-ASCII byte 0x{data[pos]:02x} at position {pos}")
     return list(data)
+
+
+def _too_long(size: int | None) -> MessageError:
+    """The MessageError for a message above MAX_LENGTH; `size` is its length, None if unknown."""
+    of_size = "" if size is None else f" of {size} bytes"
+    return MessageError(f"message{of_size} is longer than {MAX_LENGTH} bytes")
 
 
 def decode_text(values: Sequence[int]) -> bytes:
@@ -202,6 +212,17 @@ def _ascii(data: bytes, what: str, offset: int = 0) -> bytes:
     if not data.isascii():
         raise FileFormatError(f"non-ASCII byte at offset {offset + _NON_ASCII.search(data).start()} of {what} file")
     return data
+
+
+def read_message_file(path: str | Path) -> bytes:
+    """The bytes of a message file; MessageError above MAX_LENGTH, read no further."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_LENGTH + 1)
+        if len(data) <= MAX_LENGTH:
+            return data
+        info = os.fstat(f.fileno())
+    # A pipe or device has no size to report without reading it all.
+    raise _too_long(info.st_size if stat.S_ISREG(info.st_mode) else None)
 
 
 def read_key_file(path: str | Path) -> KeySet:

@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import random
-import stat
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -21,11 +20,11 @@ from typing import Sequence
 from . import attacks, limits
 from .burnside import KeySet, key_element
 from .cipher import (
-    MessageError,
     decrypt,
     encrypt,
     read_ciphertext_file,
     read_key_file,
+    read_message_file,
     write_ciphertext_file,
     write_key_file,
 )
@@ -64,22 +63,9 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_message(path: str) -> bytes:
-    """The bytes of a message file; MessageError above limits.MAX_LENGTH, read no further."""
-    with open(path, "rb") as f:
-        data = f.read(limits.MAX_LENGTH + 1)
-        if len(data) <= limits.MAX_LENGTH:
-            return data
-        info = os.fstat(f.fileno())
-    # A pipe or device has no size to report without reading it all.
-    if not stat.S_ISREG(info.st_mode):
-        raise MessageError(f"message is longer than {limits.MAX_LENGTH} bytes")
-    raise MessageError(f"message of {info.st_size} bytes is longer than {limits.MAX_LENGTH} bytes")
-
-
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key_set = read_key_file(args.key)
-    data = _read_message(args.in_path)
+    data = read_message_file(args.in_path)
     ciphertext = encrypt(data, key_set)
     write_ciphertext_file(args.out_path, ciphertext)
     print(f"encrypted {len(data)} bytes -> {args.out_path}", file=sys.stderr)
@@ -112,12 +98,10 @@ def _cmd_attack_cpa(args: argparse.Namespace) -> int:
         hidden_bit = random.Random(seed).randrange(2)
     else:
         hidden_bit = args.hidden_bit
-    result, experiment = attacks.run_cpa_experiment(s0, s1, hidden_bit)
-    print(attacks.format_cpa_report(result, experiment))
+    code = _print_reports(attacks.run_cpa_experiment(s0, s1, hidden_bit))
     if seed is not None:
         print(f"seed           : {seed}")
-    # The verdict needs the hidden bit, which the attacker's result does not hold.
-    return 0 if result.guess == hidden_bit else 1
+    return code
 
 
 def _cmd_attack_cpa_sweep(args: argparse.Namespace) -> int:

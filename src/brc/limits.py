@@ -3,8 +3,8 @@
 Each check runs before the work it guards and raises ValueError; the
 message encoder and the file readers raise MessageError and
 FileFormatError from the same constants.  Imports nothing from the
-package at run time.  Timings are wall time and peak RSS of the whole
-process at the cap, on a 2-vCPU VM under Python 3.11.7.
+package at run time.  The comments give each cap's reason; what a
+command costs at the cap is measured once, in the README's Limits table.
 """
 
 from __future__ import annotations
@@ -25,23 +25,18 @@ MAX_LENGTH = 1 << 20
 # Most indices of a key set wherever the cost grows as 2**|S|: subset
 # enumeration, the probe reply's odd gcds, a key file and every key set the
 # CLI parses.  The key of the first 20 primes' product over each prime has
-# 2**20 terms; `brc keygen` prints it at 234 MB.  As the hidden `--s0` of
-# `brc attack cpa` its probe leaves 20 odd gcds, a reply of 2**19 terms:
-# 2.8-3.6 s at 188 MB (six runs).
+# 2**20 terms, and as the hidden `--s0` of `brc attack cpa` its probe leaves
+# 20 odd gcds, a reply of 2**19 terms.
 MAX_KEY_SIZE = 20
 
 # Most decimal digits of one index of a key file or a CLI key set (KeySet
 # takes any).  Marking costs min(L, sqrt(s)) divisor tests per index s, each
-# linear in its digits.  Under the 20 indices lcm(1..60) * 73 * (146 + 7j),
-# j = 0..19, of 30 digits (25 848 marks of -1), `brc encrypt` of a MAX_LENGTH
-# message took 2.8-3.6 s at 61 MB and `brc decrypt` 3.5-3.9 s at 67 MB (five
-# runs each); 4300-digit indices, the longest int() reads, took 131 s.
+# linear in its digits, so the digits bound the time to mark a window; int()
+# alone reads indices of up to 4300 digits.
 MAX_INDEX_DIGITS = 30
 
 # key_coeff_mobius takes |T| remainders for each q <= max(s) // n, T the
-# multiples of n in s, so its cost grows as the square of that quotient.  At
-# the bound a key of 20 indices takes 6 ms and the densest key set,
-# {n, 2n, ..., 4096n}, 1.0 s.
+# multiples of n in s, so its cost grows as the square of that quotient.
 MAX_MOBIUS_QUOTIENT = 1 << 12
 
 # Most body bytes `brc decrypt` reads after a ciphertext's length line
@@ -56,27 +51,22 @@ def max_text_ciphertext_body(length: int) -> int:
 
 
 # Most twins ambiguous_family builds; each costs a prime search, its marks on
-# the window and a report line.  At the window MAX_LENGTH the cap takes 1.9-3.0 s
-# at 40 MB for the key {2, 3}, and 134 s at 41 MB for the 30-digit key above.
+# the window and a report line.
 MAX_TWINS = 100
 
-# Games in one sweep, n*(n-1)*2 on n key sets.  Near the cap (--max-index 12
-# --max-size 3, 177 012 games; --max-index 8 --max-size 8, 129 540 games on
-# the largest sets) `brc attack cpa-sweep` takes 2.0-2.9 s at 16.2-16.4 MB
-# (five runs each).
+# Games in one sweep, n*(n-1)*2 on n key sets, each a fold and a probe reply.
 MAX_SWEEP_GAMES = 200_000
 
 # Most plaintext values (pairs x window) the known-plaintext demonstration
-# draws: four pairs at the full window, 4.4 s at 206 MB.  A pair on a small
-# window counts as MIN_PAIR_COST values, about what its own lists and
-# solver pass cost, so a million pairs on W_1 are refused as well.
+# draws: four pairs at the full window.  A pair on a small window counts as
+# MIN_PAIR_COST values, about what its own lists and solver pass cost, so a
+# million pairs on W_1 are refused as well.
 MAX_DRAWN_VALUES = 4 * MAX_LENGTH
 MIN_PAIR_COST = 64
 
-# Caps of the `brc verify` ranges: recurrence 2.5 s and table 0.5 s at
-# --max-index 200 (the cost grows as N**3 and N**2); prop-coeff 2.5 s and
-# involution 2.1 s at --trials 100000; rf1 0.9 s and 18 MB at --max-irrep
-# 800 (time grows as N**2; the lattice holds about N ln N counts).
+# Caps of the `brc verify` ranges: recurrence and table grow as N**3 and
+# N**2 in --max-index, prop-coeff and involution linearly in --trials, and
+# rf1 as N**2 in --max-irrep (the lattice holds about N ln N counts).
 MAX_TABLE_INDEX = 200
 MAX_TRIALS = 100_000
 MAX_IRREP = 800

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -8,6 +9,8 @@ import hypothesis.strategies as st
 
 from brc.attacks import (
     CpaExperiment,
+    CpaGame,
+    CpaResult,
     InconsistentPairsError,
     OperatorMatrix,
     OracleMismatchError,
@@ -16,7 +19,6 @@ from brc.attacks import (
     ambiguous_key,
     choose_probe,
     cpa_distinguish,
-    format_cpa_report,
     generic_plaintext_solver,
     known_plaintext_solver,
     operator_matrix,
@@ -190,6 +192,22 @@ def test_cpa_distinguish_hidden_one():
     assert result.observed == -1 == 1 + 2 * key_coeff_fold(KeySet([3]), 3)
     assert result.guess == 1
     assert experiment.queries == 1
+
+
+@pytest.mark.parametrize("hidden_bit", [0, 1])
+def test_cpa_game_is_ok_exactly_when_the_guess_is_the_hidden_bit(hidden_bit):
+    game = run_cpa_experiment(KeySet([2]), KeySet([3]), hidden_bit)
+    assert isinstance(game, CpaGame)
+    assert game.ok and game.result.guess == hidden_bit
+    flipped = game._replace(result=replace(game.result, guess=1 - hidden_bit))
+    assert not flipped.ok
+    assert flipped.report().endswith("outcome        : FAILURE")
+
+
+def test_run_cpa_experiment_unpacks_into_result_and_experiment():
+    result, experiment = run_cpa_experiment(KeySet([2]), KeySet([3]), 1)
+    assert isinstance(result, CpaResult) and isinstance(experiment, CpaExperiment)
+    assert (result, experiment) == run_cpa_experiment(KeySet([2]), KeySet([3]), 1)
 
 
 def test_cpa_distinguish_overlapping_sets():
@@ -823,8 +841,8 @@ def test_run_kpa_demo_underdetermined():
 
 
 def test_format_cpa_report_mentions_probe_and_queries():
-    result, experiment = run_cpa_experiment(KeySet([2]), KeySet([3]), hidden_bit=1)
-    report = format_cpa_report(result, experiment)
+    game = run_cpa_experiment(KeySet([2]), KeySet([3]), hidden_bit=1)
+    report = game.report()
     assert "D3" in report
     assert "queries        : 1" in report
     assert "SUCCESS" in report

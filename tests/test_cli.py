@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import os
@@ -10,13 +11,15 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from inspect import ismodule
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from brc import attacks, cipher, limits, verify
+import brc
+from brc import attacks, cipher, cli, limits, verify
 from brc.cli import build_parser, main
 from brc.cipher import encrypt, read_key_file, write_ciphertext_file
 from brc.burnside import BurnsideElement, D, KeySet, key_element
@@ -630,7 +633,7 @@ def test_attack_cpa_sweep_fails_on_one_lost_game(capsys, monkeypatch):
     def lose_the_first_game(s0, s1, hidden_bit):
         result, experiment = play(s0, s1, hidden_bit)
         played.append(hidden_bit)
-        return (replace(result, guess=1 - result.guess) if len(played) == 1 else result), experiment
+        return attacks.CpaGame(replace(result, guess=1 - result.guess) if len(played) == 1 else result, experiment)
 
     monkeypatch.setattr(attacks, "run_cpa_experiment", lose_the_first_game)
     code, out, _ = run_cli(capsys, "attack", "cpa-sweep", "--max-index", "2", "--max-size", "1")
@@ -857,6 +860,23 @@ def test_attack_demos_above_print_bound_list_minus_marks(keyfile, capsys, mode):
     assert f"{line}-1 at D2, D3; +1 elsewhere (no matrix above W_1000)\n" in out
     assert "matrix:" not in out and "matrix on the window" not in out
     assert out.endswith("does not identify the key set\n" if mode == "kpa" else "from this window\n")
+
+
+@pytest.mark.parametrize("mode", ["kpa", "ambiguity"])
+def test_attack_demos_above_print_bound_with_no_minus_mark(tmp_path, capsys, mode):
+    # Two primes above the window: every mark on W_1001 is +1.
+    window = str(attacks.MAX_PRINTED_WINDOW + 1)
+    if mode == "kpa":
+        cipher.write_key_file(tmp_path / "key.brc", KeySet([1000003, 1000033]))
+        argv = ["attack", "kpa", "--key", str(tmp_path / "key.brc"), "--pairs", "2", "--window", window]
+        line = "recovered marks: "
+    else:
+        argv = ["attack", "ambiguity", "--s", "1000003,1000033", "--window", window, "--count", "1"]
+        line = "operator marks on the window: "
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert f"{line}+1 everywhere (no matrix above W_1000)\n" in out
+    assert "-1 at" not in out
 
 
 def test_attack_kpa_report_digest(key_2_3_7_12_30, capsys):
@@ -1110,6 +1130,57 @@ def test_production_commands_never_multiply_ring_elements(tmp_path, capsys, monk
     with pytest.raises(AssertionError, match="ring product called"):
         key_element([2]) * D(3)
     assert run_all(tmp_path / "patched") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "cpa", "--s0", "2,3", "--s1", "2", "--hidden-bit", "1"],
+        ["attack", "cpa", "--s0", "2", "--s1", "3", "--random", "--seed", "42"],
+        ["attack", "cpa-sweep", "--max-index", "4", "--max-size", "2"],
+        ["attack", "ambiguity", "--s", "2,3", "--window", "6", "--count", "2"],
+        ["attack", "kpa", "--key", "{key}", "--pairs", "2", "--window", "12"],
+        ["verify", "table", "--max-index", "6"],
+        ["verify", "all"],
+    ],
+)
+def test_reports_print_through_the_one_report_path(keyfile, capsys, monkeypatch, argv):
+    # Each attack and verify command prints its results once through
+    # _print_reports; only `attack cpa --random` adds its seed line after them.
+    print_reports = cli._print_reports
+    calls = []
+
+    def recorded(*results):
+        calls.append(results)
+        return print_reports(*results)
+
+    monkeypatch.setattr(cli, "_print_reports", recorded)
+    code, out, _ = run_cli(capsys, *(arg.format(key=keyfile) for arg in argv))
+    assert code == 0
+    assert len(calls) == 1
+    reports = "".join(f"{result.report()}\n" for result in calls[0])
+    assert out == reports + ("seed           : 42\n" if "--random" in argv else "")
+
+
+def test_package_exports_production_names_only():
+    dropped = {
+        "brc.attacks": ["generic_plaintext_solver", "operator_matrix"],
+        "brc.burnside": [
+            "key_coeff", "key_coeff_bruteforce", "key_coeff_mobius", "ring_encode", "ring_decode", "SupportWindowError",
+        ],
+        "brc.degree": [
+            "FixedPointTable", "LatticeConsistencyError", "LatticeData", "basic_degree_recurrence",
+            "fixed_point_dims", "linear_iso_degree", "o2_lattice", "recurrence_mul",
+        ],
+    }
+    exported = {name: value for name, value in vars(brc).items() if not name.startswith("_") and not ismodule(value)}
+    assert sum(map(len, dropped.values())) == 16
+    for module, names in dropped.items():
+        assert not exported.keys() & set(names)
+        assert all(hasattr(importlib.import_module(module), name) for name in names)
+    assert {"KeySet", "key_element", "key_coeff_fold", "CpaGame", "read_message_file"} <= exported.keys()
+    for name, value in exported.items():
+        assert getattr(sys.modules[value.__module__], name) is value, name
 
 
 def test_attack_cpa_has_no_identity_class_query(capsys):
