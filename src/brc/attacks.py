@@ -36,13 +36,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .burnside import (
     BurnsideElement,
-    D,
     KeySet,
+    _check_dihedral_index,
+    _key_fold,
     as_key_set,
     divisor_sums,
     from_divisor_sums,
     key_coeff_fold,
-    key_element,
+    key_element,  # not called: a CPA game builds no key element, and a patch here shows it
     key_marks,
     mark_product,
     window_marks,
@@ -200,7 +201,7 @@ def choose_probe(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int]) -> int:
     one encrypted probe separates them.
     """
     s0, s1 = as_key_set(s0), as_key_set(s1)
-    diff = set(s0) ^ set(s1)
+    diff = set(s0).symmetric_difference(s1)
     if not diff:
         raise ValueError("candidate key sets are identical")
     return max(diff)
@@ -225,8 +226,10 @@ class CpaExperiment:
         self.s1 = as_key_set(self.s1)
         if self.s0 == self.s1:
             raise ValueError("candidate key sets are identical")
-        if self.hidden_bit not in (0, 1):
-            raise ValueError(f"hidden bit must be 0 or 1, got {self.hidden_bit}")
+        # `in (0, 1)` alone admits True and 1.0, which equal 1.
+        bit = self.hidden_bit
+        if isinstance(bit, bool) or not isinstance(bit, int) or bit not in (0, 1):
+            raise ValueError(f"hidden bit must be 0 or 1, got {bit}")
 
     @property
     def hidden_set(self) -> KeySet:
@@ -239,19 +242,20 @@ class CpaExperiment:
         is an involution, so D(x)*k_S = D(x)*k_G with G the values
         gcd(x, s), s in S, that occur an odd number of times.  Every index
         of k_G divides x, and D(x)*D(d) = 2*D(d) for d | x, so the reply is
-        D(x) + 2*(k_G - O2), read off key_element(G)'s terms, or D(x) alone
-        when G is empty: neither key_element(S) nor a ring product is built.
-        x is refused as D(x) refuses it, and G above limits.MAX_KEY_SIZE
-        indices, before the query is logged.
+        D(x) + 2*(k_G - O2), its coefficients twice those of key_element's
+        fold over sorted G, plus D(x): neither a KeySet, a key element nor
+        a ring product is built.  x is refused with the errors D(x)
+        raises, and G above limits.MAX_KEY_SIZE indices, before the query
+        is logged.
         """
-        D(x)  # refuses a bool, a non-int or x < 1 with the ring's own errors
+        _check_dihedral_index(x)
         odd: set[int] = set()
         for s in self.hidden_set:
             odd ^= {gcd(x, s)}
         check_subset_cap(odd)
         self.query_log.append(x)
         # Package-internal fast path: the reply's coefficients straight from k_G's.
-        reply = {d: 2 * c for d, c in key_element(odd)._dih.items()} if odd else {}
+        reply = {d: 2 * c for d, c in _key_fold(sorted(odd)).items()}
         reply[x] = reply.get(x, 0) + 1
         return BurnsideElement._raw(reply)
 
@@ -268,8 +272,12 @@ class CpaResult:
     response: BurnsideElement
     observed: int
     expected0: int
-    expected1: int
     guess: int
+
+    @property
+    def expected1(self) -> int:
+        """s1's probe coefficient: the candidates' marks at the probe are opposite."""
+        return -self.expected0
 
 
 def cpa_distinguish(
@@ -292,26 +300,18 @@ def cpa_distinguish(
     check_subset_cap(s0)
     check_subset_cap(s1)
     expected0 = 1 + 2 * key_coeff_fold(s0, probe)
-    expected1 = -expected0
     response = oracle(probe)
     observed = response.dihedral_coeff(probe)
     if observed == expected0:
         guess = 0
-    elif observed == expected1:
+    elif observed == -expected0:
         guess = 1
     else:
         raise OracleMismatchError(
             f"probe D{probe} reply coefficient {observed} matches neither "
-            f"candidate ({expected0} / {expected1})"
+            f"candidate ({expected0} / {-expected0})"
         )
-    return CpaResult(
-        probe=probe,
-        response=response,
-        observed=observed,
-        expected0=expected0,
-        expected1=expected1,
-        guess=guess,
-    )
+    return CpaResult(probe=probe, response=response, observed=observed, expected0=expected0, guess=guess)
 
 
 class CpaGame(NamedTuple):
@@ -345,7 +345,7 @@ class CpaGame(NamedTuple):
 
 def run_cpa_experiment(s0: KeySet | Iterable[int], s1: KeySet | Iterable[int], hidden_bit: int) -> CpaGame:
     """Play one full game in-process; the game unpacks as (result, experiment)."""
-    experiment = CpaExperiment(s0=as_key_set(s0), s1=as_key_set(s1), hidden_bit=hidden_bit)
+    experiment = CpaExperiment(s0=s0, s1=s1, hidden_bit=hidden_bit)
     return CpaGame(cpa_distinguish(experiment.s0, experiment.s1, experiment.query_probe), experiment)
 
 

@@ -471,24 +471,32 @@ def basic_degree(m: int) -> BurnsideElement:
     return BurnsideElement._raw({m: -1}, full=1)
 
 
+def _key_fold(indices: Iterable[int]) -> dict[int, int]:
+    # The nonzero dihedral coefficients of the product of the basic degrees
+    # over `indices`, which must be ascending, distinct, positive ints; the
+    # product's O2 coefficient is 1.  key_element's docstring derives it.
+    acc: dict[int, int] = {}
+    get = acc.get
+    for i in indices:
+        terms = list(acc.items())
+        acc[i] = get(i, 0) - 1
+        for j, c in terms:
+            k = gcd(i, j)
+            acc[k] = get(k, 0) - 2 * c
+    return {k: c for k, c in acc.items() if c}
+
+
 def key_element(s: KeySet | Iterable[int]) -> BurnsideElement:
     """Product of the basic degrees over the index set (self-inverse).
 
     One fold over the sorted indices, on the dihedral coefficients keyed
     by int index: with O2 coefficient 1, k*(O2 - D(i)) is
     k - D(i) - sum_j 2*k_j*D(gcd(i, j)), so each factor costs one gcd per
-    term and the O2 coefficient stays 1.  Shares no code with the ring
-    product, which key_coeff_bruteforce chains instead.
+    term and the O2 coefficient stays 1.  The fold is shared with the CPA
+    oracle, which runs it on a probe's odd gcds; it shares no code with
+    the ring product, which key_coeff_bruteforce chains instead.
     """
-    acc: dict[int, int] = {}
-    get = acc.get
-    for i in as_key_set(s):
-        terms = list(acc.items())
-        acc[i] = get(i, 0) - 1
-        for j, c in terms:
-            k = gcd(i, j)
-            acc[k] = get(k, 0) - 2 * c
-    return BurnsideElement._raw({k: c for k, c in acc.items() if c}, full=1)
+    return BurnsideElement._raw(_key_fold(as_key_set(s)), full=1)
 
 
 def _signed_subset_count(values: tuple[int, ...], target: int) -> int:

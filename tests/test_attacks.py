@@ -40,7 +40,7 @@ from brc.burnside import (
     key_marks,
     mark_product,
 )
-from brc import attacks, cipher, limits
+from brc import attacks, burnside, cipher, limits
 from brc.cipher import ring_decode, ring_encode
 from strategies import elements, key_sets, unit_multipliers
 
@@ -268,6 +268,23 @@ def test_cpa_game_folds_s0_once(monkeypatch):
             assert result.guess == hidden_bit
 
 
+def test_no_cpa_game_builds_a_key_element(monkeypatch):
+    # The oracle folds its reply from the probe's odd gcds alone.
+    def refuse(*args):
+        raise AssertionError("key element built")
+
+    monkeypatch.setattr(attacks, "key_element", refuse)
+    pairs = [
+        ([2], [3]),
+        ([3, 4, 6, 9, 10, 12], [3, 4, 6, 9, 12, 20]),
+        (list(range(1, 17)), [*range(1, 16), 18]),
+    ]
+    for s0, s1 in pairs:
+        for hidden_bit in (0, 1):
+            assert run_cpa_experiment(s0, s1, hidden_bit).ok
+    assert run_cpa_sweep(6, 2).ok
+
+
 def test_cpa_oracle_mismatch_detected():
     with pytest.raises(OracleMismatchError):
         cpa_distinguish(KeySet([2]), KeySet([3]), lambda x: ZERO)
@@ -278,6 +295,16 @@ def test_cpa_experiment_validates_inputs():
         CpaExperiment(s0=KeySet([2]), s1=KeySet([2]), hidden_bit=0)
     with pytest.raises(ValueError):
         CpaExperiment(s0=KeySet([2]), s1=KeySet([3]), hidden_bit=2)
+
+
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0])
+def test_cpa_experiment_refuses_a_hidden_bit_that_is_not_the_int_0_or_1(bit):
+    # Each equals 0 or 1, so `bit in (0, 1)` alone would play the game.
+    text = f"^hidden bit must be 0 or 1, got {re.escape(str(bit))}$"
+    with pytest.raises(ValueError, match=text):
+        CpaExperiment(s0=KeySet([2]), s1=KeySet([3]), hidden_bit=bit)
+    with pytest.raises(ValueError, match=text):
+        run_cpa_experiment((2,), (3,), bit)
 
 
 def test_cpa_experiment_rejects_bad_probe():
@@ -325,11 +352,11 @@ def test_query_probe_answers_an_oversize_key_with_few_odd_gcds(monkeypatch):
 
     def capped(g):
         if len(g) > limits.MAX_KEY_SIZE:
-            raise AssertionError("key element above the cap built")
+            raise AssertionError("key fold above the cap run")
         built.append(set(g))
-        return key_element(g)
+        return burnside._key_fold(g)
 
-    monkeypatch.setattr(attacks, "key_element", capped)
+    monkeypatch.setattr(attacks, "_key_fold", capped)
     experiment = CpaExperiment(s0=s, s1=KeySet([2]), hidden_bit=0)
     assert experiment.query_probe(x) == BurnsideElement({D(x): 1}) * key_element(s)
     assert built == [set(range(1, 21))]
