@@ -43,7 +43,6 @@ from .burnside import (
     divisor_sums,
     from_divisor_sums,
     key_coeff_fold,
-    key_element,  # not called: a CPA game builds no key element, and a patch here shows it
     key_marks,
     mark_product,
     window_marks,
@@ -226,10 +225,8 @@ class CpaExperiment:
         self.s1 = as_key_set(self.s1)
         if self.s0 == self.s1:
             raise ValueError("candidate key sets are identical")
-        # `in (0, 1)` alone admits True and 1.0, which equal 1.
-        bit = self.hidden_bit
-        if isinstance(bit, bool) or not isinstance(bit, int) or bit not in (0, 1):
-            raise ValueError(f"hidden bit must be 0 or 1, got {bit}")
+        if type(self.hidden_bit) is not int or self.hidden_bit not in (0, 1):
+            raise ValueError(f"hidden bit must be 0 or 1, got {self.hidden_bit}")
 
     @property
     def hidden_set(self) -> KeySet:

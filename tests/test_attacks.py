@@ -218,12 +218,12 @@ def test_cpa_distinguish_overlapping_sets():
 
 
 def test_cpa_cap_raises_before_the_oracle(monkeypatch):
-    # The subset cap rejects 21-index candidates before the oracle builds
-    # the hidden key element of 2**21 terms.
+    # The subset cap rejects 21-index candidates before the oracle folds
+    # its reply.
     def refuse(*args):
-        raise AssertionError("key element built")
+        raise AssertionError("reply fold run")
 
-    monkeypatch.setattr(attacks, "key_element", refuse)
+    monkeypatch.setattr(attacks, "_key_fold", refuse)
     with pytest.raises(ValueError, match="^key set has 21 indices, above the limit 20$"):
         run_cpa_experiment(KeySet(range(1, 22)), KeySet([*range(1, 21), 22]), hidden_bit=0)
 
@@ -240,9 +240,9 @@ def test_cpa_cap_raises_before_the_oracle(monkeypatch):
 )
 def test_cpa_caps_each_candidate_before_any_query(monkeypatch, s0, s1, size):
     def refuse(*args):
-        raise AssertionError("key element built")
+        raise AssertionError("reply fold run")
 
-    monkeypatch.setattr(attacks, "key_element", refuse)
+    monkeypatch.setattr(attacks, "_key_fold", refuse)
     experiment = CpaExperiment(s0=s0, s1=s1, hidden_bit=0)
     with pytest.raises(ValueError, match=f"^key set has {size} indices, above the limit 20$"):
         cpa_distinguish(experiment.s0, experiment.s1, experiment.query_probe)
@@ -269,11 +269,19 @@ def test_cpa_game_folds_s0_once(monkeypatch):
 
 
 def test_no_cpa_game_builds_a_key_element(monkeypatch):
-    # The oracle folds its reply from the probe's odd gcds alone.
+    # Each game runs the fold once, on the probe's sorted odd gcds, and
+    # never through key_element, which looks the fold up in burnside.
+    fold, folds = burnside._key_fold, []
+
+    def counted(indices):
+        folds.append(indices)
+        return fold(indices)
+
     def refuse(*args):
         raise AssertionError("key element built")
 
-    monkeypatch.setattr(attacks, "key_element", refuse)
+    monkeypatch.setattr(burnside, "_key_fold", refuse)
+    monkeypatch.setattr(attacks, "_key_fold", counted)
     pairs = [
         ([2], [3]),
         ([3, 4, 6, 9, 10, 12], [3, 4, 6, 9, 12, 20]),
@@ -281,8 +289,16 @@ def test_no_cpa_game_builds_a_key_element(monkeypatch):
     ]
     for s0, s1 in pairs:
         for hidden_bit in (0, 1):
-            assert run_cpa_experiment(s0, s1, hidden_bit).ok
-    assert run_cpa_sweep(6, 2).ok
+            folds.clear()
+            game = run_cpa_experiment(s0, s1, hidden_bit)
+            assert game.ok
+            gcds = [gcd(game.result.probe, s) for s in game.experiment.hidden_set]
+            assert folds == [sorted(g for g in set(gcds) if gcds.count(g) % 2)]
+    folds.clear()
+    sweep = run_cpa_sweep(6, 2)
+    assert sweep.ok
+    assert len(folds) == sweep.games
+    assert all(f == sorted(set(f)) for f in folds)
 
 
 def test_cpa_oracle_mismatch_detected():
@@ -334,9 +350,9 @@ def test_refused_probe_is_not_logged(x, error, text):
 def test_query_probe_caps_the_odd_gcds_before_the_key_element(monkeypatch):
     # Every s <= 21 divides lcm(1..21), so the 21 gcds are the key set itself.
     def refuse(*args):
-        raise AssertionError("key element built")
+        raise AssertionError("reply fold run")
 
-    monkeypatch.setattr(attacks, "key_element", refuse)
+    monkeypatch.setattr(attacks, "_key_fold", refuse)
     experiment = CpaExperiment(s0=KeySet(range(1, 22)), s1=KeySet([22]), hidden_bit=0)
     with pytest.raises(ValueError, match="^key set has 21 indices, above the limit 20$"):
         experiment.query_probe(lcm(*range(1, 22)))

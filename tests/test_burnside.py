@@ -720,7 +720,7 @@ def test_key_coeff_mobius_shares_no_code_with_the_other_sides(monkeypatch):
         raise AssertionError("shared code called")
 
     monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
-    for name in ("key_element", "_signed_subset_count", "key_marks", "_divisors_upto"):
+    for name in ("key_element", "_key_fold", "_signed_subset_count", "key_marks", "_divisors_upto"):
         monkeypatch.setattr(burnside, name, refuse)
     for s, coeffs in want.items():
         assert [key_coeff_mobius(s, n) for n in range(1, s.max_index + 3)] == coeffs

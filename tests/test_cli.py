@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 import brc
-from brc import attacks, cipher, cli, limits, verify
+from brc import attacks, burnside, cipher, cli, limits, verify
 from brc.cli import build_parser, main
 from brc.cipher import encrypt, read_key_file, write_ciphertext_file
 from brc.burnside import BurnsideElement, D, KeySet, key_element
@@ -335,7 +335,8 @@ def test_eighteen_index_key_attack_demos_fast(tmp_path, capsys, monkeypatch, mod
     def refuse(*args, **kwargs):
         raise AssertionError("key element built by an attack demo")
 
-    monkeypatch.setattr(attacks, "key_element", refuse)
+    for module in (attacks, burnside):
+        monkeypatch.setattr(module, "_key_fold", refuse)
     monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
     key = _prime_product_key_file(tmp_path)
     if mode == "kpa":
@@ -432,9 +433,9 @@ def test_attack_cpa_identical_sets_error(capsys):
 
 def test_attack_cpa_oversize_sets_exit_1_before_the_oracle(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("key element built")
+        raise AssertionError("reply fold run")
 
-    monkeypatch.setattr(attacks, "key_element", refuse)
+    monkeypatch.setattr(attacks, "_key_fold", refuse)
     s0 = ",".join(str(i) for i in range(1, 22))
     s1 = ",".join(str(i) for i in [*range(1, 21), 22])
     code, out, err = run_cli(capsys, "attack", "cpa", "--s0", s0, "--s1", s1, "--hidden-bit", "0")

@@ -178,7 +178,7 @@ def test_each_cap_is_refused_before_any_work(monkeypatch, capsys, files, argv, e
         (cli, "decrypt"),
         (cli, "write_ciphertext_file"),
         (burnside, "_signed_subset_count"),
-        (attacks, "key_element"),
+        (attacks, "_key_fold"),
         (attacks, "KeySet"),
         (attacks, "_is_prime"),
         (attacks, "key_marks"),
