@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
 from math import gcd, isqrt
-from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import add, mul, sub
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .burnside import (
     BurnsideElement,
@@ -133,10 +133,11 @@ def operator_matrix(key: BurnsideElement, window: int) -> OperatorMatrix:
     return _operator_from_marks(window_marks(key, window))
 
 
-# The demonstrations work on marks and window vectors, O(L) memory, and
-# accept any window up to limits.MAX_LENGTH.  Their reports print the dense
-# window x window operator matrix up to this window; above it they list the
-# x with eps_x = -1 instead, and no matrix is built.
+# The demonstrations work on marks and window vectors: run_ambiguity_demo
+# holds O(L) values and run_kpa_demo O(n_pairs * L), and both accept any
+# window up to limits.MAX_LENGTH.  Their reports print the dense window x
+# window operator matrix up to this window; above it they list the x with
+# eps_x = -1 instead, and no matrix is built.
 MAX_PRINTED_WINDOW = 1000
 
 
@@ -468,40 +469,106 @@ def known_plaintext_solver(
     marks it did read, 0 at each open x.  A pair holds two window vectors
     of length L (ValueError otherwise); `cipher.ring_decode` turns a
     window element into one.
-    Each pair costs O(L log L); the result's `matrix` view costs
-    O(L^2 log L) on first access and is not built here.
+    The first pair costs two divisor-sum passes, O(L log L) each; every
+    later pair checks the marks already read in about one (see
+    _MarkCheck) and sums both vectors only at an x still open.  The
+    result's `matrix` view costs O(L^2 log L) on first access and is not
+    built here.
     """
     _check_solver_input(pairs, window)
+    p, c = pairs[0]
+    f_sums = divisor_sums(p)
+    g_sums = divisor_sums(c)
     # 0 holds the place of a mark still open.
-    marks = [0] * window
-    open_x: Sequence[int] = range(window)
-    for p, c in pairs:
-        f_sums = divisor_sums(p)
-        g_sums = divisor_sums(c)
-        opened = [x for x in open_x if f_sums[x]]
-        for x in opened:
-            marks[x] = g_sums[x] // f_sums[x]
-        # One pass checks G_x = eps_x * F_x at every x: an open mark asks
-        # G_x = 0 where F_x = 0, and a floored non-integer mark fails.
-        if list(map(mul, marks, f_sums)) != g_sums:
-            raise _first_inconsistency(marks, set(opened), f_sums, g_sums)
-        open_x = [x for x in open_x if not f_sums[x]]
+    marks = [g // f if f else 0 for f, g in zip(f_sums, g_sums)]
+    # One pass checks G_x = eps_x * F_x at every x: an open mark asks
+    # G_x = 0 where F_x = 0, and a floored non-integer mark fails.
+    if list(map(mul, marks, f_sums)) != g_sums:
+        raise _first_inconsistency(marks, range(window), p, c)
+    check = _MarkCheck(marks, [x for x, f in enumerate(f_sums) if not f])
+    # Later pairs build no divisor sums; at the full window these two are
+    # the largest lists the solve holds.
+    del f_sums, g_sums
+    for p, c in islice(pairs, 1, None):
+        check.read(p, c)
     return KpaResult(
         window=window,
         pairs_used=len(pairs),
-        undetermined=tuple(x + 1 for x in open_x),
+        undetermined=tuple(x + 1 for x in check.open_x),
         marks=WindowMarks(tuple(marks)),
     )
 
 
+class _MarkCheck:
+    """The marks read so far on W_L, and the check of a later pair against them.
+
+    A pair (p, c) keeps a known mark eps_x at x <= L/2 when
+    sum_{x|n} (c_n - eps_x * p_n) = 0: one sum over c - p at eps_x = +1,
+    one over c + p at eps_x = -1, and G_x - eps_x * F_x, two sums, at any
+    other integer mark.  Above L/2 the one multiple of x in the window is
+    x itself, and the condition is c_x = eps_x * p_x, compared for the
+    whole top half at once.  Only an x still open takes both F_x and G_x,
+    from direct sums, and is read where F_x != 0.
+    """
+
+    def __init__(self, marks: list[int], open_x: list[int]) -> None:
+        self.marks = marks
+        # The x still open, 0-based and ascending.
+        self.open_x = open_x
+        self.half = len(marks) // 2
+        # The known x <= L/2, 1-based, by their mark.
+        self.known: dict[int, list[int]] = {}
+        is_open = set(open_x)
+        for x, eps in enumerate(marks[: self.half], 1):
+            if x - 1 not in is_open:
+                self.known.setdefault(eps, []).append(x)
+
+    def read(self, p: Sequence[int], c: Sequence[int]) -> None:
+        """Check (p, c) against the marks and read the open ones it fixes, or raise InconsistentPairsError."""
+        if not self._agrees(p, c):
+            raise _first_inconsistency(self.marks, set(self.open_x), p, c)
+
+    def _agrees(self, p: Sequence[int], c: Sequence[int]) -> bool:
+        marks, half = self.marks, self.half
+        for eps, xs in self.known.items():
+            if eps == 1 or eps == -1:
+                # Padded with a 0 at n = 0, so that [x::x] holds the multiples of x.
+                folded = [0, *map(sub if eps == 1 else add, c, p)]
+                if any(sum(folded[x::x]) for x in xs):
+                    return False
+            elif any(sum(c[x - 1 :: x]) != eps * sum(p[x - 1 :: x]) for x in xs):
+                return False
+        # A failed pair ends the solve; of what it wrote here,
+        # _first_inconsistency reads neither the groups nor a mark at an open x.
+        still_open = []
+        for x in self.open_x:
+            f, g = (sum(p[x :: x + 1]), sum(c[x :: x + 1])) if x < half else (p[x], c[x])
+            if f:
+                eps, rest = divmod(g, f)
+                if rest:
+                    return False
+                marks[x] = eps
+                if x < half:
+                    self.known.setdefault(eps, []).append(x + 1)
+            elif g:
+                return False
+            else:
+                still_open.append(x)
+        if list(map(mul, marks[half:], p[half:])) != [*c[half:]]:
+            return False
+        self.open_x = still_open
+        return True
+
+
 def _first_inconsistency(
-    marks: Sequence[int], opened: set[int], f_sums: Sequence[int], g_sums: Sequence[int]
+    marks: Sequence[int], open_x: Container[int], p: Sequence[int], c: Sequence[int]
 ) -> InconsistentPairsError:
-    # The error of a pair that failed the check, found by walking x upwards:
-    # a mark the pair opens must be an integer, and every other x must
-    # keep G_x = eps_x * F_x with the marks read before the pair.
-    for x, (eps, f, g) in enumerate(zip(marks, f_sums, g_sums)):
-        if x in opened:
+    # The error of a pair that failed the check, found by walking x upwards
+    # through its divisor sums: a mark still open must be an integer where
+    # the pair reads it, and every other x must keep G_x = eps_x * F_x with
+    # the marks read before the pair.
+    for x, (eps, f, g) in enumerate(zip(marks, divisor_sums(p), divisor_sums(c))):
+        if x in open_x and f:
             if g % f:
                 return InconsistentPairsError(
                     f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are "

@@ -671,6 +671,70 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
     assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
 
 
+# A first pair of nonzero values but at `holes` above L/2 reads every mark
+# except those, so each later pair is checked against the marks read and
+# reads the open ones.  Any integer marks, as a non-key operator has.
+@given(
+    st.integers(1, 16),
+    st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+    st.lists(st.integers(1, 4), min_size=16, max_size=16),
+    st.sets(st.integers(0, 15)),
+    st.lists(st.lists(st.integers(-2, 3), min_size=16, max_size=16), min_size=1, max_size=3),
+    st.tuples(st.integers(0, 2), st.integers(0, 15), st.integers(-3, 3)),
+)
+# A broken known mark above L/2: D1 of W_1.  On a wider window one
+# corrupted entry also breaks D1 <= L/2.
+@example(1, [1] * 16, [1] * 16, set(), [[1] * 16], (0, 0, 1))
+# A consistent solve with the mark 2 at D1.
+@example(8, [2] + [1] * 15, [1] * 16, set(), [[1] * 16], (0, 0, 0))
+# D7 of W_8, left open by the first pair, read by the second.
+@example(8, [1] * 16, [1] * 16, {6}, [[1] * 16], (0, 0, 0))
+# A corrupted entry at D7, left open by the first pair: 3/2 is no mark.
+@example(8, [1] * 16, [1] * 16, {6}, [[2] * 16], (0, 6, 1))
+def test_mark_solver_errors_on_later_pairs_follow_the_walk_in_x(window, marks, first, holes, later, corruption):
+    marks = marks[:window]
+    p1 = [0 if x in holes and x >= window // 2 else v for x, v in enumerate(first[:window])]
+    pairs = [(p1, mark_product(p1, marks))]
+    for values in later:
+        pairs.append((values[:window], mark_product(values[:window], marks)))
+    which, at, delta = corruption
+    pairs[1 + which % len(later)][1][at % window] += delta
+    expected = _walked_mark_solver(pairs, window)
+    if isinstance(expected, str):
+        with pytest.raises(InconsistentPairsError) as info:
+            known_plaintext_solver(pairs, window)
+        assert str(info.value) == expected
+        return
+    result = known_plaintext_solver(pairs, window)
+    assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
+    assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
+
+
+def test_later_pairs_build_no_divisor_sums(monkeypatch):
+    # The first pair's F and G are the only divisor-sum vectors of a
+    # consistent solve, also when it leaves marks above L/2 open for
+    # later pairs to read: D34 of W_60 at seed 0, 16 marks of W_4096.
+    calls = []
+    sums = attacks.divisor_sums
+    monkeypatch.setattr(attacks, "divisor_sums", lambda values: calls.append(len(values)) or sums(values))
+    key = KeySet([2, 3, 7, 12, 30])
+    for window, n_pairs in [(60, 60), (4096, 3)]:
+        calls.clear()
+        result = run_kpa_demo(key, window, n_pairs, seed=0)
+        assert result.matches_true_operator and result.solver.rank == window
+        assert calls == [window, window]
+    # A dense first pair reads every mark.
+    marks = key_marks(key, 40)
+    rng = random.Random(3)
+    pairs = []
+    for _ in range(40):
+        p = [rng.randint(1, 127) for _ in range(40)]
+        pairs.append((p, mark_product(p, marks)))
+    calls.clear()
+    assert known_plaintext_solver(pairs, 40).marks == WindowMarks(tuple(marks))
+    assert calls == [40, 40]
+
+
 def test_solver_returns_marks_and_builds_matrix_on_access(monkeypatch):
     key = key_element([2, 5])
     expected = operator_matrix(key, 6)

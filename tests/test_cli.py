@@ -890,6 +890,29 @@ def test_attack_kpa_report_digest(key_2_3_7_12_30, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "b35446f605e08f3a0c7973556da88c2f1e1931c32cee7a326d28a2beba82de04"
 
 
+# SHA-256 of reports whose first pair leaves marks above L/2 open, so later
+# pairs check the marks it read and read the open ones: D5 of W_8 at seed 6,
+# D34 of W_40 and W_60 at seed 0, and 16 marks of W_4096 at seed 0.
+@pytest.mark.parametrize(
+    "window, pairs, seed, digest",
+    [
+        (8, 2, 6, "56f587786902c020dd4829ad0eeb51d08ba55ca7d4e12d22156c6491a56de3f3"),
+        (40, 40, 0, "f467e03dcfe0b5064aea26eed3f2344a5cd09cc0e3640d46b80d2ec78537150d"),
+        (60, 60, 0, "b35446f605e08f3a0c7973556da88c2f1e1931c32cee7a326d28a2beba82de04"),
+        (4096, 3, 0, "a507f6c3a33dd1e92bd8b1db5c7f211de61abda5203af59855b4b6ba871b7980"),
+    ],
+)
+def test_attack_kpa_reports_with_marks_open_after_the_first_pair(key_2_3_7_12_30, capsys, window, pairs, seed, digest):
+    code, out, _ = run_cli(
+        capsys, "attack", "kpa", "--key", str(key_2_3_7_12_30), "--pairs", str(pairs), "--window", str(window), "--seed", str(seed)
+    )
+    assert code == 0
+    assert f"system rank    : {window} / {window}\n" in out
+    if window > attacks.MAX_PRINTED_WINDOW:
+        assert "recovered marks: -1 at D1, D2, D3, D4, D5, D7, D10, D12, D15, D30; +1 elsewhere (no matrix above W_1000)\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "pairs, window",
     [("0", "8"), ("5", str(limits.MAX_LENGTH)), ("8", str(limits.MAX_LENGTH // 2 + 1)), ("65537", "1")],
