@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
 from math import gcd, isqrt
-from operator import add, mul, sub
+from operator import mul, ne
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .burnside import (
     BurnsideElement,
     KeySet,
+    MarkAction,
     _check_dihedral_index,
     _key_fold,
     as_key_set,
@@ -44,7 +45,6 @@ from .burnside import (
     from_divisor_sums,
     key_coeff_fold,
     key_marks,
-    mark_product,
     window_marks,
 )
 from .limits import check_drawn_values, check_range, check_subset_cap, check_sweep_size
@@ -469,95 +469,53 @@ def known_plaintext_solver(
     marks it did read, 0 at each open x.  A pair holds two window vectors
     of length L (ValueError otherwise); `cipher.ring_decode` turns a
     window element into one.
-    The first pair costs two divisor-sum passes, O(L log L) each; every
-    later pair checks the marks already read in about one (see
-    _MarkCheck) and sums both vectors only at an x still open.  The
-    result's `matrix` view costs O(L^2 log L) on first access and is not
-    built here.
+    The first pair costs two divisor-sum passes, O(L log L) each.  A
+    later pair builds none: it reads the open marks it fixes, summing
+    both vectors only there, and must then equal, element by element,
+    its plaintext's image under a MarkAction of the marks read so far,
+    built again only after a pair reads a mark.  That costs one factor
+    table per build and O(L + sum_{x in N} (L/x + 2**omega(x))) per
+    vector, N the x whose mark is not 1, plus L/x per open x.  The
+    result's `matrix` view costs O(L^2 log L) on first access.
     """
     _check_solver_input(pairs, window)
     p, c = pairs[0]
     f_sums = divisor_sums(p)
     g_sums = divisor_sums(c)
-    # 0 holds the place of a mark still open.
-    marks = [g // f if f else 0 for f, g in zip(f_sums, g_sums)]
+    # 1 holds the place of a mark still open, where F_x = G_x = 0, so a
+    # later pair equals its image exactly when G = eps * F at every x.
+    marks = [g // f if f else 1 for f, g in zip(f_sums, g_sums)]
     # One pass checks G_x = eps_x * F_x at every x: an open mark asks
     # G_x = 0 where F_x = 0, and a floored non-integer mark fails.
     if list(map(mul, marks, f_sums)) != g_sums:
         raise _first_inconsistency(marks, range(window), p, c)
-    check = _MarkCheck(marks, [x for x, f in enumerate(f_sums) if not f])
-    # Later pairs build no divisor sums; at the full window these two are
-    # the largest lists the solve holds.
+    # The x still open, 0-based and ascending.
+    open_x = [x for x, f in enumerate(f_sums) if not f]
+    # Later pairs build no divisor sums, so these two go before them.
     del f_sums, g_sums
+    action = None
     for p, c in islice(pairs, 1, None):
-        check.read(p, c)
+        still_open = []
+        for x in open_x:
+            f = sum(p[x :: x + 1])
+            if f:
+                # Floored, so that the comparison fails a non-integer mark.
+                marks[x] = sum(c[x :: x + 1]) // f
+            else:
+                still_open.append(x)
+        if action is None or len(still_open) < len(open_x):
+            action = MarkAction(marks)
+        if any(map(ne, action(p), c)):
+            raise _first_inconsistency(marks, set(open_x), p, c)
+        open_x = still_open
+    for x in open_x:
+        marks[x] = 0
     return KpaResult(
         window=window,
         pairs_used=len(pairs),
-        undetermined=tuple(x + 1 for x in check.open_x),
+        undetermined=tuple(x + 1 for x in open_x),
         marks=WindowMarks(tuple(marks)),
     )
-
-
-class _MarkCheck:
-    """The marks read so far on W_L, and the check of a later pair against them.
-
-    A pair (p, c) keeps a known mark eps_x at x <= L/2 when
-    sum_{x|n} (c_n - eps_x * p_n) = 0: one sum over c - p at eps_x = +1,
-    one over c + p at eps_x = -1, and G_x - eps_x * F_x, two sums, at any
-    other integer mark.  Above L/2 the one multiple of x in the window is
-    x itself, and the condition is c_x = eps_x * p_x, compared for the
-    whole top half at once.  Only an x still open takes both F_x and G_x,
-    from direct sums, and is read where F_x != 0.
-    """
-
-    def __init__(self, marks: list[int], open_x: list[int]) -> None:
-        self.marks = marks
-        # The x still open, 0-based and ascending.
-        self.open_x = open_x
-        self.half = len(marks) // 2
-        # The known x <= L/2, 1-based, by their mark.
-        self.known: dict[int, list[int]] = {}
-        is_open = set(open_x)
-        for x, eps in enumerate(marks[: self.half], 1):
-            if x - 1 not in is_open:
-                self.known.setdefault(eps, []).append(x)
-
-    def read(self, p: Sequence[int], c: Sequence[int]) -> None:
-        """Check (p, c) against the marks and read the open ones it fixes, or raise InconsistentPairsError."""
-        if not self._agrees(p, c):
-            raise _first_inconsistency(self.marks, set(self.open_x), p, c)
-
-    def _agrees(self, p: Sequence[int], c: Sequence[int]) -> bool:
-        marks, half = self.marks, self.half
-        for eps, xs in self.known.items():
-            if eps == 1 or eps == -1:
-                # Padded with a 0 at n = 0, so that [x::x] holds the multiples of x.
-                folded = [0, *map(sub if eps == 1 else add, c, p)]
-                if any(sum(folded[x::x]) for x in xs):
-                    return False
-            elif any(sum(c[x - 1 :: x]) != eps * sum(p[x - 1 :: x]) for x in xs):
-                return False
-        # A failed pair ends the solve; of what it wrote here,
-        # _first_inconsistency reads neither the groups nor a mark at an open x.
-        still_open = []
-        for x in self.open_x:
-            f, g = (sum(p[x :: x + 1]), sum(c[x :: x + 1])) if x < half else (p[x], c[x])
-            if f:
-                eps, rest = divmod(g, f)
-                if rest:
-                    return False
-                marks[x] = eps
-                if x < half:
-                    self.known.setdefault(eps, []).append(x + 1)
-            elif g:
-                return False
-            else:
-                still_open.append(x)
-        if list(map(mul, marks[half:], p[half:])) != [*c[half:]]:
-            return False
-        self.open_x = still_open
-        return True
 
 
 def _first_inconsistency(
@@ -792,11 +750,12 @@ def run_kpa_demo(
     produce the very same matrix, so the key set remains open.  Each
     plaintext holds `window` values of `random.Random(seed).randint(0, 127)`
     (a plaintext of zeros becomes D(1)), and each ciphertext vector is
-    the mark product of its plaintext vector with the key's window marks;
-    no key element is built.  The recovered marks are compared with the
-    key's, which is exact because Z is invertible, and no operator matrix
-    is built here.  The window and the pairs are checked against
-    limits.RANGES and limits.check_drawn_values before any work.
+    the mark product of its plaintext vector with the key's window
+    marks, by one MarkAction built for all of them; no key element is
+    built.  The recovered marks are compared with the key's, which is
+    exact because Z is invertible, and no operator matrix is built
+    here.  The window and the pairs are checked against limits.RANGES
+    and limits.check_drawn_values before any work.
     Memory stays O(n_pairs * window); the README's Limits table gives
     the cost at the cap.
     """
@@ -805,12 +764,13 @@ def run_kpa_demo(
     check_drawn_values(n_pairs, window)
     ambiguity = run_ambiguity_demo(key_set, window, 3)
     drawn = _draw_plaintext_values(random.Random(seed), n_pairs * window)
+    action = MarkAction(ambiguity.marks.eps)
     pairs = []
     for start in range(0, n_pairs * window, window):
         values = list(drawn[start : start + window])
         if not any(values):
             values = [1] + [0] * (window - 1)
-        pairs.append((values, mark_product(values, ambiguity.marks.eps)))
+        pairs.append((values, action(values)))
     solver = known_plaintext_solver(pairs, window)
     matches = solver.marks == ambiguity.marks if solver.determined else None
     return KpaDemoResult(ambiguity=ambiguity, seed=seed, solver=solver, matches_true_operator=matches)

@@ -51,7 +51,7 @@ import re
 from functools import partial
 from itertools import combinations, compress, count, islice, repeat, starmap
 from math import gcd, isqrt
-from operator import add, countOf, itemgetter, lt, ne
+from operator import countOf, itemgetter, lt, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .limits import check_mobius_quotient, check_subset_cap
@@ -78,6 +78,7 @@ __all__ = [
     "from_divisor_sums",
     "window_marks",
     "key_marks",
+    "MarkAction",
     "mark_product",
     "ring_encode",
     "ring_decode",
@@ -672,34 +673,74 @@ def key_marks(s: KeySet | Iterable[int], length: int) -> list[int]:
     return marks
 
 
+def _least_prime_factors(n: int) -> list[int]:
+    # 0 at a prime, else the smallest prime factor: each prime up to sqrt(n)
+    # claims its multiples from p*p by slice assignment, the smallest last.
+    least = [0] * (n + 1)
+    if n > 3:
+        small = _least_prime_factors(isqrt(n))
+        for p in reversed([q for q in range(2, len(small)) if not small[q]]):
+            least[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return least
+
+
+def _mobius_column(x: int, least: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The x/q with mu(q) = +1 and with mu(q) = -1, q | x squarefree: each
+    # distinct prime p of x adds the terms so far divided by p, sign flipped.
+    plus, minus = (x,), ()
+    while x > 1:
+        p = least[x] or x
+        while x % p == 0:
+            x //= p
+        plus, minus = plus + tuple([d // p for d in minus]), minus + tuple([d // p for d in plus])
+    return plus, minus
+
+
+class MarkAction:
+    """The map p -> p * k on D(1)..D(L), built once from marks[x-1] = phi_x(k).
+
+    Marks are multiplicative and stay on the window, so with F =
+    divisor_sums(p), p*k = Z^-1(m*F) = p + sum_{x in N} (m_x - 1) * F_x *
+    Z^-1 e_x over the N of x with m_x != 1, each column Z^-1 e_x being
+    sum_{q | x, q squarefree} mu(q) * e_{x/q} (Rota 1964).  A C-level
+    scan finds N, one smallest-prime-factor table up to max N factors
+    each x in N, and its weight m_x - 1 and column are kept.  A call
+    returns a new list in O(L + sum_{x in N} (L/x + 2**omega(x))).  A
+    key's N holds only divisors of its indices; marks not 1 at nearly
+    every x hold about 6/pi**2 * L * ln(L) terms, more than Z^-1 takes.
+    """
+
+    def __init__(self, marks: Sequence[int]) -> None:
+        self.window = len(marks)
+        nonunit = list(islice(compress(count(1), map(ne, marks, repeat(1))), self.window - marks.count(1)))
+        least = _least_prime_factors(nonunit[-1] if nonunit else 1)
+        self._columns = [(x, marks[x - 1] - 1, *_mobius_column(x, least)) for x in nonunit]
+
+    def __call__(self, values: Sequence[int]) -> list[int]:
+        if len(values) != self.window:
+            raise ValueError(f"{self.window} marks for a window of {len(values)}")
+        # Padded with a 0 at n = 0, so that a quotient x/q is its own position.
+        out = [0, *values]
+        for x, weight, plus, minus in self._columns:
+            f = sum(values[x - 1 :: x])
+            if f:
+                f *= weight
+                for n in plus:
+                    out[n] += f
+                for n in minus:
+                    out[n] -= f
+        del out[0]
+        return out
+
+
 def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
     """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k from marks[x-1] = phi_x(k).
 
-    No product raises a dihedral index, so p and c = p*k both lie on
-    D(1)..D(L), and marks are multiplicative: with phi_x(p) = 2*F_x for
-    F = divisor_sums(p), c has divisor sums G_x = F_x*phi_x(k), so
-    c = Z^-1(m*F) = p + Z^-1((m - 1)*F).  The correction h = (m - 1)*F
-    vanishes above T, the last x with marks[x-1] != 1, and so does
-    Z^-1 h (every multiple of an x > T lies above T): it is
-    from_divisor_sums of h on D(1)..D(T), added to p there, and c equals
-    p above T.  One C-level count of the 1 marks and one C-level scan
-    that stops at T find the x with m_x != 1; F_x is summed and h filled
-    only at those, so the cost is O(L + sum_{x<=T, m_x!=1} L/x + T log T);
-    a key's marks are +1 at every x that divides no key index.  Returns a
-    new list.
+    MarkAction(marks)(values), a new list: one factor table, then
+    O(L + sum_{x in N} (L/x + 2**omega(x))).  Many vectors under one k
+    share one MarkAction.
     """
-    if len(marks) != len(values):
-        raise ValueError(f"{len(marks)} marks for a window of {len(values)}")
-    nonunit = list(islice(compress(count(1), map(ne, marks, repeat(1))), len(marks) - marks.count(1)))
-    # Summed before h exists: the slice at x = 1 copies the whole window.
-    corrections = [(marks[x - 1] - 1) * sum(values[x - 1 :: x]) for x in nonunit]
-    top = nonunit[-1] if nonunit else 0
-    h = [0] * top
-    for x, c in zip(nonunit, corrections):
-        h[x - 1] = c
-    out = list(map(add, values, from_divisor_sums(h)))
-    out += values[top:]
-    return out
+    return MarkAction(marks)(values)
 
 
 def ring_encode(values: Sequence[int]) -> BurnsideElement:

@@ -12,11 +12,10 @@ compute the product in mark coordinates (`burnside.mark_product`), with
 the key's marks read straight off S (`burnside.key_marks`), so the key
 element, which can have 2**|S| terms, is never built.  Those marks are
 all +-1, and +1 at every x that divides no key index, so the ciphertext
-is the message vector plus a Mobius inversion on D(1)..D(T) of
-(eps_x - 1) times the divisor sums, T the last x <= L with eps_x != 1.
-That costs O(L + sum_{x<=T, eps_x!=1} L/x + T log T), at most
-O(L log L).  `BurnsideElement.__mul__` stays the general ring product
-and the reference the tests compare against.
+is the message vector plus -2 F_x times the Mobius column of each x
+with eps_x = -1 (`burnside.MarkAction`): one factor table, then
+O(L + sum_{x: eps_x=-1} (L/x + 2**omega(x))).  The general ring product
+`BurnsideElement.__mul__` is the reference the tests compare against.
 
 The dense window vector is the cipher's one representation: a
 `Ciphertext` stores it, and the file codec writes it and reads it back

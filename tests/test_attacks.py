@@ -661,14 +661,16 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
         c[at % window] += delta
         pairs.append((p, c))
     expected = _walked_mark_solver(pairs, window)
-    if isinstance(expected, str):
-        with pytest.raises(InconsistentPairsError) as info:
-            known_plaintext_solver(pairs, window)
-        assert str(info.value) == expected
-        return
-    result = known_plaintext_solver(pairs, window)
-    assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
-    assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
+    # Tuple vectors, as Ciphertext.values holds them, solve as lists do.
+    for vectors in (pairs, [(tuple(p), tuple(c)) for p, c in pairs]):
+        if isinstance(expected, str):
+            with pytest.raises(InconsistentPairsError) as info:
+                known_plaintext_solver(vectors, window)
+            assert str(info.value) == expected
+            continue
+        result = known_plaintext_solver(vectors, window)
+        assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
+        assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
 
 
 # A first pair of nonzero values but at `holes` above L/2 reads every mark
@@ -733,6 +735,43 @@ def test_later_pairs_build_no_divisor_sums(monkeypatch):
     calls.clear()
     assert known_plaintext_solver(pairs, 40).marks == WindowMarks(tuple(marks))
     assert calls == [40, 40]
+
+
+def test_actions_are_built_once_per_demo_and_per_pair_that_reads_a_mark(monkeypatch):
+    builds = []
+    build = attacks.MarkAction
+    monkeypatch.setattr(attacks, "MarkAction", lambda marks: builds.append(len(marks)) or build(marks))
+    solved_after = []
+    solve = attacks.known_plaintext_solver
+    monkeypatch.setattr(attacks, "known_plaintext_solver", lambda pairs, w: solved_after.append(len(builds)) or solve(pairs, w))
+    # The demo's one action makes all 60 ciphertexts, and the solver's one
+    # checks every later pair: the second pair reads D34, the one mark
+    # the first leaves open at seed 0, before its action is built.
+    key = KeySet([2, 3, 7, 12, 30])
+    result = run_kpa_demo(key, 60, 60, seed=0)
+    assert result.matches_true_operator
+    assert solved_after == [1]
+    assert builds == [60, 60]
+    # A consistent 60-pair solve: one action for the second pair, and one
+    # more for each pair after it that reads a mark still open.
+    marks = key_marks(key, 60)
+    rng = random.Random(5)
+    for zeros in (0, 0.9):
+        pairs = []
+        for _ in range(60):
+            p = [0 if rng.random() < zeros else rng.randint(1, 127) for _ in range(60)]
+            pairs.append((p, mark_product(p, marks)))
+        open_x = set(range(60))
+        reads = []
+        for p, _ in pairs:
+            f_sums = divisor_sums(p)
+            reads.append(any(f_sums[x] for x in open_x))
+            open_x = {x for x in open_x if not f_sums[x]}
+        builds.clear()
+        result = known_plaintext_solver(pairs, 60)
+        assert result.determined and result.marks == WindowMarks(tuple(marks))
+        assert len(builds) == 1 + sum(reads[2:])
+    assert sum(reads[2:]) > 1
 
 
 def test_solver_returns_marks_and_builds_matrix_on_access(monkeypatch):

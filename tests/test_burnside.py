@@ -902,10 +902,23 @@ def mark_product_cases(draw):
     return values, marks
 
 
+def _lone_mark(x, length, mark=-1):
+    # Values 1..length, so F_x != 0, and one non-unit mark, at x.
+    return list(range(1, length + 1)), [mark if n == x else 1 for n in range(1, length + 1)]
+
+
 @given(mark_product_cases())
 @example(([7], [-1]))  # L = 1
-@example(((3, -4, 5), [1, 1, 1]))  # T = 0: the product is p itself
-@example(([1, -2, 3, -4, 5, -6], [1, -1, 1, 1, 1, -1]))  # T = L
+@example(_lone_mark(1, 5))  # x = 1: the column is e_1 alone
+# Squareful x: the quotients by q with mu(q) = 0 are dropped.
+@example(_lone_mark(4, 12))
+@example(_lone_mark(8, 16))
+@example(_lone_mark(9, 27))
+@example(_lone_mark(12, 24, 3))
+@example(_lone_mark(30, 60))  # 8-term column
+@example(_lone_mark(210, 210, 0))  # 16-term column, at x = L
+@example(((3, -4, 5), [1, 1, 1]))  # no column: the product is p itself
+@example(([1, -2, 3, -4, 5, -6], [1, -1, 1, 1, 1, -1]))  # columns up to x = L
 @example(([3, -4, 5], (1, 1, 1)))  # tuple marks, all 1: a new list equal to p
 @example(([5, -3, 2, 9], (1, 1, 1, -1)))  # the only non-unit mark at x = L
 @example(([4, 0, -7, 2, 6, -1, 3], [1, 1, 1, 1, -1, 1, -1]))  # non-unit marks only above L/2
@@ -923,8 +936,8 @@ def test_mark_product_equals_dense_reference(case):
     "k",
     [
         elem(O2=1, D6=1),  # marks 3 at x = 1, 2, 3, 6 (above L/2), 1 elsewhere
-        elem(O2=2, D4=-1),  # marks 0 at x = 1, 2, 4, 2 elsewhere: T = L
-        elem(O2=1, D7=1, D9=-1),  # marks 3 at x = 7 and -1 at x = 3, 9: T < L
+        elem(O2=2, D4=-1),  # marks 0 at x = 1, 2, 4, 2 elsewhere: a column at every x
+        elem(O2=1, D7=1, D9=-1),  # marks 3 at x = 7 and -1 at x = 3, 9: the last column at 9 < L
     ],
 )
 def test_mark_product_takes_marks_of_a_general_element(k):
