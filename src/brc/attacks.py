@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
 from math import gcd, isqrt
-from operator import mul, ne
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from operator import ne
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .burnside import (
     BurnsideElement,
@@ -41,7 +41,6 @@ from .burnside import (
     _check_dihedral_index,
     _key_fold,
     as_key_set,
-    divisor_sums,
     from_divisor_sums,
     key_coeff_fold,
     key_marks,
@@ -469,44 +468,43 @@ def known_plaintext_solver(
     marks it did read, 0 at each open x.  A pair holds two window vectors
     of length L (ValueError otherwise); `cipher.ring_decode` turns a
     window element into one.
-    The first pair costs two divisor-sum passes, O(L log L) each.  A
-    later pair builds none: it reads the open marks it fixes, summing
-    both vectors only there, and must then equal, element by element,
-    its plaintext's image under a MarkAction of the marks read so far,
-    built again only after a pair reads a mark.  That costs one factor
-    table per build and O(L + sum_{x in N} (L/x + 2**omega(x))) per
-    vector, N the x whose mark is not 1, plus L/x per open x.  The
-    result's `matrix` view costs O(L^2 log L) on first access.
+    Every pair goes through one loop.  It walks the x still open, where
+    every earlier pair had F_x = G_x = 0, summing both vectors only
+    there, and reads each mark it can.  When some mark was known before
+    the pair, the pair must then equal, element by element, its
+    plaintext's image under a MarkAction of the marks read so far, built
+    again only after a pair reads a mark.  So the first pair costs
+    O(L log L) and builds no action; a later one costs L/x per open x,
+    plus one factor table per build and
+    O(L + sum_{x in N} (L/x + 2**omega(x))) per vector, N the x whose
+    mark is not 1.  The result's `matrix` view costs O(L^2 log L) on
+    first access.
     """
     _check_solver_input(pairs, window)
-    p, c = pairs[0]
-    f_sums = divisor_sums(p)
-    g_sums = divisor_sums(c)
-    # 1 holds the place of a mark still open, where F_x = G_x = 0, so a
-    # later pair equals its image exactly when G = eps * F at every x.
-    marks = [g // f if f else 1 for f, g in zip(f_sums, g_sums)]
-    # One pass checks G_x = eps_x * F_x at every x: an open mark asks
-    # G_x = 0 where F_x = 0, and a floored non-integer mark fails.
-    if list(map(mul, marks, f_sums)) != g_sums:
-        raise _first_inconsistency(marks, range(window), p, c)
+    # 1 holds the place of a mark still open, where every pair so far has
+    # F_x = G_x = 0, so a pair equals its image exactly when G = eps * F
+    # at every x.
+    marks = [1] * window
     # The x still open, 0-based and ascending.
-    open_x = [x for x, f in enumerate(f_sums) if not f]
-    # Later pairs build no divisor sums, so these two go before them.
-    del f_sums, g_sums
+    open_x: Sequence[int] = range(window)
     action = None
-    for p, c in islice(pairs, 1, None):
+    for p, c in pairs:
         still_open = []
         for x in open_x:
             f = sum(p[x :: x + 1])
-            if f:
-                # Floored, so that the comparison fails a non-integer mark.
-                marks[x] = sum(c[x :: x + 1]) // f
+            g = sum(c[x :: x + 1])
+            if f and not g % f:
+                marks[x] = g // f
+            elif f or g:
+                raise _first_inconsistency(marks, open_x, p, c)
             else:
                 still_open.append(x)
-        if action is None or len(still_open) < len(open_x):
-            action = MarkAction(marks)
-        if any(map(ne, action(p), c)):
-            raise _first_inconsistency(marks, set(open_x), p, c)
+        # With every x open before the pair, the walk above checked them all.
+        if len(open_x) < window:
+            if action is None or len(still_open) < len(open_x):
+                action = MarkAction(marks)
+            if any(map(ne, action(p), c)):
+                raise _first_inconsistency(marks, open_x, p, c)
         open_x = still_open
     for x in open_x:
         marks[x] = 0
@@ -519,14 +517,21 @@ def known_plaintext_solver(
 
 
 def _first_inconsistency(
-    marks: Sequence[int], open_x: Container[int], p: Sequence[int], c: Sequence[int]
+    marks: Sequence[int], open_x: Iterable[int], p: Sequence[int], c: Sequence[int]
 ) -> InconsistentPairsError:
     # The error of a pair that failed the check, found by walking x upwards
-    # through its divisor sums: a mark still open must be an integer where
-    # the pair reads it, and every other x must keep G_x = eps_x * F_x with
-    # the marks read before the pair.
-    for x, (eps, f, g) in enumerate(zip(marks, divisor_sums(p), divisor_sums(c))):
-        if x in open_x and f:
+    # with the same direct sums: a mark open before the pair (`open_x`,
+    # ascending) must be an integer where the pair reads it, and every other
+    # x must keep G_x = eps_x * F_x with the marks read before the pair.
+    opens = iter(open_x)
+    next_open = next(opens, None)
+    for x, eps in enumerate(marks):
+        f = sum(p[x :: x + 1])
+        g = sum(c[x :: x + 1])
+        is_open = x == next_open
+        if is_open:
+            next_open = next(opens, None)
+        if is_open and f:
             if g % f:
                 return InconsistentPairsError(
                     f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are "

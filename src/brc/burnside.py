@@ -79,7 +79,6 @@ __all__ = [
     "window_marks",
     "key_marks",
     "MarkAction",
-    "mark_product",
     "ring_encode",
     "ring_decode",
     "format_terms",
@@ -731,16 +730,6 @@ class MarkAction:
                     out[n] -= f
         del out[0]
         return out
-
-
-def mark_product(values: Sequence[int], marks: Sequence[int]) -> list[int]:
-    """Coefficients on D(1)..D(L) of (sum_n values[n-1]*D(n)) * k from marks[x-1] = phi_x(k).
-
-    MarkAction(marks)(values), a new list: one factor table, then
-    O(L + sum_{x in N} (L/x + 2**omega(x))).  Many vectors under one k
-    share one MarkAction.
-    """
-    return MarkAction(marks)(values)
 
 
 def ring_encode(values: Sequence[int]) -> BurnsideElement:

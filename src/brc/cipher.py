@@ -8,12 +8,12 @@ The product never raises a dihedral index, so ciphertext support stays
 inside the window {D(1), ..., D(L)}.
 
 The key is its index set S (a `KeySet`).  `encrypt` and `decrypt`
-compute the product in mark coordinates (`burnside.mark_product`), with
-the key's marks read straight off S (`burnside.key_marks`), so the key
+apply the key in mark coordinates, by a `burnside.MarkAction` of the
+key's marks read straight off S (`burnside.key_marks`), so the key
 element, which can have 2**|S| terms, is never built.  Those marks are
 all +-1, and +1 at every x that divides no key index, so the ciphertext
 is the message vector plus -2 F_x times the Mobius column of each x
-with eps_x = -1 (`burnside.MarkAction`): one factor table, then
+with eps_x = -1: one factor table, then
 O(L + sum_{x: eps_x=-1} (L/x + 2**omega(x))).  The general ring product
 `BurnsideElement.__mul__` is the reference the tests compare against.
 
@@ -71,10 +71,10 @@ from typing import Callable, Sequence
 from .burnside import (
     ElementFormatError,
     KeySet,
+    MarkAction,
     SupportWindowError,
     format_terms,
     key_marks,
-    mark_product,
     read_terms,
     ring_decode,
     ring_encode,
@@ -190,13 +190,13 @@ def decode_text(values: Sequence[int]) -> bytes:
 def encrypt(data: bytes | str, key_set: KeySet) -> Ciphertext:
     """encode_text(data) times the key element of key_set, computed from the key's marks."""
     values = encode_text(data)
-    return Ciphertext(mark_product(values, key_marks(key_set, len(values))))
+    return Ciphertext(MarkAction(key_marks(key_set, len(values)))(values))
 
 
 def decrypt(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
     """The same product on the ciphertext vector, then decode_text: the key is its own inverse."""
-    marks = key_marks(key_set, ciphertext.length)
-    return decode_text(mark_product(ciphertext.values, marks))
+    action = MarkAction(key_marks(key_set, ciphertext.length))
+    return decode_text(action(ciphertext.values))
 
 
 def write_key_file(path: str | Path, key_set: KeySet) -> None:

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -33,12 +34,12 @@ from brc.burnside import (
     BurnsideElement,
     D,
     KeySet,
+    MarkAction,
     divisor_sums,
     key_coeff,
     key_coeff_fold,
     key_element,
     key_marks,
-    mark_product,
 )
 from brc import attacks, burnside, cipher, limits
 from brc.cipher import ring_decode, ring_encode
@@ -496,7 +497,7 @@ def test_one_ciphertext_gives_up_its_plaintext_without_the_key(indices):
     assert list(ct.values) != list(_MESSAGE)
     signs = [(g > 0) - (g < 0) for g in divisor_sums(ct.values)]
     assert 0 in signs
-    assert cipher.decode_text(mark_product(ct.values, signs)) == _MESSAGE
+    assert cipher.decode_text(MarkAction(signs)(ct.values)) == _MESSAGE
 
 
 # --------------------------------------------------------- known plaintexts
@@ -649,6 +650,8 @@ def _walked_mark_solver(pairs, window):
     st.integers(1, 12),
     st.lists(st.tuples(st.lists(st.integers(-2, 3), min_size=12, max_size=12), st.integers(0, 11), st.integers(-3, 3)), min_size=1, max_size=4),
 )
+# The first pair reads the mark 0 at D1, then finds G_2 = 1 where F_2 = 0.
+@example(KeySet([2]), 4, [([1] + [0] * 11, 1, 1)])
 def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
     # Mostly zeros and small values, so marks stay open across pairs and a
     # corrupted ciphertext entry can fail at a mark read, at an open mark
@@ -657,7 +660,7 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
     pairs = []
     for values, at, delta in draws:
         p = values[:window]
-        c = mark_product(p, marks)
+        c = MarkAction(marks)(p)
         c[at % window] += delta
         pairs.append((p, c))
     expected = _walked_mark_solver(pairs, window)
@@ -693,12 +696,15 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
 @example(8, [1] * 16, [1] * 16, {6}, [[1] * 16], (0, 0, 0))
 # A corrupted entry at D7, left open by the first pair: 3/2 is no mark.
 @example(8, [1] * 16, [1] * 16, {6}, [[2] * 16], (0, 6, 1))
+# D13 of W_16, open through the second pair, reads 7/3 in the third,
+# whose corrupted entry also breaks D1, known since the first: D1 is named.
+@example(16, [1] * 12 + [2] + [1] * 3, [1] * 16, {12}, [[1] * 12 + [0] + [1] * 3, [1] * 12 + [3] + [1] * 3], (1, 12, 1))
 def test_mark_solver_errors_on_later_pairs_follow_the_walk_in_x(window, marks, first, holes, later, corruption):
     marks = marks[:window]
     p1 = [0 if x in holes and x >= window // 2 else v for x, v in enumerate(first[:window])]
-    pairs = [(p1, mark_product(p1, marks))]
+    pairs = [(p1, MarkAction(marks)(p1))]
     for values in later:
-        pairs.append((values[:window], mark_product(values[:window], marks)))
+        pairs.append((values[:window], MarkAction(marks)(values[:window])))
     which, at, delta = corruption
     pairs[1 + which % len(later)][1][at % window] += delta
     expected = _walked_mark_solver(pairs, window)
@@ -712,29 +718,68 @@ def test_mark_solver_errors_on_later_pairs_follow_the_walk_in_x(window, marks, f
     assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
 
 
-def test_later_pairs_build_no_divisor_sums(monkeypatch):
-    # The first pair's F and G are the only divisor-sum vectors of a
-    # consistent solve, also when it leaves marks above L/2 open for
-    # later pairs to read: D34 of W_60 at seed 0, 16 marks of W_4096.
-    calls = []
-    sums = attacks.divisor_sums
-    monkeypatch.setattr(attacks, "divisor_sums", lambda values: calls.append(len(values)) or sums(values))
+def test_solves_build_no_divisor_sums(monkeypatch):
+    # Every pair is read by direct sums at its open x, and so is the walk
+    # that names a failing pair: no solve builds a divisor-sum vector, also
+    # when the first pair leaves marks above L/2 open for later pairs to
+    # read (D34 of W_60 at seed 0, 16 marks of W_4096).
+    def refuse(values):
+        raise AssertionError(f"divisor sums of {len(values)} values")
+
+    monkeypatch.setattr(burnside, "divisor_sums", refuse)
+    assert not hasattr(attacks, "divisor_sums")
     key = KeySet([2, 3, 7, 12, 30])
     for window, n_pairs in [(60, 60), (4096, 3)]:
-        calls.clear()
         result = run_kpa_demo(key, window, n_pairs, seed=0)
         assert result.matches_true_operator and result.solver.rank == window
-        assert calls == [window, window]
     # A dense first pair reads every mark.
     marks = key_marks(key, 40)
     rng = random.Random(3)
     pairs = []
     for _ in range(40):
         p = [rng.randint(1, 127) for _ in range(40)]
-        pairs.append((p, mark_product(p, marks)))
-    calls.clear()
+        pairs.append((p, MarkAction(marks)(p)))
     assert known_plaintext_solver(pairs, 40).marks == WindowMarks(tuple(marks))
-    assert calls == [40, 40]
+    # A first pair reads the mark 1 at D1 and breaks at D2, where F is 0.
+    with pytest.raises(InconsistentPairsError) as info:
+        known_plaintext_solver([([1, 0, 0, 0], [1, 0, 0, 1])], 4)
+    assert str(info.value) == "pairs break G_x = eps_x * F_x at D2; no single ring element generates them"
+    # +2 at n = 35 and -2 at n = 37 keep G_1 and break D5, D7, D35 and D37.
+    c = list(pairs[1][1])
+    c[34] += 2
+    c[36] -= 2
+    with pytest.raises(InconsistentPairsError) as info:
+        known_plaintext_solver([pairs[0], (pairs[1][0], c)], 40)
+    assert str(info.value) == "pairs break G_x = eps_x * F_x at D5; no single ring element generates them"
+
+
+def test_solver_peak_memory_stays_below_one_ciphertext():
+    # The solver holds its marks, one slice of a pair and, from the second
+    # pair on, one image under its action: less than the ciphertext list
+    # and its ints.
+    window = 1 << 16
+    key = KeySet([2, 3, 7, 12, 30])
+    marks = key_marks(key, window)
+    action = MarkAction(marks)
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(3):
+        p = [rng.randint(0, 127) for _ in range(window)]
+        pairs.append((p, action(p)))
+    c = pairs[0][1]
+    vector = sys.getsizeof(c) + sum(map(sys.getsizeof, c))
+    for n_pairs in (1, 3):
+        used = pairs[:n_pairs]
+        tracemalloc.start()
+        try:
+            result = known_plaintext_solver(used, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        open_x = set(result.undetermined)
+        assert result.marks == WindowMarks(tuple(0 if x in open_x else eps for x, eps in enumerate(marks, 1)))
+        assert peak < vector, (n_pairs, peak, vector)
+    assert result.determined
 
 
 def test_actions_are_built_once_per_demo_and_per_pair_that_reads_a_mark(monkeypatch):
@@ -760,7 +805,7 @@ def test_actions_are_built_once_per_demo_and_per_pair_that_reads_a_mark(monkeypa
         pairs = []
         for _ in range(60):
             p = [0 if rng.random() < zeros else rng.randint(1, 127) for _ in range(60)]
-            pairs.append((p, mark_product(p, marks)))
+            pairs.append((p, MarkAction(marks)(p)))
         open_x = set(range(60))
         reads = []
         for p, _ in pairs:

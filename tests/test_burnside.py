@@ -23,6 +23,7 @@ from brc.burnside import (
     ElementFormatError,
     Generator,
     KeySet,
+    MarkAction,
     basic_degree,
     divisor_sums,
     from_divisor_sums,
@@ -32,7 +33,6 @@ from brc.burnside import (
     key_coeff_mobius,
     key_element,
     key_marks,
-    mark_product,
     ring_encode,
     window_marks,
 )
@@ -822,9 +822,9 @@ def _window_vector(a, length):
 
 def test_window_product_examples():
     # (3*D1 + D2) * (O2 - D2) = -3*D1 - D2, and SO2 annihilates the window.
-    assert mark_product([3, 1], window_marks(key_element([2]), 2)) == [-3, -1]
-    assert mark_product([3, 1], window_marks(elem(SO2=5), 2)) == [0, 0]
-    assert mark_product([0, 0, 7], window_marks(elem(O2=2, D6=1), 3)) == [0, 0, 28]
+    assert MarkAction(window_marks(key_element([2]), 2))([3, 1]) == [-3, -1]
+    assert MarkAction(window_marks(elem(SO2=5), 2))([3, 1]) == [0, 0]
+    assert MarkAction(window_marks(elem(O2=2, D6=1), 3))([0, 0, 7]) == [0, 0, 28]
 
 
 @given(
@@ -834,7 +834,7 @@ def test_window_product_examples():
 def test_window_product_equals_ring_product(values, k):
     # The mark product is exact for every multiplier, not only for keys.
     p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
-    assert mark_product(values, window_marks(k, len(values))) == _window_vector(p * k, len(values))
+    assert MarkAction(window_marks(k, len(values)))(values) == _window_vector(p * k, len(values))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 100])
@@ -878,7 +878,7 @@ def test_key_marks_of_huge_indices():
 
 
 @st.composite
-def mark_product_cases(draw):
+def mark_action_cases(draw):
     """(values, marks) on one window: values a list or a tuple, marks of four shapes."""
     length = draw(st.integers(1, 200))
     values = draw(st.lists(st.integers(-1000, 1000), min_size=length, max_size=length))
@@ -907,7 +907,7 @@ def _lone_mark(x, length, mark=-1):
     return list(range(1, length + 1)), [mark if n == x else 1 for n in range(1, length + 1)]
 
 
-@given(mark_product_cases())
+@given(mark_action_cases())
 @example(([7], [-1]))  # L = 1
 @example(_lone_mark(1, 5))  # x = 1: the column is e_1 alone
 # Squareful x: the quotients by q with mu(q) = 0 are dropped.
@@ -922,11 +922,11 @@ def _lone_mark(x, length, mark=-1):
 @example(([3, -4, 5], (1, 1, 1)))  # tuple marks, all 1: a new list equal to p
 @example(([5, -3, 2, 9], (1, 1, 1, -1)))  # the only non-unit mark at x = L
 @example(([4, 0, -7, 2, 6, -1, 3], [1, 1, 1, 1, -1, 1, -1]))  # non-unit marks only above L/2
-def test_mark_product_equals_dense_reference(case):
+def test_mark_action_equals_dense_reference(case):
     values, marks = case
     before = (list(values), list(marks))
     dense = from_divisor_sums([m * f for m, f in zip(marks, divisor_sums(values))])
-    out = mark_product(values, marks)
+    out = MarkAction(marks)(values)
     assert out == dense
     assert type(out) is list and out is not values
     assert (list(values), list(marks)) == before
@@ -940,12 +940,12 @@ def test_mark_product_equals_dense_reference(case):
         elem(O2=1, D7=1, D9=-1),  # marks 3 at x = 7 and -1 at x = 3, 9: the last column at 9 < L
     ],
 )
-def test_mark_product_takes_marks_of_a_general_element(k):
+def test_mark_action_takes_marks_of_a_general_element(k):
     values = [(-1) ** n * n for n in range(1, 11)]
     p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
-    assert mark_product(values, tuple(window_marks(k, 10))) == _window_vector(p * k, 10)
+    assert MarkAction(tuple(window_marks(k, 10)))(values) == _window_vector(p * k, 10)
 
 
-def test_mark_product_rejects_length_mismatch():
+def test_mark_action_rejects_length_mismatch():
     with pytest.raises(ValueError, match="marks"):
-        mark_product([1, 2, 3], [1, -1])
+        MarkAction([1, -1])([1, 2, 3])
