@@ -10,15 +10,15 @@ as the reference; builds prime-scaled key sets that are
 indistinguishable on any such window (so passive data never identifies
 the key set); and runs the one-query chosen-plaintext experiment that
 distinguishes any two candidate key sets with certainty, alone or over
-every pair of a bounded key space.  What a passive attack learns is
-one WindowMarks, the key's marks on W_L with 0 at an x left open:
+every pair of a bounded key space.  What a passive attack learns is one
+WindowMarks, the key's marks on W_L with 0 at an x left open:
 known_plaintext_solver returns it, also from a partial solve, and
 run_kpa_demo and run_ambiguity_demo report it.  Those demonstrations
-work on window vectors and key marks and never build a key element; a
-WindowMarks builds the operator matrix only when asked, as a report
-does up to MAX_PRINTED_WINDOW.  Each demonstration's result (CpaGame,
-CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds the
-AmbiguityResult it ran) renders its own `report()` and carries its
+work on window vectors and key marks (from `brc.marks`) and never build
+a key element; a WindowMarks builds the operator matrix only when asked,
+as a report does up to MAX_PRINTED_WINDOW.  Each demonstration's result
+(CpaGame, CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds
+the AmbiguityResult it ran) renders its own `report()` and carries its
 `ok` verdict.  A CpaGame pairs the attacker's CpaResult with the
 referee's CpaExperiment, because its verdict needs the hidden bit.
 """
@@ -34,19 +34,9 @@ from math import gcd, isqrt
 from operator import ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .burnside import (
-    BurnsideElement,
-    KeySet,
-    MarkAction,
-    _check_dihedral_index,
-    _key_fold,
-    as_key_set,
-    from_divisor_sums,
-    key_coeff_fold,
-    key_marks,
-    window_marks,
-)
+from .burnside import BurnsideElement, KeySet, _check_dihedral_index, _key_fold, as_key_set, key_coeff_fold
 from .limits import check_drawn_values, check_range, check_subset_cap, check_sweep_size
+from .marks import MarkAction, from_divisor_sums, key_marks, window_marks
 
 __all__ = [
     "OperatorMatrix",
@@ -470,12 +460,12 @@ def known_plaintext_solver(
     window element into one.
     Every pair goes through one loop.  It walks the x still open, where
     every earlier pair had F_x = G_x = 0, summing both vectors only
-    there, and reads each mark it can.  When some mark was known before
-    the pair, the pair must then equal, element by element, its
-    plaintext's image under a MarkAction of the marks read so far, built
-    again only after a pair reads a mark.  So the first pair costs
-    O(L log L) and builds no action; a later one costs L/x per open x,
-    plus one factor table per build and
+    there (above L/2 the sums are the entries at x), and reads each mark
+    it can.  When some mark was known before the pair, the pair must then
+    equal, element by element, its plaintext's image under a MarkAction
+    of the marks read so far, built again only after a pair reads a
+    mark.  So the first pair costs O(L log L) and builds no action; a
+    later one costs L/x per open x, plus
     O(L + sum_{x in N} (L/x + 2**omega(x))) per vector, N the x whose
     mark is not 1.  The result's `matrix` view costs O(L^2 log L) on
     first access.
@@ -488,11 +478,11 @@ def known_plaintext_solver(
     # The x still open, 0-based and ascending.
     open_x: Sequence[int] = range(window)
     action = None
+    half = window // 2
     for p, c in pairs:
         still_open = []
         for x in open_x:
-            f = sum(p[x :: x + 1])
-            g = sum(c[x :: x + 1])
+            f, g = (sum(p[x :: x + 1]), sum(c[x :: x + 1])) if x < half else (p[x], c[x])
             if f and not g % f:
                 marks[x] = g // f
             elif f or g:

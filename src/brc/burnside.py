@@ -49,9 +49,9 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import combinations, compress, count, islice, repeat, starmap
-from math import gcd, isqrt
-from operator import countOf, itemgetter, lt, ne
+from itertools import combinations, islice, starmap
+from math import gcd
+from operator import countOf, itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .limits import check_mobius_quotient, check_subset_cap
@@ -74,11 +74,6 @@ __all__ = [
     "key_coeff_bruteforce",
     "key_coeff_fold",
     "key_coeff_mobius",
-    "divisor_sums",
-    "from_divisor_sums",
-    "window_marks",
-    "key_marks",
-    "MarkAction",
     "ring_encode",
     "ring_decode",
     "format_terms",
@@ -553,10 +548,10 @@ def key_coeff_mobius(s: KeySet | Iterable[int], n: int) -> int:
     max(s) every eps_m is 1.  A multiple m = n*q divides only multiples
     of n, so with T = {i // n : i in s, n | i}, eps_m is -1 exactly when
     #{t in T : q | t}, counted by |T| remainders, is odd; only there is
-    mu(q) needed, by trial division.  It is 0 for n > max(s).  Shares
-    no code with the ring product, key_element's fold or key_coeff's
-    subset enumeration, and its cost does not grow as 2**|s|; it refuses
-    max(s) // n above limits.MAX_MOBIUS_QUOTIENT before any work.
+    mu(q) needed, by trial division.  It is 0 for n > max(s).  Shares no
+    code with the ring product, key_element's fold, key_coeff's subset
+    enumeration or `brc.marks`, and its cost does not grow as 2**|s|; it
+    refuses max(s) // n above limits.MAX_MOBIUS_QUOTIENT before any work.
     """
     _check_dihedral_index(n)
     s = as_key_set(s)
@@ -609,127 +604,6 @@ def key_coeff_fold(s: KeySet | Iterable[int], x: int) -> int:
         return 0
     g = tuple(map(partial(gcd, x), s))
     return -countOf(g, x) + 2 * _signed_subset_count(g, x)
-
-
-def divisor_sums(values: Sequence[int]) -> list[int]:
-    """F_x = sum_{x|n<=L} values[n-1] for x = 1..L, L = len(values).
-
-    The divisor-sum matrix Z (Z[x][n] = 1 when x divides n) carries a
-    window element into mark coordinates: its mark at D(x) is 2*F_x.
-    Costs O(L log L).
-    """
-    padded = [0, *values]
-    half = len(values) // 2
-    sums = [sum(padded[x::x]) for x in range(1, half + 1)]
-    # Above L/2 the only multiple of x in the window is x itself.
-    sums.extend(values[half:])
-    return sums
-
-
-def from_divisor_sums(sums: Sequence[int]) -> list[int]:
-    """The values whose divisor sums are `sums`: the inverse of divisor_sums.
-
-    Z is unitriangular, so the downward sweep
-    c_x = G_x - sum_{m=2x,3x,...<=L} c_m recovers c in O(L log L).
-    """
-    # In place, descending x: every slot above x already holds c.
-    out = [0, *sums]
-    for x in range(len(sums) // 2, 0, -1):
-        out[x] -= sum(out[2 * x :: x])
-    return out[1:]
-
-
-def _divisors_upto(n: int, limit: int) -> Iterator[int]:
-    # Divisors of n that are <= limit, in O(min(limit, sqrt(n))) steps:
-    # a divisor e <= limit above sqrt(n) is found as the cofactor n // d.
-    for d in range(1, min(limit, isqrt(n)) + 1):
-        if n % d == 0:
-            yield d
-            e = n // d
-            if e != d and e <= limit:
-                yield e
-
-
-def window_marks(k: BurnsideElement, length: int) -> list[int]:
-    """Marks phi_x(k) = k_O2 + 2*sum_{x|n} k_n for x = 1..length (SO2 has mark 0)."""
-    marks = [k._full] * length
-    for n, c in k._dih.items():
-        for d in _divisors_upto(n, length):
-            marks[d - 1] += 2 * c
-    return marks
-
-
-def key_marks(s: KeySet | Iterable[int], length: int) -> list[int]:
-    """window_marks(key_element(s), length) without building the key element.
-
-    O2 - D(i) has mark -1 at the divisors of i and +1 elsewhere, and marks
-    are multiplicative, so eps_x = (-1)**#{i in s : x | i}.
-    """
-    marks = [1] * length
-    for i in as_key_set(s):
-        for d in _divisors_upto(i, length):
-            marks[d - 1] = -marks[d - 1]
-    return marks
-
-
-def _least_prime_factors(n: int) -> list[int]:
-    # 0 at a prime, else the smallest prime factor: each prime up to sqrt(n)
-    # claims its multiples from p*p by slice assignment, the smallest last.
-    least = [0] * (n + 1)
-    if n > 3:
-        small = _least_prime_factors(isqrt(n))
-        for p in reversed([q for q in range(2, len(small)) if not small[q]]):
-            least[p * p :: p] = [p] * len(range(p * p, n + 1, p))
-    return least
-
-
-def _mobius_column(x: int, least: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # The x/q with mu(q) = +1 and with mu(q) = -1, q | x squarefree: each
-    # distinct prime p of x adds the terms so far divided by p, sign flipped.
-    plus, minus = (x,), ()
-    while x > 1:
-        p = least[x] or x
-        while x % p == 0:
-            x //= p
-        plus, minus = plus + tuple([d // p for d in minus]), minus + tuple([d // p for d in plus])
-    return plus, minus
-
-
-class MarkAction:
-    """The map p -> p * k on D(1)..D(L), built once from marks[x-1] = phi_x(k).
-
-    Marks are multiplicative and stay on the window, so with F =
-    divisor_sums(p), p*k = Z^-1(m*F) = p + sum_{x in N} (m_x - 1) * F_x *
-    Z^-1 e_x over the N of x with m_x != 1, each column Z^-1 e_x being
-    sum_{q | x, q squarefree} mu(q) * e_{x/q} (Rota 1964).  A C-level
-    scan finds N, one smallest-prime-factor table up to max N factors
-    each x in N, and its weight m_x - 1 and column are kept.  A call
-    returns a new list in O(L + sum_{x in N} (L/x + 2**omega(x))).  A
-    key's N holds only divisors of its indices; marks not 1 at nearly
-    every x hold about 6/pi**2 * L * ln(L) terms, more than Z^-1 takes.
-    """
-
-    def __init__(self, marks: Sequence[int]) -> None:
-        self.window = len(marks)
-        nonunit = list(islice(compress(count(1), map(ne, marks, repeat(1))), self.window - marks.count(1)))
-        least = _least_prime_factors(nonunit[-1] if nonunit else 1)
-        self._columns = [(x, marks[x - 1] - 1, *_mobius_column(x, least)) for x in nonunit]
-
-    def __call__(self, values: Sequence[int]) -> list[int]:
-        if len(values) != self.window:
-            raise ValueError(f"{self.window} marks for a window of {len(values)}")
-        # Padded with a 0 at n = 0, so that a quotient x/q is its own position.
-        out = [0, *values]
-        for x, weight, plus, minus in self._columns:
-            f = sum(values[x - 1 :: x])
-            if f:
-                f *= weight
-                for n in plus:
-                    out[n] += f
-                for n in minus:
-                    out[n] -= f
-        del out[0]
-        return out
 
 
 def ring_encode(values: Sequence[int]) -> BurnsideElement:

@@ -8,29 +8,22 @@ The product never raises a dihedral index, so ciphertext support stays
 inside the window {D(1), ..., D(L)}.
 
 The key is its index set S (a `KeySet`).  `encrypt` and `decrypt`
-apply the key in mark coordinates, by a `burnside.MarkAction` of the
-key's marks read straight off S (`burnside.key_marks`), so the key
-element, which can have 2**|S| terms, is never built.  Those marks are
-all +-1, and +1 at every x that divides no key index, so the ciphertext
-is the message vector plus -2 F_x times the Mobius column of each x
-with eps_x = -1: one factor table, then
-O(L + sum_{x: eps_x=-1} (L/x + 2**omega(x))).  The general ring product
-`BurnsideElement.__mul__` is the reference the tests compare against.
+apply the key in mark coordinates, by a `marks.MarkAction` of the
+key's marks read straight off S by its primes (`marks.key_marks`), so
+the key element, which can have 2**|S| terms, is never built.  Those
+marks are all +-1, and +1 at every x that divides no key index, so the
+product costs O(L + sum_{x: eps_x=-1} (L/x + 2**omega(x))) once the
+marks are read.  The general ring product `BurnsideElement.__mul__` is
+the reference the tests compare against.
 
 The dense window vector is the cipher's one representation: a
-`Ciphertext` stores it, and the file codec writes it and reads it back
-without building a sparse element.  The body lines go through
-`burnside.format_terms` and `burnside.read_terms`, the bytes codec
-element text uses too, one slice or chunk at a time with no Python loop
-over the terms.  The writer refuses a value that is not an int before
-it opens the file, and writes bytes.  The reader checks the header and
-the length line first, a bounded number of bytes each, reads the body no
-further than one byte past the `max_body` bound it is given (`brc
-decrypt` passes `limits.max_text_ciphertext_body`), then refuses a
-body with a non-ASCII byte and parses it in place in the file's bytes,
-with no decoded copy, storing a chunk of consecutive labels with one
-list extension, so the coefficients of a dense body become the vector
-as they are read.
+`Ciphertext` stores it, and the file codec writes and reads its body
+lines through `burnside.format_terms` and `burnside.read_terms`, one
+slice or chunk at a time, with no sparse element and no Python loop
+over the terms.  The reader checks the header and the length line
+first, reads the body no further than one byte past its `max_body`
+bound (`brc decrypt` passes `limits.max_text_ciphertext_body`), and
+parses it in place in the file's bytes into a vector allocated once.
 
 File formats (ASCII text, canonical: a reader accepts exactly the bytes
 the matching writer produces for some value, and raises FileFormatError
@@ -71,15 +64,14 @@ from typing import Callable, Sequence
 from .burnside import (
     ElementFormatError,
     KeySet,
-    MarkAction,
     SupportWindowError,
     format_terms,
-    key_marks,
     read_terms,
     ring_decode,
     ring_encode,
 )
 from .limits import MAX_INDEX_DIGITS, MAX_KEY_SIZE, MAX_LENGTH, check_key_limits
+from .marks import MarkAction, key_marks
 
 __all__ = [
     "MessageError",

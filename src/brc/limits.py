@@ -30,9 +30,9 @@ MAX_LENGTH = 1 << 20
 MAX_KEY_SIZE = 20
 
 # Most decimal digits of one index of a key file or a CLI key set (KeySet
-# takes any).  Marking costs min(L, sqrt(s)) divisor tests per index s, each
-# linear in its digits, so the digits bound the time to mark a window; int()
-# alone reads indices of up to 4300 digits.
+# takes any).  Marking takes a remainder of index s by each prime up to
+# min(L, sqrt(s)), each linear in its digits, so the digits bound the time
+# to mark a window; int() alone reads indices of up to 4300 digits.
 MAX_INDEX_DIGITS = 30
 
 # key_coeff_mobius takes |T| remainders for each q <= max(s) // n, T the

@@ -34,15 +34,13 @@ from brc.burnside import (
     BurnsideElement,
     D,
     KeySet,
-    MarkAction,
-    divisor_sums,
     key_coeff,
     key_coeff_fold,
     key_element,
-    key_marks,
 )
 from brc import attacks, burnside, cipher, limits
 from brc.cipher import ring_decode, ring_encode
+from brc.marks import MarkAction, divisor_sums, key_marks
 from strategies import elements, key_sets, unit_multipliers
 
 from math import gcd, lcm, prod
@@ -726,7 +724,7 @@ def test_solves_build_no_divisor_sums(monkeypatch):
     def refuse(values):
         raise AssertionError(f"divisor sums of {len(values)} values")
 
-    monkeypatch.setattr(burnside, "divisor_sums", refuse)
+    monkeypatch.setattr("brc.marks.divisor_sums", refuse)
     assert not hasattr(attacks, "divisor_sums")
     key = KeySet([2, 3, 7, 12, 30])
     for window, n_pairs in [(60, 60), (4096, 3)]:

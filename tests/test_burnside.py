@@ -5,6 +5,7 @@ import pickle
 import re
 import tracemalloc
 from functools import reduce
+from inspect import isfunction
 from math import gcd, prod
 from operator import mul
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from brc import burnside, limits
+from brc import burnside, limits, marks
 from brc.burnside import (
     IDENTITY,
     SO2,
@@ -23,20 +24,16 @@ from brc.burnside import (
     ElementFormatError,
     Generator,
     KeySet,
-    MarkAction,
     basic_degree,
-    divisor_sums,
-    from_divisor_sums,
     key_coeff,
     key_coeff_bruteforce,
     key_coeff_fold,
     key_coeff_mobius,
     key_element,
-    key_marks,
     ring_encode,
-    window_marks,
 )
 from brc.degree import o2_lattice, recurrence_mul
+from brc.marks import MarkAction, divisor_sums, from_divisor_sums, key_marks, window_marks
 from strategies import elements, key_sets, unit_multipliers
 
 
@@ -712,7 +709,7 @@ def test_key_coeff_mobius_refuses_above_its_bound_before_any_work(monkeypatch):
 
 def test_key_coeff_mobius_shares_no_code_with_the_other_sides(monkeypatch):
     # The Mobius side must not reach the ring product, the fold, the
-    # subset enumeration or the cipher's mark code.
+    # subset enumeration or the cipher's mark code, its prime table included.
     sets = [KeySet([4, 6, 9, 10, 15, 35]), KeySet([2, 3, 5, 7, 11, 13, 30, 60])]
     want = {s: [key_element(s).dihedral_coeff(n) for n in range(1, s.max_index + 3)] for s in sets}
 
@@ -720,8 +717,14 @@ def test_key_coeff_mobius_shares_no_code_with_the_other_sides(monkeypatch):
         raise AssertionError("shared code called")
 
     monkeypatch.setattr(BurnsideElement, "__mul__", refuse)
-    for name in ("key_element", "_key_fold", "_signed_subset_count", "key_marks", "_divisors_upto"):
+    for name in ("key_element", "_key_fold", "_signed_subset_count"):
         monkeypatch.setattr(burnside, name, refuse)
+    functions = [name for name, value in vars(marks).items() if isfunction(value) and value.__module__ == marks.__name__]
+    assert {"_sieve", "_prime_table", "_divisors_upto", "key_marks", "_mobius_column"} <= set(functions)
+    for name in functions:
+        monkeypatch.setattr(marks, name, refuse)
+    for name in ("__init__", "__call__"):
+        monkeypatch.setattr(marks.MarkAction, name, refuse)
     for s, coeffs in want.items():
         assert [key_coeff_mobius(s, n) for n in range(1, s.max_index + 3)] == coeffs
 
