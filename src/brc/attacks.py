@@ -11,12 +11,12 @@ indistinguishable on any such window (so passive data never identifies
 the key set); and runs the one-query chosen-plaintext experiment that
 distinguishes any two candidate key sets with certainty, alone or over
 every pair of a bounded key space.  What a passive attack learns is one
-WindowMarks, the key's marks on W_L with 0 at an x left open:
-known_plaintext_solver returns it, also from a partial solve, and
-run_kpa_demo and run_ambiguity_demo report it.  Those demonstrations
+WindowMarks, the map of the key's non-unit marks on W_L with 0 at an x
+left open: known_plaintext_solver returns it, also from a partial solve,
+and run_kpa_demo and run_ambiguity_demo report it.  Those demonstrations
 work on window vectors and key marks (from `brc.marks`) and never build
-a key element; a WindowMarks builds the operator matrix only when asked,
-as a report does up to MAX_PRINTED_WINDOW.  Each demonstration's result
+a key element; a WindowMarks builds dense marks and the operator matrix
+only when asked, as a report does up to MAX_PRINTED_WINDOW.  Each demonstration's result
 (CpaGame, CpaSweepResult, AmbiguityResult, KpaDemoResult, which holds
 the AmbiguityResult it ran) renders its own `report()` and carries its
 `ok` verdict.  A CpaGame pairs the attacker's CpaResult with the
@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import combinations, count as count_from, islice, permutations
 from math import gcd, isqrt
 from operator import ne
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .burnside import BurnsideElement, KeySet, _check_dihedral_index, _key_fold, as_key_set, key_coeff_fold
 from .limits import check_drawn_values, check_range, check_subset_cap, check_sweep_size
@@ -123,32 +123,33 @@ def operator_matrix(key: BurnsideElement, window: int) -> OperatorMatrix:
 
 
 # The demonstrations work on marks and window vectors: run_ambiguity_demo
-# holds O(L) values and run_kpa_demo O(n_pairs * L), and both accept any
-# window up to limits.MAX_LENGTH.  Their reports print the dense window x
-# window operator matrix up to this window; above it they list the x with
-# eps_x = -1 instead, and no matrix is built.
+# holds non-unit marks and run_kpa_demo O(n_pairs * L) values, and both
+# accept any window up to limits.MAX_LENGTH.  Their reports print the dense
+# window x window operator matrix up to this window; above it they list the
+# x with eps_x = -1 instead, and no matrix is built.
 MAX_PRINTED_WINDOW = 1000
 
 
 @dataclass(frozen=True)
 class WindowMarks:
-    """The key's marks eps_1..eps_L on W_L, with 0 at an x left open.
+    """The key's marks on W_L as the map {x: eps_x} of those not 1, with 0 at an x left open.
 
     On W_L the key acts as M = Z^-1 * diag(eps) * Z, so the marks are all
-    an attack learns of it; `operator()` builds M from them.
+    an attack learns of it; `operator()` builds the dense eps and M.
     """
 
-    eps: tuple[int, ...]
+    window: int
+    marks: Mapping[int, int]
 
     def operator(self) -> OperatorMatrix:
-        return _operator_from_marks(self.eps)
+        return _operator_from_marks([self.marks.get(x, 1) for x in range(1, self.window + 1)])
 
     def lines(self, head: str) -> list[str]:
         """Report lines under `head`, whose {} names what follows: the operator
         matrix up to MAX_PRINTED_WINDOW, above it the x with eps_x = -1, if any."""
-        if len(self.eps) <= MAX_PRINTED_WINDOW:
+        if self.window <= MAX_PRINTED_WINDOW:
             return [head.format("matrix") + ":", _indent(self.operator().render())]
-        minus = ", ".join(f"D{x}" for x, eps in enumerate(self.eps, 1) if eps == -1)
+        minus = ", ".join(f"D{x}" for x in sorted(self.marks) if self.marks[x] == -1)
         marks = f"-1 at {minus}; +1 elsewhere" if minus else "+1 everywhere"
         return [f"{head.format('marks')}: {marks} (no matrix above W_{MAX_PRINTED_WINDOW})"]
 
@@ -465,16 +466,14 @@ def known_plaintext_solver(
     equal, element by element, its plaintext's image under a MarkAction
     of the marks read so far, built again only after a pair reads a
     mark.  So the first pair costs O(L log L) and builds no action; a
-    later one costs L/x per open x, plus
-    O(L + sum_{x in N} (L/x + 2**omega(x))) per vector, N the x whose
-    mark is not 1.  The result's `matrix` view costs O(L^2 log L) on
-    first access.
+    later one costs L/x per open x plus O(L + sum_{x in N} (L/x +
+    2**omega(x))) per vector, N the x of a mark other than 1.  The
+    result's `matrix` view costs O(L^2 log L) on first access.
     """
     _check_solver_input(pairs, window)
-    # 1 holds the place of a mark still open, where every pair so far has
-    # F_x = G_x = 0, so a pair equals its image exactly when G = eps * F
-    # at every x.
-    marks = [1] * window
+    # The marks read that are not 1; an open x, where every pair so far has
+    # F_x = G_x = 0, has mark 1, so a pair equals its image exactly when G = eps * F.
+    marks: dict[int, int] = {}
     # The x still open, 0-based and ascending.
     open_x: Sequence[int] = range(window)
     action = None
@@ -484,7 +483,8 @@ def known_plaintext_solver(
         for x in open_x:
             f, g = (sum(p[x :: x + 1]), sum(c[x :: x + 1])) if x < half else (p[x], c[x])
             if f and not g % f:
-                marks[x] = g // f
+                if g != f:
+                    marks[x + 1] = g // f
             elif f or g:
                 raise _first_inconsistency(marks, open_x, p, c)
             else:
@@ -492,22 +492,22 @@ def known_plaintext_solver(
         # With every x open before the pair, the walk above checked them all.
         if len(open_x) < window:
             if action is None or len(still_open) < len(open_x):
-                action = MarkAction(marks)
+                action = MarkAction(marks, window)
             if any(map(ne, action(p), c)):
                 raise _first_inconsistency(marks, open_x, p, c)
         open_x = still_open
     for x in open_x:
-        marks[x] = 0
+        marks[x + 1] = 0
     return KpaResult(
         window=window,
         pairs_used=len(pairs),
         undetermined=tuple(x + 1 for x in open_x),
-        marks=WindowMarks(tuple(marks)),
+        marks=WindowMarks(window, marks),
     )
 
 
 def _first_inconsistency(
-    marks: Sequence[int], open_x: Iterable[int], p: Sequence[int], c: Sequence[int]
+    marks: Mapping[int, int], open_x: Iterable[int], p: Sequence[int], c: Sequence[int]
 ) -> InconsistentPairsError:
     # The error of a pair that failed the check, found by walking x upwards
     # with the same direct sums: a mark open before the pair (`open_x`,
@@ -515,7 +515,7 @@ def _first_inconsistency(
     # x must keep G_x = eps_x * F_x with the marks read before the pair.
     opens = iter(open_x)
     next_open = next(opens, None)
-    for x, eps in enumerate(marks):
+    for x in range(len(p)):
         f = sum(p[x :: x + 1])
         g = sum(c[x :: x + 1])
         is_open = x == next_open
@@ -527,7 +527,7 @@ def _first_inconsistency(
                     f"mark at D{x + 1} is {g}/{f}, not an integer; pairs are "
                     "not generated by an integer operator"
                 )
-        elif g != eps * f:
+        elif g != marks.get(x + 1, 1) * f:
             return InconsistentPairsError(
                 f"pairs break G_x = eps_x * F_x at D{x + 1}; no single "
                 "ring element generates them"
@@ -621,7 +621,7 @@ class AmbiguityResult:
         return all(self.matrices_equal) and all(self.elements_differ)
 
     def report(self) -> str:
-        lines = [f"Key ambiguity on the window W_{len(self.marks.eps)}", f"base key set   : {self.base}"]
+        lines = [f"Key ambiguity on the window W_{self.marks.window}", f"base key set   : {self.base}"]
         for (q, twin), m_eq, e_diff in zip(self.twins, self.matrices_equal, self.elements_differ):
             lines.append(
                 f"twin q={q:<6}: {twin}  matrix equal: {'yes' if m_eq else 'NO'}  "
@@ -650,12 +650,12 @@ def run_ambiguity_demo(
     s = as_key_set(s)
     check_range("window", window)
     twins = tuple((t[0] // s[0], t) for t in ambiguous_family(s, window, count))
-    marks = WindowMarks(tuple(key_marks(s, window)))
+    marks = key_marks(s, window)
     return AmbiguityResult(
         base=s,
-        marks=marks,
+        marks=WindowMarks(window, marks),
         twins=twins,
-        matrices_equal=tuple(tuple(key_marks(t, window)) == marks.eps for _, t in twins),
+        matrices_equal=tuple(key_marks(t, window) == marks for _, t in twins),
         elements_differ=tuple(t != s for _, t in twins),
     )
 
@@ -745,21 +745,20 @@ def run_kpa_demo(
     produce the very same matrix, so the key set remains open.  Each
     plaintext holds `window` values of `random.Random(seed).randint(0, 127)`
     (a plaintext of zeros becomes D(1)), and each ciphertext vector is
-    the mark product of its plaintext vector with the key's window
+    the mark product of its plaintext vector with the key's non-unit
     marks, by one MarkAction built for all of them; no key element is
     built.  The recovered marks are compared with the key's, which is
-    exact because Z is invertible, and no operator matrix is built
-    here.  The window and the pairs are checked against limits.RANGES
-    and limits.check_drawn_values before any work.
-    Memory stays O(n_pairs * window); the README's Limits table gives
-    the cost at the cap.
+    exact because Z is invertible, and no operator matrix is built here.
+    The window and the pairs are checked against limits.RANGES and
+    limits.check_drawn_values before any work.  Memory stays
+    O(n_pairs * window); the README's Limits table gives the cost at the cap.
     """
     key_set = as_key_set(key_set)
     check_range("window", window)
     check_drawn_values(n_pairs, window)
     ambiguity = run_ambiguity_demo(key_set, window, 3)
     drawn = _draw_plaintext_values(random.Random(seed), n_pairs * window)
-    action = MarkAction(ambiguity.marks.eps)
+    action = MarkAction(ambiguity.marks.marks, window)
     pairs = []
     for start in range(0, n_pairs * window, window):
         values = list(drawn[start : start + window])

@@ -11,9 +11,9 @@ The key is its index set S (a `KeySet`).  `encrypt` and `decrypt`
 apply the key in mark coordinates, by a `marks.MarkAction` of the
 key's marks read straight off S by its primes (`marks.key_marks`), so
 the key element, which can have 2**|S| terms, is never built.  Those
-marks are all +-1, and +1 at every x that divides no key index, so the
-product costs O(L + sum_{x: eps_x=-1} (L/x + 2**omega(x))) once the
-marks are read.  The general ring product `BurnsideElement.__mul__` is
+marks are +1 at every x that divides no key index, so they pass as the
+map {x: -1} of the others, applied in O(L + sum_{x in it} (L/x +
+2**omega(x))).  The general ring product `BurnsideElement.__mul__` is
 the reference the tests compare against.
 
 The dense window vector is the cipher's one representation: a
@@ -182,12 +182,12 @@ def decode_text(values: Sequence[int]) -> bytes:
 def encrypt(data: bytes | str, key_set: KeySet) -> Ciphertext:
     """encode_text(data) times the key element of key_set, computed from the key's marks."""
     values = encode_text(data)
-    return Ciphertext(MarkAction(key_marks(key_set, len(values)))(values))
+    return Ciphertext(MarkAction(key_marks(key_set, len(values)), len(values))(values))
 
 
 def decrypt(ciphertext: Ciphertext, key_set: KeySet) -> bytes:
     """The same product on the ciphertext vector, then decode_text: the key is its own inverse."""
-    action = MarkAction(key_marks(key_set, ciphertext.length))
+    action = MarkAction(key_marks(key_set, ciphertext.length), ciphertext.length)
     return decode_text(action(ciphertext.values))
 
 

@@ -1,19 +1,19 @@
 """Marks on the divisor lattice of the window W_L, where the ring product is pointwise.
 
-`key_marks` reads a key set's marks off its indices and `MarkAction`
-applies marks through the Mobius columns of the non-unit ones.  Both
-factor by one prime table per process, rebuilt only for a larger bound
-up to limits.MAX_LENGTH; marks on W_L take it up to L, so their
-MarkAction builds none."""
+Marks on W_L travel as the map {x: eps_x} of those not 1: `key_marks`
+reads a key set's off its indices and `MarkAction` applies such a map
+through Mobius columns.  Both factor by one prime table per process,
+rebuilt only for a larger bound up to limits.MAX_LENGTH; marks on W_L
+take it up to L, so their MarkAction builds none."""
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import compress, count, islice, repeat
+from itertools import compress, count
 from math import isqrt
-from operator import ne, not_
-from typing import Iterable, Sequence
+from operator import not_
+from typing import Iterable, Mapping, Sequence
 
 from .burnside import BurnsideElement, KeySet, as_key_set
 from .limits import MAX_LENGTH
@@ -96,18 +96,16 @@ def window_marks(k: BurnsideElement, length: int) -> list[int]:
     return marks
 
 
-def key_marks(s: KeySet | Iterable[int], length: int) -> list[int]:
-    """window_marks(key_element(s), length) without building the key element.
+def key_marks(s: KeySet | Iterable[int], length: int) -> dict[int, int]:
+    """The non-unit marks of key_element(s) on W_length, {x: -1}, x ascending.
 
     O2 - D(i) has mark -1 at the divisors of i and +1 elsewhere, and marks
     are multiplicative, so eps_x = (-1)**#{i in s : x | i}.
     """
-    _prime_table(length)  # a window above MAX_LENGTH is refused before the marks exist
-    marks = [1] * length
+    odd: set[int] = set()
     for i in as_key_set(s):
-        for d in _divisors_upto(i, length):
-            marks[d - 1] = -marks[d - 1]
-    return marks
+        odd.symmetric_difference_update(_divisors_upto(i, length))
+    return dict.fromkeys(sorted(odd), -1)
 
 
 def _mobius_column(x: int, factor: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -123,24 +121,26 @@ def _mobius_column(x: int, factor: Sequence[int]) -> tuple[tuple[int, ...], tupl
 
 
 class MarkAction:
-    """The map p -> p * k on D(1)..D(L), built once from marks[x-1] = phi_x(k).
+    """The map p -> p * k on D(1)..D(L), built once from the non-unit marks {x: phi_x(k)} of k on W_L.
 
     Marks are multiplicative and stay on the window, so with F =
     divisor_sums(p), p*k = Z^-1(m*F) = p + sum_{x in N} (m_x - 1) * F_x *
     Z^-1 e_x over the N of x with m_x != 1, each column Z^-1 e_x being
     sum_{q | x, q squarefree} mu(q) * e_{x/q} (Rota 1964), kept with the
-    weight m_x - 1 of each x in N, which a C-level scan finds and the
-    prime table factors.  A call returns a new list in
+    weight m_x - 1 of each x in N, which the prime table factors; an x
+    keyed outside 1..L is a ValueError.  A call returns a new list in
     O(L + sum_{x in N} (L/x + 2**omega(x))).  A key's N holds only
     divisors of its indices; marks not 1 at nearly every x hold about
     6/pi**2 * L * ln(L) terms, more than Z^-1 takes.
     """
 
-    def __init__(self, marks: Sequence[int]) -> None:
-        self.window = len(marks)
-        nonunit = list(islice(compress(count(1), map(ne, marks, repeat(1))), self.window - marks.count(1)))
-        factor = _prime_table(nonunit[-1] if nonunit else 1)[0]
-        self._columns = [(x, marks[x - 1] - 1, *_mobius_column(x, factor)) for x in nonunit]
+    def __init__(self, marks: Mapping[int, int], window: int) -> None:
+        if outside := [x for x in marks if not 1 <= x <= window]:
+            raise ValueError(f"mark at D{outside[0]} outside the window W_{window}")
+        self.window = window
+        weights = {x: m - 1 for x, m in marks.items() if m != 1}
+        factor = _prime_table(max(weights, default=1))[0]
+        self._columns = [(x, weight, *_mobius_column(x, factor)) for x, weight in weights.items()]
 
     def __call__(self, values: Sequence[int]) -> list[int]:
         if len(values) != self.window:

@@ -40,7 +40,7 @@ from brc.burnside import (
 )
 from brc import attacks, burnside, cipher, limits
 from brc.cipher import ring_decode, ring_encode
-from brc.marks import MarkAction, divisor_sums, key_marks
+from brc.marks import MarkAction, _sieve, divisor_sums, key_marks, window_marks
 from strategies import elements, key_sets, unit_multipliers
 
 from math import gcd, lcm, prod
@@ -489,13 +489,14 @@ def test_one_ciphertext_gives_up_its_plaintext_without_the_key(indices):
     # The text codec's values are >= 0, so every plaintext divisor sum
     # F_x is >= 0, and the ciphertext's are G_x = eps_x * F_x.  So
     # sign(G_x) is the key's mark wherever G_x != 0, and where G_x = 0 so
-    # is F_x, whatever the mark: the mark product by the signs of G is
-    # the plaintext.
+    # is F_x, whatever the mark: the mark product by -1 where G_x < 0 and
+    # 1 elsewhere is the plaintext.
     ct = cipher.encrypt(_MESSAGE, KeySet(indices))
     assert list(ct.values) != list(_MESSAGE)
-    signs = [(g > 0) - (g < 0) for g in divisor_sums(ct.values)]
-    assert 0 in signs
-    assert cipher.decode_text(MarkAction(signs)(ct.values)) == _MESSAGE
+    sums = divisor_sums(ct.values)
+    assert 0 in sums
+    minus = {x: -1 for x, g in enumerate(sums, 1) if g < 0}
+    assert cipher.decode_text(MarkAction(minus, ct.length)(ct.values)) == _MESSAGE
 
 
 # --------------------------------------------------------- known plaintexts
@@ -619,13 +620,25 @@ def test_mark_solver_at_least_as_strong_as_generic(s, window, extra_pairs, seed)
     assert marks.rank >= generic.rank
     assert len(marks.undetermined) == window - marks.rank
     assert len(generic.undetermined) == window - generic.rank
-    # A partial solve keeps every mark it read, with 0 at each open x.
-    assert marks.marks == WindowMarks(tuple(0 if x in marks.undetermined else eps for x, eps in enumerate(key_marks(s, window), 1)))
+    # A partial solve keeps every mark it read, with 0 at each open x; a
+    # full one holds the key's marks exactly, as run_kpa_demo compares them.
+    assert marks.marks == WindowMarks(window, _with_open(key_marks(s, window), marks.undetermined))
     expected = operator_matrix(key, window)
     if marks.determined:
+        assert marks.marks == WindowMarks(window, key_marks(s, window))
         assert marks.matrix == expected
     if generic.determined:
         assert generic.matrix == expected
+
+
+def _with_open(marks, open_x):
+    # The non-unit marks a partial solve keeps: `marks` off the open x, 0 at each of them.
+    return {x: eps for x, eps in marks.items() if x not in open_x} | dict.fromkeys(open_x, 0)
+
+
+def _walked_marks(expected):
+    # The map a solve returns for the walk's marks, None where a mark stays open.
+    return {x: 0 if eps is None else eps for x, eps in enumerate(expected, 1) if eps != 1}
 
 
 def _walked_mark_solver(pairs, window):
@@ -658,7 +671,7 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
     pairs = []
     for values, at, delta in draws:
         p = values[:window]
-        c = MarkAction(marks)(p)
+        c = MarkAction(marks, window)(p)
         c[at % window] += delta
         pairs.append((p, c))
     expected = _walked_mark_solver(pairs, window)
@@ -671,7 +684,7 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
             continue
         result = known_plaintext_solver(vectors, window)
         assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
-        assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
+        assert result.marks == WindowMarks(window, _walked_marks(expected))
 
 
 # A first pair of nonzero values but at `holes` above L/2 reads every mark
@@ -698,11 +711,11 @@ def test_mark_solver_errors_follow_the_walk_in_x(s, window, draws):
 # whose corrupted entry also breaks D1, known since the first: D1 is named.
 @example(16, [1] * 12 + [2] + [1] * 3, [1] * 16, {12}, [[1] * 12 + [0] + [1] * 3, [1] * 12 + [3] + [1] * 3], (1, 12, 1))
 def test_mark_solver_errors_on_later_pairs_follow_the_walk_in_x(window, marks, first, holes, later, corruption):
-    marks = marks[:window]
+    action = MarkAction(dict(enumerate(marks[:window], 1)), window)
     p1 = [0 if x in holes and x >= window // 2 else v for x, v in enumerate(first[:window])]
-    pairs = [(p1, MarkAction(marks)(p1))]
+    pairs = [(p1, action(p1))]
     for values in later:
-        pairs.append((values[:window], MarkAction(marks)(values[:window])))
+        pairs.append((values[:window], action(values[:window])))
     which, at, delta = corruption
     pairs[1 + which % len(later)][1][at % window] += delta
     expected = _walked_mark_solver(pairs, window)
@@ -713,7 +726,7 @@ def test_mark_solver_errors_on_later_pairs_follow_the_walk_in_x(window, marks, f
         return
     result = known_plaintext_solver(pairs, window)
     assert result.undetermined == tuple(x + 1 for x, eps in enumerate(expected) if eps is None)
-    assert result.marks == WindowMarks(tuple(0 if eps is None else eps for eps in expected))
+    assert result.marks == WindowMarks(window, _walked_marks(expected))
 
 
 def test_solves_build_no_divisor_sums(monkeypatch):
@@ -736,8 +749,8 @@ def test_solves_build_no_divisor_sums(monkeypatch):
     pairs = []
     for _ in range(40):
         p = [rng.randint(1, 127) for _ in range(40)]
-        pairs.append((p, MarkAction(marks)(p)))
-    assert known_plaintext_solver(pairs, 40).marks == WindowMarks(tuple(marks))
+        pairs.append((p, MarkAction(marks, 40)(p)))
+    assert known_plaintext_solver(pairs, 40).marks == WindowMarks(40, marks)
     # A first pair reads the mark 1 at D1 and breaks at D2, where F is 0.
     with pytest.raises(InconsistentPairsError) as info:
         known_plaintext_solver([([1, 0, 0, 0], [1, 0, 0, 1])], 4)
@@ -751,6 +764,27 @@ def test_solves_build_no_divisor_sums(monkeypatch):
     assert str(info.value) == "pairs break G_x = eps_x * F_x at D5; no single ring element generates them"
 
 
+def test_later_pair_error_reads_a_mark_not_stored_as_1():
+    # The solver stores no mark of 1, so the walk that names a failing later
+    # pair must read a missing x as 1.  {2, 3} has mark 1 at D1, and moving
+    # one unit of c from D6 to D5 keeps G_1 and breaks D2 first.
+    action = MarkAction(key_marks([2, 3], 6), 6)
+    p1, p2 = [1] * 6, [1, 2, 0, 1, 3, 1]
+    c2 = action(p2)
+    c2[4] += 1
+    c2[5] -= 1
+    with pytest.raises(InconsistentPairsError) as info:
+        known_plaintext_solver([(p1, action(p1)), (p2, c2)], 6)
+    assert str(info.value) == "pairs break G_x = eps_x * F_x at D2; no single ring element generates them"
+
+
+def test_window_marks_line_names_minus_marks_in_ascending_x():
+    # A later pair can read a -1 mark below those read before it, and an
+    # open x holds 0: the marks line names the -1 marks ascending.
+    marks = WindowMarks(attacks.MAX_PRINTED_WINDOW + 1, {30: -1, 7: 0, 2: -1})
+    assert marks.lines("recovered {}") == ["recovered marks: -1 at D2, D30; +1 elsewhere (no matrix above W_1000)"]
+
+
 def test_solver_peak_memory_stays_below_one_ciphertext():
     # The solver holds its marks, one slice of a pair and, from the second
     # pair on, one image under its action: less than the ciphertext list
@@ -758,7 +792,7 @@ def test_solver_peak_memory_stays_below_one_ciphertext():
     window = 1 << 16
     key = KeySet([2, 3, 7, 12, 30])
     marks = key_marks(key, window)
-    action = MarkAction(marks)
+    action = MarkAction(marks, window)
     rng = random.Random(7)
     pairs = []
     for _ in range(3):
@@ -774,8 +808,7 @@ def test_solver_peak_memory_stays_below_one_ciphertext():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        open_x = set(result.undetermined)
-        assert result.marks == WindowMarks(tuple(0 if x in open_x else eps for x, eps in enumerate(marks, 1)))
+        assert result.marks == WindowMarks(window, _with_open(marks, result.undetermined))
         assert peak < vector, (n_pairs, peak, vector)
     assert result.determined
 
@@ -783,7 +816,7 @@ def test_solver_peak_memory_stays_below_one_ciphertext():
 def test_actions_are_built_once_per_demo_and_per_pair_that_reads_a_mark(monkeypatch):
     builds = []
     build = attacks.MarkAction
-    monkeypatch.setattr(attacks, "MarkAction", lambda marks: builds.append(len(marks)) or build(marks))
+    monkeypatch.setattr(attacks, "MarkAction", lambda marks, window: builds.append(window) or build(marks, window))
     solved_after = []
     solve = attacks.known_plaintext_solver
     monkeypatch.setattr(attacks, "known_plaintext_solver", lambda pairs, w: solved_after.append(len(builds)) or solve(pairs, w))
@@ -803,7 +836,7 @@ def test_actions_are_built_once_per_demo_and_per_pair_that_reads_a_mark(monkeypa
         pairs = []
         for _ in range(60):
             p = [0 if rng.random() < zeros else rng.randint(1, 127) for _ in range(60)]
-            pairs.append((p, MarkAction(marks)(p)))
+            pairs.append((p, MarkAction(marks, 60)(p)))
         open_x = set(range(60))
         reads = []
         for p, _ in pairs:
@@ -812,7 +845,7 @@ def test_actions_are_built_once_per_demo_and_per_pair_that_reads_a_mark(monkeypa
             open_x = {x for x in open_x if not f_sums[x]}
         builds.clear()
         result = known_plaintext_solver(pairs, 60)
-        assert result.determined and result.marks == WindowMarks(tuple(marks))
+        assert result.determined and result.marks == WindowMarks(60, marks)
         assert len(builds) == 1 + sum(reads[2:])
     assert sum(reads[2:]) > 1
 
@@ -824,11 +857,11 @@ def test_solver_returns_marks_and_builds_matrix_on_access(monkeypatch):
     build = attacks._operator_from_marks
     monkeypatch.setattr(attacks, "_operator_from_marks", lambda marks: built.append(marks) or build(marks))
     result = known_plaintext_solver(_probe_pairs(key, 6), 6)
-    assert result.marks == WindowMarks(tuple(key_marks([2, 5], 6)))
+    assert result.marks == WindowMarks(6, key_marks([2, 5], 6))
     assert built == []
     assert result.matrix == expected
     assert result.matrix is result.matrix
-    assert built == [result.marks.eps]
+    assert built == [window_marks(key, 6)]
     assert generic_plaintext_solver(_probe_pairs(key, 6), 6).marks is None
 
 
@@ -836,9 +869,8 @@ def test_partial_solve_keeps_the_marks_it_read():
     # The one --seed 6 pair on W_8 has divisor sum 0 at D5 only: every
     # other mark of {2, 3} is read, and D5's stays 0.
     result = run_kpa_demo(KeySet([2, 3]), window=8, n_pairs=1, seed=6).solver
-    expected = key_marks([2, 3], 8)
     assert result.undetermined == (5,)
-    assert result.marks == WindowMarks(tuple(0 if x == 5 else eps for x, eps in enumerate(expected, 1)))
+    assert result.marks == WindowMarks(8, _with_open(key_marks([2, 3], 8), [5]))
 
 
 
@@ -864,6 +896,23 @@ def test_run_ambiguity_demo_compares_twins_by_marks(monkeypatch):
     assert result.elements_differ == (True, True)
     assert not result.ok
     assert operator_matrix(key_element([2, 3, 5]), 5) != result.marks.operator()
+
+
+def test_run_ambiguity_demo_peak_memory_stays_below_one_dense_list_of_marks(monkeypatch):
+    # The key and each of its 100 twins are held as their non-unit marks,
+    # so the traced peak stays below the 8*L bytes of one list of L marks.
+    # The prime table for the window is built before tracing.
+    window = 1 << 16
+    monkeypatch.setattr("brc.marks._table", _sieve(window))
+    tracemalloc.start()
+    try:
+        result = run_ambiguity_demo([2, 3], window, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok and len(result.twins) == 100
+    assert result.marks == WindowMarks(window, {2: -1, 3: -1})
+    assert peak < 8 * window, peak
 
 
 @given(key_sets(max_size=4, max_index=30), st.lists(key_sets(max_size=4, max_index=30), max_size=4), st.integers(1, 12))
@@ -960,7 +1009,7 @@ def test_run_kpa_demo_large_window_stays_linear(monkeypatch):
         tracemalloc.stop()
     assert result.ok and result.matches_true_operator
     assert result.solver.rank == window
-    assert result.solver.marks == WindowMarks(tuple(key_marks([2, 3, 7, 12, 30], window)))
+    assert result.solver.marks == WindowMarks(window, key_marks([2, 3, 7, 12, 30], window))
     assert peak < 24 << 20, peak
 
 

@@ -823,11 +823,16 @@ def _window_vector(a, length):
     return [a.coeff(D(n)) for n in range(1, length + 1)]
 
 
+def _action(k, length):
+    # The MarkAction of k on W_length, from the non-unit ones of its dense marks.
+    return MarkAction({x: m for x, m in enumerate(window_marks(k, length), 1) if m != 1}, length)
+
+
 def test_window_product_examples():
     # (3*D1 + D2) * (O2 - D2) = -3*D1 - D2, and SO2 annihilates the window.
-    assert MarkAction(window_marks(key_element([2]), 2))([3, 1]) == [-3, -1]
-    assert MarkAction(window_marks(elem(SO2=5), 2))([3, 1]) == [0, 0]
-    assert MarkAction(window_marks(elem(O2=2, D6=1), 3))([0, 0, 7]) == [0, 0, 28]
+    assert _action(key_element([2]), 2)([3, 1]) == [-3, -1]
+    assert _action(elem(SO2=5), 2)([3, 1]) == [0, 0]
+    assert _action(elem(O2=2, D6=1), 3)([0, 0, 7]) == [0, 0, 28]
 
 
 @given(
@@ -837,7 +842,7 @@ def test_window_product_examples():
 def test_window_product_equals_ring_product(values, k):
     # The mark product is exact for every multiplier, not only for keys.
     p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
-    assert MarkAction(window_marks(k, len(values)))(values) == _window_vector(p * k, len(values))
+    assert _action(k, len(values))(values) == _window_vector(p * k, len(values))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 100])
@@ -863,9 +868,14 @@ def test_window_marks_equal_mark_definition(k, length):
 
 @given(key_sets(max_size=8, max_index=1000), st.integers(0, 60))
 def test_key_marks_equal_marks_of_key_element(s, length):
+    # Indices up to 1000 on windows up to 60: most lie above the window.
     direct = [(-1) ** sum(1 for i in s if i % x == 0) for x in range(1, length + 1)]
-    assert key_marks(s, length) == direct
     assert window_marks(key_element(s), length) == direct
+    sparse = key_marks(s, length)
+    # Exactly the -1 set, ascending, and no mark of 1 stored.
+    assert sparse == {x: -1 for x, eps in enumerate(direct, 1) if eps == -1}
+    assert list(sparse) == sorted(sparse)
+    assert 1 not in sparse.values()
 
 
 def test_key_marks_of_huge_indices():
@@ -877,12 +887,12 @@ def test_key_marks_of_huge_indices():
         total *= q
     s = KeySet(total // q for q in primes)
     # 2, 3 and 5 divide all but one index (17 of 18: odd), 4 divides none.
-    assert key_marks(s, 6) == [1, -1, -1, 1, -1, 1]
+    assert key_marks(s, 6) == {2: -1, 3: -1, 5: -1}
 
 
 @st.composite
 def mark_action_cases(draw):
-    """(values, marks) on one window: values a list or a tuple, marks of four shapes."""
+    """(values, marks) on one window: values a list or a tuple, marks a map {x: eps_x} of four shapes."""
     length = draw(st.integers(1, 200))
     values = draw(st.lists(st.integers(-1000, 1000), min_size=length, max_size=length))
     if draw(st.booleans()):
@@ -890,28 +900,27 @@ def mark_action_cases(draw):
     shape = draw(st.sampled_from(["key", "signs", "ones", "integers"]))
     if shape == "key":
         index = st.one_of(st.integers(1, length), st.integers(1, 10**6))
-        marks = key_marks(KeySet(draw(st.sets(index, min_size=1, max_size=10))), length)
-    elif shape == "signs":
+        return values, key_marks(KeySet(draw(st.sets(index, min_size=1, max_size=10))), length)
+    if shape == "signs":
         # +-1 marks ending in a run of 1s of any length, up to the whole window.
         top = draw(st.integers(0, length))
-        marks = draw(st.lists(st.sampled_from([1, -1]), min_size=top, max_size=top)) + [1] * (length - top)
+        eps = draw(st.lists(st.sampled_from([1, -1]), min_size=top, max_size=top)) + [1] * (length - top)
     elif shape == "ones":
-        marks = [1] * length
+        eps = [1] * length
     else:
-        marks = draw(st.lists(st.integers(-(10**6), 10**6), min_size=length, max_size=length))
-    if draw(st.booleans()):
-        # As AmbiguityResult.base_marks passes them.
-        marks = tuple(marks)
-    return values, marks
+        eps = draw(st.lists(st.integers(-(10**6), 10**6), min_size=length, max_size=length))
+    # Marks of 1 may be stored or left out: either way their x has mark 1.
+    keep_ones = draw(st.booleans())
+    return values, {x: m for x, m in enumerate(eps, 1) if keep_ones or m != 1}
 
 
 def _lone_mark(x, length, mark=-1):
     # Values 1..length, so F_x != 0, and one non-unit mark, at x.
-    return list(range(1, length + 1)), [mark if n == x else 1 for n in range(1, length + 1)]
+    return list(range(1, length + 1)), {x: mark}
 
 
 @given(mark_action_cases())
-@example(([7], [-1]))  # L = 1
+@example(([7], {1: -1}))  # L = 1
 @example(_lone_mark(1, 5))  # x = 1: the column is e_1 alone
 # Squareful x: the quotients by q with mu(q) = 0 are dropped.
 @example(_lone_mark(4, 12))
@@ -920,19 +929,20 @@ def _lone_mark(x, length, mark=-1):
 @example(_lone_mark(12, 24, 3))
 @example(_lone_mark(30, 60))  # 8-term column
 @example(_lone_mark(210, 210, 0))  # 16-term column, at x = L
-@example(((3, -4, 5), [1, 1, 1]))  # no column: the product is p itself
-@example(([1, -2, 3, -4, 5, -6], [1, -1, 1, 1, 1, -1]))  # columns up to x = L
-@example(([3, -4, 5], (1, 1, 1)))  # tuple marks, all 1: a new list equal to p
-@example(([5, -3, 2, 9], (1, 1, 1, -1)))  # the only non-unit mark at x = L
-@example(([4, 0, -7, 2, 6, -1, 3], [1, 1, 1, 1, -1, 1, -1]))  # non-unit marks only above L/2
+@example(((3, -4, 5), {}))  # no column: the product is p itself
+@example(([1, -2, 3, -4, 5, -6], {2: -1, 6: -1}))  # columns up to x = L
+@example(([3, -4, 5], {1: 1, 2: 1, 3: 1}))  # marks of 1 stored: a new list equal to p
+@example(([5, -3, 2, 9], {4: -1}))  # the only non-unit mark at x = L
+@example(([4, 0, -7, 2, 6, -1, 3], {7: -1, 5: -1}))  # non-unit marks only above L/2, x descending
 def test_mark_action_equals_dense_reference(case):
     values, marks = case
-    before = (list(values), list(marks))
-    dense = from_divisor_sums([m * f for m, f in zip(marks, divisor_sums(values))])
-    out = MarkAction(marks)(values)
+    before = (list(values), dict(marks))
+    eps = [marks.get(x, 1) for x in range(1, len(values) + 1)]
+    dense = from_divisor_sums([m * f for m, f in zip(eps, divisor_sums(values))])
+    out = MarkAction(marks, len(values))(values)
     assert out == dense
     assert type(out) is list and out is not values
-    assert (list(values), list(marks)) == before
+    assert (list(values), dict(marks)) == before
 
 
 @pytest.mark.parametrize(
@@ -946,9 +956,23 @@ def test_mark_action_equals_dense_reference(case):
 def test_mark_action_takes_marks_of_a_general_element(k):
     values = [(-1) ** n * n for n in range(1, 11)]
     p = BurnsideElement({D(n): v for n, v in enumerate(values, start=1)})
-    assert MarkAction(tuple(window_marks(k, 10)))(values) == _window_vector(p * k, 10)
+    assert _action(k, 10)(values) == _window_vector(p * k, 10)
 
 
 def test_mark_action_rejects_length_mismatch():
     with pytest.raises(ValueError, match="marks"):
-        MarkAction([1, -1])([1, 2, 3])
+        MarkAction({2: -1}, 2)([1, 2, 3])
+
+
+@pytest.mark.parametrize("mapping", [{0: -1}, {6: -1}, {-2: 3}, {2: -1, 10**40: -1}, {2: -1, 6: 1}])
+def test_mark_action_rejects_a_mark_outside_the_window(monkeypatch, mapping):
+    # A map can key a mark where no window x is; it is refused before any
+    # column is built or the prime table is read, also for a mark of 1.
+    def refuse(*args):
+        raise AssertionError("column built")
+
+    monkeypatch.setattr(marks, "_mobius_column", refuse)
+    monkeypatch.setattr(marks, "_prime_table", refuse)
+    outside = next(x for x in mapping if not 1 <= x <= 5)
+    with pytest.raises(ValueError, match=rf"^mark at D{outside} outside the window W_5$"):
+        MarkAction(mapping, 5)

@@ -798,7 +798,9 @@ def test_attack_kpa_fails_on_wrong_recovered_matrix(keyfile, capsys, monkeypatch
 
     def wrong_solver(pairs, window):
         result = solve(pairs, window)
-        return replace(result, marks=attacks.WindowMarks(tuple(-eps for eps in result.marks.eps)))
+        # Every mark negated: the key's are +-1, so -1 exactly where they are 1.
+        wrong = {x: -1 for x in range(1, window + 1) if x not in result.marks.marks}
+        return replace(result, marks=attacks.WindowMarks(window, wrong))
 
     monkeypatch.setattr(attacks, "known_plaintext_solver", wrong_solver)
     code, out, _ = run_cli(

@@ -41,12 +41,22 @@ def _direct_marks(s, length):
     return [(-1) ** sum(i % x == 0 for i in s) for x in range(1, length + 1)]
 
 
+def _minus_set(eps):
+    # The map {x: -1} of the x whose dense mark eps[x-1] is -1.
+    return {x: -1 for x, m in enumerate(eps, 1) if m == -1}
+
+
 @given(st.sets(indices, min_size=1, max_size=limits.MAX_KEY_SIZE).map(KeySet), windows)
 @example(KeySet([6, 10, 15]), 0)
 @example(KeySet([lcm(*range(1, 61)) * 73 * (146 + 7 * j) for j in range(limits.MAX_KEY_SIZE)]), _SMALL)
 @example(KeySet([4093 * 4091, 4093**2, 2**99]), _SMALL)
 def test_key_marks_equal_the_mark_definition(s, length):
-    assert key_marks(s, length) == _direct_marks(s, length)
+    # Exactly the -1 set of the definition, indices above the window
+    # included, ascending, and no mark of 1 stored.
+    sparse = key_marks(s, length)
+    assert sparse == _minus_set(_direct_marks(s, length))
+    assert list(sparse) == sorted(sparse)
+    assert 1 not in sparse.values()
 
 
 @given(indices, st.integers(0, _SMALL))
@@ -61,7 +71,9 @@ def test_divisors_upto_are_the_divisors_up_to_the_limit(n, limit):
 
 @given(st.sets(indices, min_size=1, max_size=6).map(KeySet), st.integers(0, _SMALL))
 def test_window_marks_of_the_key_element_are_its_key_marks(s, length):
-    assert window_marks(key_element(s), length) == key_marks(s, length)
+    dense = window_marks(key_element(s), length)
+    assert set(dense) <= {1, -1}
+    assert _minus_set(dense) == key_marks(s, length)
 
 
 def test_prime_table_holds_the_primes_and_a_prime_factor_of_each_composite():
@@ -102,12 +114,12 @@ def test_prime_table_refuses_a_bound_above_max_length_before_any_allocation(monk
 
     monkeypatch.setattr(marks, "_table", marks._sieve(0))
     monkeypatch.setattr(marks, "_sieve", record)
-    above = [1] * top + [-1]
+    above = {top + 1: -1}
     calls = [
         lambda: marks._prime_table(top + 1),
         lambda: _divisors_upto(6, top + 1),
         lambda: key_marks([2, 3], top + 1),
-        lambda: MarkAction(above),
+        lambda: MarkAction(above, top + 1),
     ]
     for call in calls:
         tracemalloc.start()
